@@ -1,6 +1,6 @@
 """capdist benchmark: one command per workload, run from the repository root.
 
-    python3 perfbench/run.py --workload points --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload points --seed 1 --seconds 25 --trace 0
 
 Workloads (see ``workloads.py``): ``points`` (single points and curves on
 tiny channels), ``outer`` (cpud and compound, thousands of point solves per
@@ -12,18 +12,18 @@ setup_s, plus fail_frac with its counts by kind.
 ``--trace 1`` first repeats the untraced run, then replays the same ops in
 a traced process and prints the per-layer metrics and trace_overhead_frac.
 A run executes the first ``--seconds x NOMINAL_OPS_PER_S`` ops of its
-workload, which takes about ``--seconds`` on the commit that added the
-benchmark, and stops early after 2.5 x ``--seconds`` of op time.
+workload (see there for how long they take).
 The last stdout line is one JSON object: correct, attempted, failed,
 metrics.
 
 Every workload runs in fresh single-threaded processes (BLAS thread
-variables set to 1), one after another.  set-up time (process start,
-``import capdist``, input generation) is the median over SETUPS processes.
-Op times are summed only over the ops themselves: the output checks run
-between ops, outside the timed region.  Op times are divided by the run's
-machine-speed factor (see ``worker.py``); the per-family table shows them
-as measured.
+variables set to 1), one after another.  Set-up time is the CPU time a
+fresh process takes to start, import capdist and generate the inputs: the
+median over SETUPS such processes.  Op times are the worker's CPU time
+(see ``tracing.clock``) summed only over the ops themselves: the output
+checks run between ops, outside the timed region.  Each op's time is
+divided by its own machine-speed factor (see ``worker.py``); the
+per-family table shows them as measured.
 """
 
 from __future__ import annotations
@@ -38,29 +38,36 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("points", "outer", "large")
-SETUPS = 5
+SETUPS = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 # The whole command must end within 180 s; workers get what is left of this.
 TOTAL_BUDGET_S = 170.0
+# A worker starts no op after what is left of TOTAL_BUDGET_S minus this, so
+# that the op it is running can still end.
+LAST_OP_MARGIN_S = 30.0
 KINDS = ("raise", "warning", "deadline", "check")
-# Ops per second of op time at nominal machine speed on the commit that
-# added the benchmark.  A run executes the first --seconds x this many ops
-# of its workload: a fixed amount of work, so every run of a workload covers
-# the same ops (its op list mixes heavy and light channels, and a run that
-# stops on time covers a different mix in a slow machine phase).
-NOMINAL_OPS_PER_S = {"points": 6.4, "outer": 0.64, "large": 5.0}
+# A run executes the first --seconds x this many ops of its workload: a
+# fixed amount of work, so every run of a workload covers the same ops (its
+# op list mixes heavy and light channels, and a run that stops on time
+# covers a different mix in a slow machine phase).  At --seconds 25 that is
+# 128 points ops (about 13 library channels, with their iteration-cap
+# warning, 3 check failures and 1 deadline), 14 outer ops (each scalar case
+# once, cpud r = 0.1 twice, 7 random families, the last one stopped by its
+# deadline) and 96 large ops (6 whole rounds).  The counts keep the whole
+# command set of the benchmark (22 runs per workload) within its time
+# limit when the machine is in its slow state.
+NOMINAL_OPS_PER_S = {"points": 5.12, "outer": 0.56, "large": 3.84}
 
 
-def worker(args, mode: str, started: float, *extra: str) -> tuple[float, dict | None]:
-    """Run worker.py to completion; return (set-up seconds, its JSON output)."""
+def worker(args, mode: str, started: float, *extra: str) -> dict:
+    """Run worker.py to completion; return its JSON output."""
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     src = os.path.join(os.getcwd(), "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     cmd = [sys.executable, os.path.join(HERE, "worker.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--mode", mode, *extra]
-    spawned = time.time()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
     try:
         out, _ = proc.communicate(timeout=max(1.0, TOTAL_BUDGET_S - (time.perf_counter() - started)))
@@ -69,10 +76,9 @@ def worker(args, mode: str, started: float, *extra: str) -> tuple[float, dict | 
             proc.kill()
             proc.wait()
     lines = out.strip().splitlines()
-    if proc.returncode != 0 or not lines or not lines[0].startswith("READY "):
+    if proc.returncode != 0 or not lines or lines[0] != "READY":
         raise RuntimeError(f"worker {mode} failed (exit {proc.returncode})")
-    setup = float(lines[0].split()[1]) - spawned
-    return setup, (json.loads(lines[-1]) if mode != "setup" else None)
+    return json.loads(lines[-1])
 
 
 def hd_quantile(values: list[float], p: float) -> float:
@@ -123,17 +129,22 @@ def main() -> int:
         print("perfbench: run from the repository root (src/capdist not found)", file=sys.stderr)
         return 2
 
-    budget = ("--seconds", str(args.seconds), "--ops",
-              str(max(1, round(args.seconds * NOMINAL_OPS_PER_S[args.workload]))))
+    n_ops = max(1, round(args.seconds * NOMINAL_OPS_PER_S[args.workload]))
+
+    def budget(ops: int, share: float = 1.0) -> tuple[str, ...]:
+        left = TOTAL_BUDGET_S - (time.perf_counter() - started) - LAST_OP_MARGIN_S
+        return "--ops", str(ops), "--stop-after", str(max(1.0, share * left))
+
     if args.trace:
-        _, run = worker(args, "run", started, *budget)
-        n_ops = len(run["records"])
+        # The untraced pass, for trace_overhead_frac, covers the first half
+        # of the ops; the traced pass, about 1.2x slower, covers them all.
+        run = worker(args, "run", started, *budget(max(1, n_ops // 2), 0.3))
         os.makedirs(os.path.join(HERE, "out"), exist_ok=True)
         trace_file = os.path.join(HERE, "out", f"trace-{args.workload}-seed{args.seed}.json")
-        _, traced = worker(args, "trace", started, "--seconds", "inf", "--ops", str(n_ops),
-                           "--trace-file", trace_file)
-        traced_s = (traced["measured_s"] - traced["paused_s"]) / traced["speed_factor"]
-        overhead = traced_s / (run["measured_s"] / run["speed_factor"]) - 1.0
+        traced = worker(args, "trace", started, *budget(n_ops), "--trace-file", trace_file)
+        n_ops = len(traced["records"])
+        common = min(n_ops, len(run["records"]))
+        overhead = sum(traced["scaled"][:common]) / sum(run["scaled"][:common]) - 1.0
         metrics = {name: {"value": v, "unit": u} for name, (v, u) in traced["per_layer"].items()}
         metrics["trace_overhead_frac"] = {"value": overhead, "unit": "frac"}
         shown = traced
@@ -142,10 +153,9 @@ def main() -> int:
         if traced["absent"]:
             print(f"absent hooks (their counters are left out): {', '.join(traced['absent'])}")
     else:
-        setups = [worker(args, "setup", started)[0] for _ in range(SETUPS - 1)]
-        setup, run = worker(args, "run", started, *budget)
-        setups.append(setup)
-        times = [r[1] / run["speed_factor"] for r in run["records"]]
+        setups = [worker(args, "setup", started)["setup_s"] for _ in range(SETUPS)]
+        run = worker(args, "run", started, *budget(n_ops))
+        times = run["scaled"]
         metrics = {
             "ops_per_s": {"value": len(times) / sum(times), "unit": "1/s"},
             "op_ms_p50": {"value": hd_quantile(times, 0.5) * 1e3, "unit": "ms"},
@@ -165,8 +175,9 @@ def main() -> int:
     print("machine: " + " ".join(f"{k}={v}" for k, v in machine.items()))
     print(f"deadline {shown['deadline_s']} s per budget point at nominal speed; {attempted} ops in "
           f"{shown['measured_s']:.2f} s of op time")
-    print(f"machine speed factor {shown['speed_factor']:.4f} (median of {shown['reference_samples']} reference "
-          f"kernel runs over {shown['reference_ms']} ms); reported times are divided by it")
+    print(f"machine speed factor: median {shown['speed_factor']:.4f} over the ops, from "
+          f"{shown['reference_samples']} reference-kernel samples against {shown['reference_ms']} ms; "
+          "each op's time is divided by its own factor")
     report_ops(shown)
     for name, m in metrics.items():
         print(f"{name:32s} {m['value']:14.6g} {m['unit']}")

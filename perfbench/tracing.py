@@ -34,8 +34,22 @@ STORED = {
 }
 
 
+# Op times, deadlines and spans are on the worker's CPU time (user +
+# system), not on the wall clock.  It leaves out the time other processes
+# hold the CPU and, in a Linux guest with paravirtual steal-time accounting,
+# the time the hypervisor gives the vCPU to other tenants; page faults and
+# memory zeroing stay in.  The op deadline is the matching timer,
+# ITIMER_PROF.  The clock is the thread's: the worker runs one thread (BLAS
+# threads 1), and while a process CPU timer is armed Linux reads the
+# process CPU clock only to the scheduler tick (4 ms at HZ = 250).
+clock = time.thread_time
+TIMER = signal.ITIMER_PROF
+TIMER_SIGNAL = signal.SIGPROF
+
+
 class DeadlineExceeded(BaseException):
-    """Raised from the SIGALRM handler to stop an op at its deadline.
+    """Raised from a signal handler (the SIGPROF timer, or the worker's
+    in-op speed sampling) to stop an op at its deadline.
 
     A BaseException, so that no ``except Exception`` in the code under test
     can swallow it."""
@@ -56,7 +70,7 @@ class Tracer:
         self._costs = weakref.WeakKeyDictionary()
 
     def now(self) -> float:
-        return time.perf_counter() - self.paused
+        return clock() - self.paused
 
     def inside(self, *kinds) -> bool:
         return any(frame[0] in kinds for frame in self.stack)
@@ -102,15 +116,17 @@ class Tracer:
     # -- counters at return -------------------------------------------------
 
     def _paused(self, work):
-        """Run tracer-side work with the clock and the op's deadline stopped."""
-        remaining = signal.setitimer(signal.ITIMER_REAL, 0)[0]
-        t0 = time.perf_counter()
+        """Run tracer-side work with the clock, the op's deadline and the
+        worker's speed sampling (ITIMER_VIRTUAL) stopped."""
+        timers = {which: signal.setitimer(which, 0) for which in (TIMER, signal.ITIMER_VIRTUAL)}
+        t0 = clock()
         try:
             work()
         finally:
-            self.paused += time.perf_counter() - t0
-            if remaining > 0:
-                signal.setitimer(signal.ITIMER_REAL, remaining)
+            self.paused += clock() - t0
+            for which, (remaining, interval) in timers.items():
+                if remaining > 0:
+                    signal.setitimer(which, remaining, interval)
 
     def _cost(self, model, estimator):
         if model not in self._costs:

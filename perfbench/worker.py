@@ -1,25 +1,39 @@
 """One workload in one process: set up, self-test, run the ops, report.
 
 Started by ``run.py`` with the BLAS thread variables set to 1 and
-``src`` on ``PYTHONPATH``.  Prints ``READY <wall-clock time>`` once capdist
-is imported and the inputs are generated (the end of set-up), then one JSON
-line with the per-op records.  With ``--mode setup`` it stops at ``READY``.
+``src`` on ``PYTHONPATH``.  Prints ``READY`` once capdist is imported and
+the inputs are generated (the end of set-up), then one JSON line with the
+per-op records.  With ``--mode setup`` it prints its set-up CPU time
+instead (not scaled: the time to start and import did not follow the
+reference kernel's speed).
 
-Between ops, a fixed numpy kernel that uses no capdist code
-(``reference_kernel``) is timed.  Its median over the run, against
-``REFERENCE_MS``, is the machine-speed factor.  On a shared 2-vCPU x86-64
-VM the effective speed of the same code drifted by up to 1.8x over
-minutes; without the factor the ``points`` median op time spread by 41 %
-between runs, with it the same op's scaled time stayed within about 4 %.
-Deadlines are stretched by the factor measured so far, so an op gets the
-same amount of work in a slow phase as in a fast one.
+A fixed numpy kernel that uses no capdist code (``KERNELS``: a small one
+for ``points`` and ``outer``, an 8 MB array pass for ``large``) is timed
+before every op, after the last, and at a fixed rate of user CPU time
+during an op (see ``MachineSpeed``); against the kernel's nominal time
+each sample is the machine-speed factor at that moment.  An op's factor is the mean of
+the samples taken during it and of the boundary samples around it (the
+two next to it and SPAN more on each side).  Its reported (scaled) time is
+its CPU time, less the in-op samples, divided by that factor; an op
+stopped by its deadline counts at its nominal deadline.  On a shared
+2-vCPU x86-64 VM the CPU time of the same code moved by up to 1.9x
+between runs, and within a run it switched between a fast and a slow
+state several times a second, so neither a run-wide factor nor samples
+taken only between ops followed multi-second ops.  The deadline is on the
+same scaled time: at every in-op sample the op is stopped once its CPU
+time so far, less the sampling, divided by the mean of its in-op samples
+passes the nominal deadline.  So an op gets the same amount of work in a
+slow state as in a fast one, and whether it fails does not depend on
+when the machine switched states.
 
-Each op runs under a SIGALRM deadline.  Its outcome is one of ok, raise
-(any exception, including NotCertified and SolverNonmonotone), warning (a
-convergence_warning on a returned point), deadline, or check (the result
-fails its solver-independent check, which runs after the op, outside its
-timing).  A check failure whose reason starts with ``checks.INVALID``
-marks a wrong answer, not a missed tolerance.
+Op times, the reference kernel's time and the deadline are on the worker's
+CPU time (``tracing.clock``).  Each op runs under a SIGPROF deadline.  Its
+outcome is one of ok, raise (any exception, including NotCertified and
+SolverNonmonotone), warning (a convergence_warning on a returned point),
+deadline, or check (the result fails its solver-independent check, which
+runs after the op, outside its timing).  A check failure whose reason
+starts with ``checks.INVALID`` marks a wrong answer, not a missed
+tolerance.
 """
 
 from __future__ import annotations
@@ -45,13 +59,11 @@ from tracing import DeadlineExceeded
 from workloads import Op
 
 
-# Median time of reference_kernel at nominal machine speed; reported times
-# are scaled to it.
-REFERENCE_MS = 2.5
-# Seconds of op time between two samples of the reference kernel.
-SAMPLE_EVERY_S = 0.5
-# A run stops early once its op time reaches WALL_CAP times --seconds.
-WALL_CAP = 2.5
+# Reference samples on each side of an op, beyond the two next to it, that
+# set its speed factor.
+SPAN = 2
+# See ``timed``.
+BACKSTOP = 3.0
 _REF_CHANNEL = np.random.default_rng(0).dirichlet(np.ones(5), size=6)
 
 
@@ -69,36 +81,119 @@ def reference_kernel() -> None:
         p /= p.sum()
 
 
-class MachineSpeed:
-    """Median reference-kernel time over the run, relative to REFERENCE_MS."""
+def array_kernel() -> None:
+    """Allocate, fill, exp and sum 2^20 doubles (8 MB) in numpy: the
+    memory-bound array passes of the ``large`` workload.  The small kernel
+    slows down more than these passes when the machine is in its slow
+    state; next to a K = 10 block point, the op's time over this kernel's
+    varied by 8 % (coefficient of variation), over the small kernel's by
+    17 %, and unscaled by 12 %."""
+    float(np.exp(-np.linspace(0.0, 1.0, 1 << 20)).sum())
 
-    def __init__(self):
+
+# Per workload: the reference kernel that resembles its ops, the kernel's
+# median time in ms at nominal machine speed (reported times are scaled to
+# it; the array kernel's was set against the small one's 2.5 ms on the same
+# machine), and the user CPU seconds between two samples inside an op.
+KERNELS = {
+    "points": (reference_kernel, 2.5, 0.1),
+    "outer": (reference_kernel, 2.5, 0.1),
+    "large": (array_kernel, 7.0, 0.25),
+}
+
+
+class MachineSpeed:
+    """Reference-kernel time relative to its nominal time.
+
+    ``samples[i]`` is taken just before op i.  While an op runs, a SIGVTALRM
+    every ``every_s`` of user CPU time runs the kernel once more between
+    two bytecodes of the op: ``in_op[i]`` holds those samples and
+    ``in_op_s[i]`` the CPU time they took, which is taken off the op's
+    time."""
+
+    def __init__(self, kernel, reference_ms: float, every_s: float, held=lambda: 0.0):
+        # held(): CPU time so far that is not the op's (the tracer's own work)
+        self.kernel, self.reference_ms, self.every_s, self.held = kernel, reference_ms, every_s, held
+        for _ in range(5):  # warm-up, not recorded
+            kernel()
         self.samples: list[float] = []
+        self.in_op: list[list[float]] = []
+        self.in_op_s: list[float] = []
+        self._armed = self._busy = False
+        signal.signal(signal.SIGVTALRM, self._tick)
 
     def sample(self, repeats: int = 3) -> None:
+        times = []
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            reference_kernel()
-            self.samples.append(time.perf_counter() - t0)
+            t0 = tracing.clock()
+            self.kernel()
+            times.append(tracing.clock() - t0)
+        self.samples.append(statistics.median(times) * 1e3 / self.reference_ms)
 
-    def factor(self) -> float:
-        return statistics.median(self.samples) * 1e3 / REFERENCE_MS
+    def recent(self) -> float:
+        return statistics.median(self.samples[-(SPAN + 1):])
+
+    def arm(self, limit: float) -> None:
+        """Start sampling; stop the op once its scaled time passes ``limit``."""
+        self.in_op.append([])
+        self.in_op_s.append(0.0)
+        self._limit, self._start = limit, tracing.clock() - self.held()
+        self._armed = True
+        signal.setitimer(signal.ITIMER_VIRTUAL, self.every_s, self.every_s)
+
+    def disarm(self) -> None:
+        self._armed = False  # a signal still pending is dropped
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+
+    def _tick(self, signum, frame):
+        if self._busy or not self._armed:
+            return
+        self._busy = True
+        t0 = tracing.clock()
+        try:
+            self.kernel()
+            self.in_op[-1].append((tracing.clock() - t0) * 1e3 / self.reference_ms)
+        finally:  # a deadline can stop the kernel too
+            self.in_op_s[-1] += tracing.clock() - t0
+            self._busy = False
+        own = tracing.clock() - self.held() - self._start - self.in_op_s[-1]  # the op's CPU time so far
+        if own > self._limit * statistics.fmean(self.in_op[-1]):
+            raise DeadlineExceeded()
+
+    def op_factors(self) -> list[float]:
+        """Per op i, the mean of boundary samples i - SPAN .. i + 1 + SPAN
+        and of the samples taken during it.  A mean, not a median: the
+        machine switches between a fast and a slow state within seconds,
+        and an op's time adds up both."""
+        return [statistics.fmean(self.samples[max(0, i - SPAN):i + 2 + SPAN] + inside)
+                for i, inside in enumerate(self.in_op)]
 
 
-def timed(call, deadline: float):
-    """(result, error, seconds): error is "deadline", an exception, or None."""
-    t0 = time.perf_counter()
+def timed(call, limit: float, speed: MachineSpeed | None = None):
+    """(result, error, seconds): error is "deadline", an exception, or None.
+
+    Without ``speed`` the call is stopped after ``limit`` s of CPU time.
+    With it, the kernel is sampled during the call, which is stopped once
+    its scaled time passes ``limit``; a CPU-time timer at BACKSTOP times
+    ``limit``, stretched by the last boundary samples, is only a backstop."""
+    t0 = tracing.clock()
     try:
-        signal.setitimer(signal.ITIMER_REAL, deadline)
+        if speed is None:
+            signal.setitimer(tracing.TIMER, limit)
+        else:
+            signal.setitimer(tracing.TIMER, BACKSTOP * limit * speed.recent())
+            speed.arm(limit)
         try:
             result = call()
-            return result, None, time.perf_counter() - t0
         finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+            if speed is not None:
+                speed.disarm()
+            signal.setitimer(tracing.TIMER, 0)
+        return result, None, tracing.clock() - t0
     except DeadlineExceeded:
-        return None, "deadline", time.perf_counter() - t0
+        return None, "deadline", tracing.clock() - t0
     except Exception as exc:  # every raise is a counted failure, never a crash
-        return None, exc, time.perf_counter() - t0
+        return None, exc, tracing.clock() - t0
 
 
 def _warning(result) -> str | None:
@@ -181,8 +276,10 @@ def self_test() -> dict:
     expect("simulated distortion + 0.02", op,
            dataclasses.replace(report, empirical_distortion=report.empirical_distortion + 0.02), "check")
 
+    # A CPU-time timer expires on a scheduler tick (4 ms at HZ = 250, 10 ms
+    # at HZ = 100), so the probe allows two ticks of overshoot.
     _, error, seconds = timed(lambda: cd.cpud_sup_definition(scalar), 0.05)
-    if error != "deadline" or seconds > 0.06:
+    if error != "deadline" or seconds > 0.07:
         problems.append(f"deadline probe: {error!r} after {seconds:.4f} s of 0.05 s")
     return {"ok": not problems, "problems": problems}
 
@@ -207,18 +304,21 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=0.0)
+    parser.add_argument("--stop-after", type=float, default=0.0,
+                        help="start no op after this many wall-clock seconds of the op loop")
     parser.add_argument("--ops", type=int, default=0)
     parser.add_argument("--mode", choices=("setup", "run", "trace"), required=True)
     parser.add_argument("--trace-file", default=None)
     args = parser.parse_args()
 
     ops = workloads.build_ops(args.workload, args.seed)
-    print(f"READY {time.time()!r}", flush=True)  # wall clock, compared with the parent's spawn time
+    setup_s = time.process_time()  # CPU time since the process started
+    print("READY", flush=True)
     if args.mode == "setup":
+        print(json.dumps({"setup_s": setup_s}), flush=True)
         return 0
 
-    signal.signal(signal.SIGALRM, _alarm)
+    signal.signal(tracing.TIMER_SIGNAL, _alarm)
     test = self_test()
     tracer = None
     if args.mode == "trace":
@@ -226,28 +326,36 @@ def main() -> int:
         tracer.install()
 
     deadline = workloads.DEADLINE_S[args.workload]
-    speed = MachineSpeed()
-    speed.sample(repeats=9)
+    speed = MachineSpeed(*KERNELS[args.workload], held=(lambda: tracer.paused) if tracer else (lambda: 0.0))
     records = []
-    measured = next_sample = 0.0
-    while len(records) < args.ops and measured < WALL_CAP * args.seconds:
-        if measured >= next_sample:
-            speed.sample()
-            next_sample = measured + SAMPLE_EVERY_S
+    measured = 0.0
+    stop = time.perf_counter() + args.stop_after
+    nominal = []  # per op: its deadline at nominal speed
+    held = []  # per op: the tracer's own CPU time inside it
+    while len(records) < args.ops and time.perf_counter() < stop:
+        speed.sample()
         op = ops[len(records) % len(ops)]
         call = op.call if tracer is None else (lambda: tracer.run_op(op.call))
-        result, error, seconds = timed(call, deadline * op.budgets * speed.factor())
+        nominal.append(deadline * op.budgets)
+        before = speed.held()
+        result, error, seconds = timed(call, nominal[-1], speed)
         measured += seconds
+        held.append(speed.held() - before)
         records.append([op.label, seconds, *classify(op, result, error)])
         del result
+    speed.sample()
+    factors = speed.op_factors()
+    scaled = [limit if rec[2] == "deadline" else (rec[1] - sampling - tracer_s) / f
+              for rec, f, sampling, tracer_s, limit in zip(records, factors, speed.in_op_s, held, nominal)]
 
     out = {
         "records": records,
         "measured_s": measured,
         "deadline_s": deadline,
-        "speed_factor": speed.factor(),
-        "reference_ms": REFERENCE_MS,
-        "reference_samples": len(speed.samples),
+        "scaled": scaled,
+        "speed_factor": statistics.median(factors),
+        "reference_ms": speed.reference_ms,
+        "reference_samples": len(speed.samples) + sum(map(len, speed.in_op)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "self_test": test,
         "machine": machine(),
@@ -255,7 +363,6 @@ def main() -> int:
     if tracer is not None:
         out["per_layer"] = tracer.metrics(len(records))
         out["absent"] = tracer.absent
-        out["paused_s"] = tracer.paused
         if args.trace_file:
             tracer.write(args.trace_file)
     print(json.dumps(out), flush=True)

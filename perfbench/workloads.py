@@ -35,9 +35,13 @@ HAMMING2 = 1.0 - np.eye(2)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Per-op deadline, in seconds per budget point solved (a curve of n budgets
-# gets n times this).  points: ~100x the median point; outer: twice the
-# slowest scalar-family op; large: ~10x a K = 11 point.
-DEADLINE_S = {"points": 2.0, "outer": 10.0, "large": 10.0}
+# gets n times this), in scaled seconds (see worker.py).  Each lies in a
+# wide gap of its workload's op times, so whether an op meets it does not
+# depend on the run's timing noise.  points: the ops that finish take at
+# most 3.4 s and one |X| = 8 point runs past 18 s (seeds 1-4 and 11-13);
+# outer: at most about 5 s, then one random compound op at 20 s; large:
+# over 10x a K = 11 point.
+DEADLINE_S = {"points": 6.0, "outer": 10.0, "large": 10.0}
 
 
 @dataclass
