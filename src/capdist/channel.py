@@ -2,7 +2,7 @@
 
 A channel here is a conditional law P(y | x, s) together with an i.i.d.
 state prior P(s) and a per-letter distortion d(s, s_hat) charged to the
-transmitter-side estimate of the state.  Everything downstream (solvers,
+receiver-side estimate of the state.  Everything downstream (solvers,
 closed forms, simulation) is built on the derived quantities computed in
 this module: output marginals, state posteriors, the optimal one-shot
 estimator and its per-letter cost vector, and mutual information.
@@ -30,6 +30,11 @@ PROB_TOL = 1e-9
 
 # Default cap on the size of a super-symbol alphabet (inputs or outputs).
 ALPHABET_CAP = 2**20
+
+# Cap on the entries of a dense super-symbol transition |X|^K |S| |Y|^K:
+# 2**25 float64 entries are 256 MiB.  Binary channels with one binary state
+# stay within it up to K = 12.
+DENSE_ENTRY_CAP = 2**25
 
 FloatArray = NDArray[np.float64]
 
@@ -85,6 +90,33 @@ class ChannelModel:
         pyx = np.einsum("xsy,s->xy", self.transition, self.state_prior)
         pyx.setflags(write=False)
         return pyx
+
+    @cached_property
+    def _estimator(self) -> EstimatorPolicy:
+        """The policy ``optimal_estimator`` returns, computed on first use."""
+        # risk[x, y] for estimate t is sum_s P(y | x, s) P(s) d(s, t): the
+        # unnormalized posterior risk.  Using it directly folds the P(y | x)
+        # factor of the cost into the minimization, so zero-probability
+        # outputs never divide by zero.  The sum runs in s order and the
+        # running minimum only moves on a strict decrease, so ties go to the
+        # smallest state index.
+        shape = (self.input_size, self.output_size)
+        term = np.empty(shape)
+        best = table = None
+        for t in range(self.state_size):
+            risk = np.zeros(shape)
+            for s in range(self.state_size):
+                np.multiply(self.transition[:, s, :], self.state_prior[s], out=term)
+                term *= self.distortion[s, t]
+                risk += term
+            if best is None:
+                best, table = risk, np.zeros(shape, dtype=np.int64)
+            else:
+                better = risk < best
+                table[better] = t
+                np.copyto(best, risk, where=better)
+        reachable = self.output_given_input > 0.0
+        return EstimatorPolicy(table, best.sum(axis=1), reachable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,16 +271,11 @@ def optimal_estimator(model: ChannelModel) -> EstimatorPolicy:
     cost vector is d*(x) = sum_y P(y | x) min_s_hat E[d | x, y], the expected
     distortion of this estimator when letter x is sent.  Pairs with
     P(y | x) = 0 are flagged unreachable and contribute nothing.
+
+    The policy is computed once per model and cached on it, so every caller
+    shares the same (read-only) arrays.  Working memory is O(|X| |Y|).
     """
-    # weight[x, s, y] = P(y | x, s) P(s): the unnormalized posterior.  Using it
-    # directly folds the P(y | x) factor of the cost into the minimization, so
-    # zero-probability outputs never divide by zero.
-    weight = model.transition * model.state_prior[None, :, None]
-    risk = np.einsum("xsy,st->xyt", weight, model.distortion)
-    table = np.argmin(risk, axis=2)  # argmin takes the smallest index on ties
-    cost_vector = risk.min(axis=2).sum(axis=1)
-    reachable = model.output_given_input > 0.0
-    return EstimatorPolicy(table.astype(np.int64), cost_vector, reachable)
+    return model._estimator
 
 
 def mutual_information(model: ChannelModel, px) -> float:
@@ -284,6 +311,10 @@ def block_to_super_symbol(model: ChannelModel, block_len: int, cap: int = ALPHAB
     prod_k P(y_k | x_k, s).  Tuples map to indices big-endian (first use most
     significant), so the all-zeros tuple is index 0.  Rates computed on the
     result are per super-symbol; divide by ``block_len`` for per-use values.
+
+    Raises ``AlphabetOverflow`` before allocating anything when |X|^K or
+    |Y|^K exceeds ``cap``, or the dense tensor |X|^K |S| |Y|^K exceeds
+    ``DENSE_ENTRY_CAP`` entries.
     """
     if block_len < 1:
         raise DimensionMismatch("block_len must be >= 1")
@@ -291,6 +322,12 @@ def block_to_super_symbol(model: ChannelModel, block_len: int, cap: int = ALPHAB
         raise AlphabetOverflow(
             f"super-symbol alphabet exceeds cap {cap}: "
             f"|X|^K = {model.input_size}**{block_len}, |Y|^K = {model.output_size}**{block_len}"
+        )
+    entries = model.input_size**block_len * model.state_size * model.output_size**block_len
+    if entries > DENSE_ENTRY_CAP:
+        raise AlphabetOverflow(
+            f"dense super-symbol transition |X|^K |S| |Y|^K = {entries} entries "
+            f"exceeds cap {DENSE_ENTRY_CAP}"
         )
     stacked = []
     for s in range(model.state_size):

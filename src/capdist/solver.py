@@ -115,12 +115,11 @@ class CostConstraint:
 # ---------------------------------------------------------------------------
 
 
-def _channel_terms(pyx: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Precompute log P(y|x) (masked) and the per-row sum_y P log P."""
+def _channel_terms(pyx: FloatArray) -> FloatArray:
+    """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0."""
     with np.errstate(divide="ignore"):
         log_pyx = np.where(pyx > 0, np.log(np.maximum(pyx, 1e-300)), 0.0)
-    row_self = np.sum(pyx * log_pyx, axis=1)
-    return log_pyx, row_self
+    return np.sum(pyx * log_pyx, axis=1)
 
 
 class _Objective:
@@ -131,7 +130,7 @@ class _Objective:
         for weight, pyx in weighted_channels:
             if weight <= 0.0:
                 continue
-            log_pyx, row_self = _channel_terms(pyx)
+            row_self = _channel_terms(pyx)
             self.terms.append((float(weight), pyx, row_self))
         self.n_inputs = weighted_channels[0][1].shape[0]
 
@@ -315,8 +314,11 @@ def capacity_distortion_point(
     otherwise bisect the cost multiplier until the achieved cost lands within
     ``opts.cost_tol`` below the budget.  When no multiplier attains the
     budget exactly (the tradeoff has a linear segment there), the two
-    bracketing solutions are mixed, which is optimal by concavity.
+    bracketing solutions are mixed, which is optimal by concavity.  A NaN
+    budget raises ``ValueError``.
     """
+    if math.isnan(budget):
+        raise ValueError("distortion budget is NaN")
     policy = optimal_estimator(model)
     cost_vector = policy.cost_vector
     pyx = model.output_given_input
@@ -580,7 +582,7 @@ def _simplex_grid(n_inputs: int, step: float) -> FloatArray:
 def batch_mutual_information(model: ChannelModel, batch: FloatArray) -> FloatArray:
     """I(X; Y) in nats for every row of a (T, |X|) batch of input laws."""
     pyx = model.output_given_input
-    _, row_self = _channel_terms(pyx)
+    row_self = _channel_terms(pyx)
     py = batch @ pyx
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(py > 0, -py * np.log(py), 0.0).sum(axis=1)

@@ -122,6 +122,52 @@ def test_optimal_estimator_beats_random_tables():
             assert np.all(policy.cost_vector <= cost + 1e-12)
 
 
+def _einsum_risk(model):
+    """Dense reference: the full (|X|, |Y|, |S|) posterior-risk tensor."""
+    weight = model.transition * model.state_prior[None, :, None]
+    return np.einsum("xsy,st->xyt", weight, model.distortion)
+
+
+def _tied_channel(rng):
+    # Transitions on a 0.25 grid, a prior of small integers and integer
+    # distortions make equal posterior risks common, so ties are exercised.
+    nx, ns, ny = rng.integers(1, 6, size=3)
+    transition = rng.integers(0, 4, size=(nx, ns, ny)).astype(float)
+    transition[..., 0] += 1.0
+    transition /= transition.sum(axis=2, keepdims=True)
+    prior = rng.integers(1, 4, size=ns).astype(float)
+    distortion = rng.integers(0, 3, size=(ns, ns)).astype(float)
+    return cd.validate_channel(transition, prior / prior.sum(), distortion)
+
+
+def test_optimal_estimator_matches_einsum_reference():
+    rng = np.random.default_rng(19)
+    models = [cd.scalar_multiplicative_model(r) for r in (0.3, 0.5)]
+    models += [cd.additive_mod2_model(0.3), cd.block_multiplicative_model(0.5, 3)]
+    models += [_random_channel(rng, *rng.integers(1, 6, size=3)) for _ in range(40)]
+    models += [_tied_channel(rng) for _ in range(40)]
+    ties = 0
+    for model in models:
+        policy = cd.optimal_estimator(model)
+        risk = _einsum_risk(model)
+        assert policy.table.dtype == np.int64
+        assert np.array_equal(policy.table, np.argmin(risk, axis=2))
+        assert np.array_equal(policy.cost_vector, risk.min(axis=2).sum(axis=1))
+        assert np.array_equal(policy.reachable, model.output_given_input > 0.0)
+        ties += int(np.sum(np.sum(risk == risk.min(axis=2, keepdims=True), axis=2) > 1))
+    assert ties > 0
+
+
+def test_optimal_estimator_is_computed_once_per_model():
+    model = cd.block_multiplicative_model(0.3, 2)
+    policy = cd.optimal_estimator(model)
+    assert cd.optimal_estimator(model) is policy
+    assert not policy.table.flags.writeable
+    assert not policy.cost_vector.flags.writeable
+    fresh = cd.block_multiplicative_model(0.3, 2)
+    assert cd.optimal_estimator(fresh) is not policy
+
+
 def test_estimator_cost_zero_when_output_reveals_state():
     model = cd.additive_mod2_model(0.3)
     policy = cd.optimal_estimator(model)
@@ -212,7 +258,13 @@ def test_block_builder_matches_kron_of_rows():
     del rng
 
 
-def test_block_builder_overflow_guard():
+def test_block_builder_overflow_guard(monkeypatch):
     base = cd.scalar_multiplicative_model(0.3)
     with pytest.raises(cd.AlphabetOverflow):
         cd.block_to_super_symbol(base, 3, cap=7)
+    # The dense tensor |X|^K |S| |Y|^K is capped too: 8 * 2 * 8 = 128 at K = 3.
+    monkeypatch.setattr(cd.channel, "DENSE_ENTRY_CAP", 127)
+    with pytest.raises(cd.AlphabetOverflow, match="128 entries"):
+        cd.block_to_super_symbol(base, 3)
+    monkeypatch.setattr(cd.channel, "DENSE_ENTRY_CAP", 128)
+    assert cd.block_to_super_symbol(base, 3).transition.size == 128

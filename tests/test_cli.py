@@ -62,6 +62,14 @@ def test_point_infeasible_budget_exits_3(capsys):
     assert "error:" in captured.err
 
 
+def test_point_nan_budget_exits_2(capsys):
+    code = cli.main(["point", "scalar_multiplicative r=0.3", "--distortion", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "NaN" in captured.err
+    assert "C(D)" not in captured.out
+
+
 def test_point_convergence_warning_exits_4(monkeypatch, capsys):
     def fake_point(model, budget, opts=None):
         return cd.CDPoint(budget, 0.1, cd.InputDistribution([0.5, 0.5]), True,
@@ -262,6 +270,16 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     missing.write_text(json.dumps(doc))
     assert cli.main(["point", str(missing), "--distortion", "0.1"]) == 2
     capsys.readouterr()
+
+
+def test_oversized_block_exits_2(monkeypatch, capsys):
+    # Binary K = 3 has 8 * 2 * 8 = 128 dense entries; a cap one below it
+    # stands in for a block length whose dense tensor would not fit.
+    monkeypatch.setattr(cd.channel, "DENSE_ENTRY_CAP", 127)
+    code = cli.main(["point", "block_multiplicative r=0.3 K=3", "--distortion", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "exceeds cap 127" in captured.err
 
 
 def test_no_subcommand_exits_2(capsys):

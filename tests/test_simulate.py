@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,63 @@ def test_simulate_plugin_mi_approaches_true_information():
     true_mi = cd.mutual_information(model, px)
     report = cd.simulate(model, px, n=200_000, seed=11)
     assert abs(report.empirical_mi - true_mi) < 5e-3
+
+
+def _dense_reference(model, px, n, seed):
+    """Reference sampler: gathers one n x |Y| CDF row per sample and counts
+    the entries below each sample's uniform."""
+    gen_x, gen_s, gen_y = (np.random.Generator(np.random.PCG64(c))
+                           for c in np.random.SeedSequence(seed).spawn(3))
+
+    def cdf(rows):
+        out = np.cumsum(rows, axis=-1)
+        out[..., -1] = 1.0
+        return out
+
+    def draw(cdf_rows, index, uniforms):
+        return (cdf_rows[index] < uniforms[:, None]).sum(axis=1)
+
+    zeros = np.zeros(n, dtype=np.intp)
+    xs = draw(cdf(px)[None, :], zeros, gen_x.random(n))
+    ss = draw(cdf(model.state_prior)[None, :], zeros, gen_s.random(n))
+    ys = draw(cdf(model.transition).reshape(-1, model.output_size),
+              xs * model.state_size + ss, gen_y.random(n))
+    counts = np.zeros((model.input_size, model.output_size), dtype=np.int64)
+    np.add.at(counts, (xs, ys), 1)
+    est = cd.optimal_estimator(model).table[xs, ys]
+    return counts, float(model.distortion[ss, est].mean())
+
+
+def test_simulate_draws_match_dense_reference():
+    # Noisy K = 2 block channel with 4 x 3 = 12 (x, s) rows, each with
+    # mass on all 9 outputs, so the per-row grouping is exercised.
+    rng = np.random.default_rng(4)
+    transition = rng.random((2, 3, 3)) + 0.05
+    transition /= transition.sum(axis=2, keepdims=True)
+    base = cd.validate_channel(transition, [0.5, 0.3, 0.2], rng.random((3, 3)))
+    model = cd.block_to_super_symbol(base, 2)
+    px = rng.random(model.input_size)
+    px /= px.sum()
+    for seed in (0, 1, 2):
+        report = cd.simulate(model, px, n=3_000, seed=seed)
+        counts, distortion = _dense_reference(model, px, 3_000, seed)
+        assert np.array_equal(report.joint_counts, counts)
+        assert report.joint_counts.dtype == counts.dtype
+        assert report.empirical_distortion == distortion
+        assert report.empirical_mi == cd.plugin_mi(counts)
+
+
+def test_simulate_memory_is_linear_in_samples():
+    # A sampler that gathers an n x |Y| CDF array would need 512 MB here.
+    model = cd.block_multiplicative_model(0.3, 6)
+    uniform = np.full(model.input_size, 1.0 / model.input_size)
+    tracemalloc.start()
+    try:
+        cd.simulate(model, uniform, n=1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_simulate_rejects_empty_run():

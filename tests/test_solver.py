@@ -106,6 +106,13 @@ def test_point_infeasible_budget_raises_with_floor():
     assert cd.capacity_distortion_point(silent, 0.4).capacity == 0.0
 
 
+def test_point_rejects_nan_budget():
+    # NaN compares false with every cost, so without a check it would fall
+    # through the bracketing loop to the multiplier-cap fallback.
+    with pytest.raises(ValueError, match="NaN"):
+        cd.capacity_distortion_point(cd.scalar_multiplicative_model(0.3), math.nan)
+
+
 def test_feasible_range_scalar():
     d_min, d_max = cd.feasible_range(cd.scalar_multiplicative_model(0.4))
     assert d_min == 0.0
