@@ -53,7 +53,3 @@ class NoZeroCostLetter(CapdistError):
 
 class NotCertified(CapdistError):
     """Max-min solver could not certify its duality gap and no fallback applies."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Iteration cap reached before the requested tolerance; result may be inexact."""

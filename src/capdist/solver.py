@@ -197,28 +197,51 @@ def _ascend(
             # Frozen far from optimal: a multiplicative update cannot grow a
             # tiny coordinate whose score advantage is itself tiny (the
             # per-step log gain equals the certificate).  Move toward the
-            # best-scoring vertex with an exact line search instead -- the
-            # objective is concave along the segment, so this is monotone
-            # and it escapes the freeze in one jump.
+            # best-scoring vertex along q_t = p + t * direction instead.  The
+            # objective is concave there with slope
+            # g(t) = direction . (scores(q_t) - tilt) (the gradient of I is
+            # score - 1 and direction sums to zero), so g is nonincreasing
+            # with g(0) = cert > 0.  The best t is the vertex if g(1) >= 0,
+            # else the root of g, found by Illinois regula falsi with a
+            # bisection fallback in a few evaluations.  The best point seen
+            # is kept only if it strictly improves the objective.
             x_star = int(np.argmax(score))
             direction = -p.copy()
             direction[x_star] += 1.0
+            best_value, best_q = value, p
 
-            def along(t: float) -> float:
+            def slope(t: float) -> float:
+                nonlocal best_value, best_q
                 q = p + t * direction
-                return float(q @ (objective.scores(q) - tilt))
+                s = objective.scores(q) - tilt
+                v = float(q @ s)
+                if v > best_value:
+                    best_value, best_q = v, q
+                return float(direction @ s)
 
-            lo, hi = 0.0, 1.0
-            for _ in range(48):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if along(m1) < along(m2):
-                    lo = m1
+            t_lo, g_lo, t_hi, g_hi = 0.0, cert, 1.0, slope(1.0)
+            kept = 0  # +1 / -1: the last step replaced t_lo / t_hi
+            for _ in range(100):
+                if g_hi >= 0.0 or t_hi - t_lo <= 1e-12:
+                    break
+                t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
+                if not t_lo < t < t_hi:
+                    t = 0.5 * (t_lo + t_hi)
+                g = slope(t)
+                if abs(g) <= 1e-15:
+                    break
+                if g > 0.0:
+                    t_lo, g_lo = t, g
+                    if kept == 1:
+                        g_hi *= 0.5  # Illinois: t_hi kept twice, halve its weight
+                    kept = 1
                 else:
-                    hi = m2
-            t_best = 0.5 * (lo + hi)
-            if along(t_best) > value:
-                log_p = np.log(np.maximum(p + t_best * direction, 1e-300))
+                    t_hi, g_hi = t, g
+                    if kept == -1:
+                        g_lo *= 0.5
+                    kept = -1
+            if best_value > value:
+                log_p = np.log(np.maximum(best_q, 1e-300))
                 hist.clear()
                 prev_value = value
                 continue
@@ -312,10 +335,10 @@ def capacity_distortion_point(
 
     Strategy: solve unconstrained first and return it if already feasible;
     otherwise bisect the cost multiplier until the achieved cost lands within
-    ``opts.cost_tol`` below the budget.  When no multiplier attains the
-    budget exactly (the tradeoff has a linear segment there), the two
-    bracketing solutions are mixed, which is optimal by concavity.  A NaN
-    budget raises ``ValueError``.
+    ``opts.cost_tol`` below the budget, then return the mixture of the two
+    bracketing solutions whose cost equals the budget.  Where no multiplier
+    attains the budget (the tradeoff has a linear segment there) that
+    mixture is optimal by concavity.  A NaN budget raises ``ValueError``.
     """
     if math.isnan(budget):
         raise ValueError("distortion budget is NaN")
@@ -365,20 +388,8 @@ def capacity_distortion_point(
             )
 
     for _ in range(opts.max_bisections):
-        if budget - cost_hi <= opts.cost_tol:
+        if budget - cost_hi <= opts.cost_tol or lam_hi - lam_lo <= 1e-15 * max(1.0, lam_hi):
             break
-        if lam_hi - lam_lo <= 1e-15 * max(1.0, lam_hi):
-            # No multiplier hits the budget: the curve is linear here, so the
-            # cost-matched mixture of the bracketing solutions is optimal.
-            alpha = (budget - cost_hi) / (cost_lo - cost_hi)
-            p_mix = alpha * p_lo + (1.0 - alpha) * p_hi
-            return CDPoint(
-                budget,
-                max(0.0, objective.value(p_mix)),
-                InputDistribution(p_mix),
-                True,
-                warning,
-            )
         lam_mid = 0.5 * (lam_lo + lam_hi)
         p_mid, _, capped = _ascend(objective, lam_mid * cost_vector, opts, p0=p_warm)
         warning = warning or ("inner ascent hit its iteration cap" if capped else None)
@@ -391,7 +402,17 @@ def capacity_distortion_point(
     else:
         warning = warning or "bisection hit its iteration cap"
 
-    return CDPoint(budget, max(0.0, objective.value(p_hi)), InputDistribution(p_hi), True, warning)
+    # Land on the budget with the cost-matched mixture of the bracketing
+    # solutions.  Where no multiplier hits the budget (the bracket collapsed)
+    # the curve is linear there and the mixture is optimal.  Otherwise it
+    # recovers the shortfall budget - cost_hi, which cost_tol bounds only in
+    # absolute terms: on a channel whose letter costs span 1e-3 a 1e-8
+    # shortfall is a visible fraction of the range.
+    p = p_hi
+    if cost_lo > budget > cost_hi:
+        alpha = (budget - cost_hi) / (cost_lo - cost_hi)
+        p = alpha * p_lo + (1.0 - alpha) * p_hi
+    return CDPoint(budget, max(0.0, objective.value(p)), InputDistribution(p), True, warning)
 
 
 def cd_curve(model: ChannelModel, grid, opts: SolverOptions = DEFAULT_OPTIONS) -> CDCurve:

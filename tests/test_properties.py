@@ -1,0 +1,71 @@
+"""Property tests of the solver on random channels (Hypothesis).
+
+Examples are derandomized, so every run checks the same channels and a
+failure reproduces; the database is off, so a run writes no files.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import capdist as cd
+from capdist import solver
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+_weights = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def channels(draw):
+    """A channel with |X| 2-6, |S| 2-3, |Y| 2-5 and Hamming state distortion."""
+    nx = draw(st.integers(2, 6))
+    ns = draw(st.integers(2, 3))
+    ny = draw(st.integers(2, 5))
+    transition = np.array(draw(st.lists(_weights, min_size=nx * ns * ny, max_size=nx * ns * ny)))
+    transition = transition.reshape(nx, ns, ny)
+    transition /= transition.sum(axis=2, keepdims=True)
+    prior = np.array(draw(st.lists(_weights, min_size=ns, max_size=ns)))
+    return cd.validate_channel(transition, prior / prior.sum(), 1.0 - np.eye(ns))
+
+
+def _kl_rows(pyx, q):
+    """D(P(.|x) || q) for every row x, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pyx > 0.0, pyx * (np.log(pyx) - np.log(q)), 0.0)
+    return terms.sum(axis=1)
+
+
+@PROPERTY_SETTINGS
+@given(model=channels(), lam=st.floats(0.0, 5.0), warm=st.booleans())
+def test_ascent_never_decreases_the_objective(model, lam, warm):
+    # debug=True raises AssertionError on any decreasing step, vertex
+    # escapes and Aitken jumps included.
+    objective = solver._Objective([(1.0, model.output_given_input)])
+    cost = cd.optimal_estimator(model).cost_vector
+    p0 = np.eye(model.input_size)[0] * 0.9 + 0.1 / model.input_size if warm else None
+    p, cert, _ = solver._ascend(objective, lam * cost, cd.SolverOptions(debug=True), p0=p0)
+    assert abs(p.sum() - 1.0) < 1e-12 and np.all(p >= 0.0)
+    assert cert >= -1e-12
+
+
+@PROPERTY_SETTINGS
+@given(model=channels(), frac=st.floats(0.0, 1.0))
+def test_point_is_feasible_and_below_every_dual_bound(model, frac):
+    cost = cd.optimal_estimator(model).cost_vector
+    budget = float(cost.min() + frac * (cost.max() - cost.min()))
+    point = cd.capacity_distortion_point(model, budget)
+    p = point.optimizer.probs
+    assert p @ cost <= budget + 1e-8
+    assert abs(point.capacity - cd.mutual_information(model, p)) < 1e-9
+
+    # Weak duality: for any output law q and any lam >= 0,
+    # C(D) <= max_x [D(P(.|x) || q) - lam (d*(x) - D)].  q is the output law
+    # of the returned input law, so the bound is tight near lam = dC/dD.
+    pyx = model.output_given_input
+    divergence = _kl_rows(pyx, p @ pyx)
+    for lam in (0.0, 0.1, 1.0, 10.0, 100.0):
+        bound = float(np.max(divergence - lam * (cost - budget)))
+        assert bound >= point.capacity - 1e-9, lam

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import capdist as cd
+from capdist import solver
 
 # Frozen solver outputs for the r = 0.4 scalar channel, cross-checked against
 # the closed form and an exhaustive simplex grid before being pinned here.
@@ -111,6 +112,61 @@ def test_point_rejects_nan_budget():
     # through the bracketing loop to the multiplier-cap fallback.
     with pytest.raises(ValueError, match="NaN"):
         cd.capacity_distortion_point(cd.scalar_multiplicative_model(0.3), math.nan)
+
+
+def test_binding_point_lands_on_the_budget_with_narrow_cost_spread():
+    # The letter costs are 0.15 and 0.151, so a cost shortfall of cost_tol
+    # (1e-8 absolute) is 1e-5 of the range and was worth 8e-8 nats here.
+    # With two letters the optimum is the unique law with d*.p = D.
+    transition = [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.798, 0.202]]]
+    model = cd.validate_channel(transition, [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    cost = cd.optimal_estimator(model).cost_vector
+    assert np.allclose(cost, [0.15, 0.151], atol=1e-15)
+    # A coarse cost_tol leaves a shortfall of up to 1e-4 whatever path the
+    # bisection takes; the budget-matched mixture must still land on D.
+    for opts in (cd.SolverOptions(), cd.SolverOptions(cost_tol=1e-4)):
+        for budget in (0.1501, 0.1502, 0.1503, 0.1504):
+            point = cd.capacity_distortion_point(model, budget, opts)
+            p1 = (budget - cost[0]) / (cost[1] - cost[0])
+            exact = cd.mutual_information(model, np.array([1.0 - p1, p1]))
+            assert point.constraint_active
+            assert abs(point.capacity - exact) < 1e-9, (opts.cost_tol, budget)
+            assert point.optimizer.probs @ cost <= budget + 1e-12
+
+
+def _library_channel_0():
+    """First |X| = 8, |S| = 2, |Y| = 4 channel of a Dirichlet(1) draw whose
+    ascents stall near a face and escape toward a vertex thousands of times."""
+    lib = np.random.default_rng(8011136)
+    nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
+    transition = lib.dirichlet(np.ones(ny), size=(nx, ns))
+    prior = lib.dirichlet(np.ones(ns))
+    return cd.validate_channel(transition, prior, 1.0 - np.eye(ns))
+
+
+def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
+    model = _library_channel_0()
+    assert model.input_size == 8
+    d_min, d_max = cd.feasible_range(model)
+    budget = d_min + 0.5 * (d_max - d_min)
+
+    calls = [0]
+    scores = solver._Objective.scores
+
+    def counting_scores(self, p):
+        calls[0] += 1
+        return scores(self, p)
+
+    monkeypatch.setattr(solver._Objective, "scores", counting_scores)
+    point = cd.capacity_distortion_point(model, budget)
+    # About 950 vertex escapes happen here.  The slope root-find needs about
+    # 5 evaluations per escape and the point about 9,700 in all; a search
+    # of about 100 evaluations per escape would need about 100,000.
+    assert calls[0] < 30_000
+    assert point.convergence_warning is None
+    checked = cd.capacity_distortion_point(model, budget, cd.SolverOptions(debug=True))
+    assert checked.capacity == point.capacity
+    assert np.array_equal(checked.optimizer.probs, point.optimizer.probs)
 
 
 def test_feasible_range_scalar():
