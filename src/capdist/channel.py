@@ -92,6 +92,13 @@ class ChannelModel:
         return pyx
 
     @cached_property
+    def _row_terms(self) -> FloatArray:
+        """``_channel_terms`` of ``output_given_input``, computed on first use."""
+        terms = _channel_terms(self.output_given_input)
+        terms.setflags(write=False)
+        return terms
+
+    @cached_property
     def _estimator(self) -> EstimatorPolicy:
         """The policy ``optimal_estimator`` returns, computed on first use."""
         # risk[x, y] for estimate t is sum_s P(y | x, s) P(s) d(s, t): the
@@ -276,6 +283,13 @@ def optimal_estimator(model: ChannelModel) -> EstimatorPolicy:
     shares the same (read-only) arrays.  Working memory is O(|X| |Y|).
     """
     return model._estimator
+
+
+def _channel_terms(pyx: FloatArray) -> FloatArray:
+    """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0."""
+    with np.errstate(divide="ignore"):
+        log_pyx = np.where(pyx > 0, np.log(np.maximum(pyx, 1e-300)), 0.0)
+    return np.sum(pyx * log_pyx, axis=1)
 
 
 def mutual_information(model: ChannelModel, px) -> float:

@@ -7,9 +7,12 @@ linear cost tilt: each step reweights
     p'(x) proportional to p(x) * exp( D(P_y|x || P_y) - lambda * cost(x) )
 
 which is monotone in the Lagrangian objective I(p) - lambda * E_p[cost].
-An outer bisection on the multiplier hits the cost budget, with degenerate
-budgets handled on the minimum-cost face.  A vectorized grid search over the
-input simplex doubles as an independent oracle for small alphabets.
+A binding budget is bracketed by doubling the multiplier, then solved
+directly on the budget polytope {p in simplex : cost.p <= D} by pairwise
+Frank-Wolfe, whose gap certifies the result; degenerate budgets are handled
+on the minimum-cost face.  Several simultaneous budgets use a bisection per
+multiplier.  A vectorized grid search over the input simplex doubles as an
+independent oracle for small alphabets.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .channel import (
     FloatArray,
     InputDistribution,
     _as_probs,
+    _channel_terms,
     optimal_estimator,
 )
 from .errors import (
@@ -48,17 +52,21 @@ class SolverOptions:
 
     ba_tol        : stop the inner ascent once the objective increment drops
                     to this value (default 1e-10)
-    ba_max_iter   : inner iteration cap (default 10_000)
+    ba_max_iter   : iteration cap of the inner ascent and of the Frank-Wolfe
+                    finisher (default 10_000)
     cert_tol      : early exit once the optimality-gap certificate
-                    max_x score(x) - objective falls below this
-    cost_tol      : outer bisection stops when the achieved cost is within
-                    this of the budget (default 1e-8)
-    max_bisections: outer iteration cap (default 200)
+                    max_x score(x) - objective (the Frank-Wolfe gap for a
+                    binding budget) falls below this (default 1e-11)
+    cost_tol      : multiplier bisection stops when the achieved cost is
+                    within this of the budget (default 1e-8); used only by
+                    multi_constraint_point with several budgets and by
+                    compound_cd
+    max_bisections: cap on that bisection (default 200); same callers
     lambda_cap    : largest multiplier tried before falling back to the
                     minimum-cost face (default 1e6)
     stall_cert    : largest certificate the increment-based inner stop may
-                    accept; bounds the suboptimality a stalled ascent can
-                    leave behind (default 1e-6)
+                    accept, and the largest gap a returned point may carry
+                    without a convergence_warning (default 1e-6)
     debug         : assert objective monotonicity on every inner step
     """
 
@@ -115,24 +123,24 @@ class CostConstraint:
 # ---------------------------------------------------------------------------
 
 
-def _channel_terms(pyx: FloatArray) -> FloatArray:
-    """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0."""
-    with np.errstate(divide="ignore"):
-        log_pyx = np.where(pyx > 0, np.log(np.maximum(pyx, 1e-300)), 0.0)
-    return np.sum(pyx * log_pyx, axis=1)
-
-
 class _Objective:
-    """Weighted mutual-information objective over one or more channels."""
+    """Weighted mutual-information objective over one or more channels.
 
-    def __init__(self, weighted_channels: Sequence[tuple[float, FloatArray]]):
+    Each channel is a ``ChannelModel``, whose row terms are cached on it, or
+    a raw P(y|x) array."""
+
+    def __init__(self, weighted_channels: Sequence[tuple[float, ChannelModel | FloatArray]]):
         self.terms = []
-        for weight, pyx in weighted_channels:
+        for weight, channel in weighted_channels:
             if weight <= 0.0:
                 continue
-            row_self = _channel_terms(pyx)
+            if isinstance(channel, ChannelModel):
+                pyx, row_self = channel.output_given_input, channel._row_terms
+            else:
+                pyx, row_self = channel, _channel_terms(channel)
             self.terms.append((float(weight), pyx, row_self))
-        self.n_inputs = weighted_channels[0][1].shape[0]
+        first = weighted_channels[0][1]
+        self.n_inputs = first.input_size if isinstance(first, ChannelModel) else first.shape[0]
 
     def scores(self, p: FloatArray) -> FloatArray:
         """sum_i w_i * D(P_i(.|x) || P_i(.)) per input letter, at input law p."""
@@ -145,6 +153,65 @@ class _Objective:
 
     def value(self, p: FloatArray) -> float:
         return float(p @ self.scores(p))
+
+
+def _line_search(
+    objective: _Objective,
+    tilt: FloatArray | float,
+    p: FloatArray,
+    direction: FloatArray,
+    t_max: float,
+    g0: float,
+    value: float,
+) -> tuple[float, FloatArray, FloatArray | None, float]:
+    """Best point of objective(q) - tilt.q on q_t = p + t * direction, 0 <= t <= t_max.
+
+    The objective is concave along the segment with slope
+    g(t) = direction . (scores(q_t) - tilt) (the gradient of I is score - 1
+    and direction sums to zero), so g is nonincreasing with g(0) = g0 > 0.
+    The best t is t_max if g(t_max) >= 0, else the root of g, found by
+    Illinois regula falsi with a bisection fallback in a few evaluations.
+    ``value`` is the objective at p.  Returns (t, q, tilted scores at q,
+    value at q): the point at t_max when g(t_max) >= 0, which concavity
+    makes no worse than p even where rounding hides its gain; otherwise the
+    best point seen, or (0, p, None, value) when none strictly improves on p.
+    """
+    best = (0.0, p, None, value)
+    end = best
+
+    def slope(t: float) -> float:
+        nonlocal best, end
+        q = p + t * direction
+        s = objective.scores(q) - tilt
+        end = (t, q, s, float(q @ s))
+        if end[3] > best[3]:
+            best = end
+        return float(direction @ s)
+
+    t_lo, g_lo, t_hi, g_hi = 0.0, g0, t_max, slope(t_max)
+    if g_hi >= 0.0:
+        return end
+    kept = 0  # +1 / -1: the last step replaced t_lo / t_hi
+    for _ in range(100):
+        if t_hi - t_lo <= 1e-12 * t_max:
+            break
+        t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+        g = slope(t)
+        if abs(g) <= 1e-15:
+            break
+        if g > 0.0:
+            t_lo, g_lo = t, g
+            if kept == 1:
+                g_hi *= 0.5  # Illinois: t_hi kept twice, halve its weight
+            kept = 1
+        else:
+            t_hi, g_hi = t, g
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+    return best
 
 
 def _ascend(
@@ -197,50 +264,12 @@ def _ascend(
             # Frozen far from optimal: a multiplicative update cannot grow a
             # tiny coordinate whose score advantage is itself tiny (the
             # per-step log gain equals the certificate).  Move toward the
-            # best-scoring vertex along q_t = p + t * direction instead.  The
-            # objective is concave there with slope
-            # g(t) = direction . (scores(q_t) - tilt) (the gradient of I is
-            # score - 1 and direction sums to zero), so g is nonincreasing
-            # with g(0) = cert > 0.  The best t is the vertex if g(1) >= 0,
-            # else the root of g, found by Illinois regula falsi with a
-            # bisection fallback in a few evaluations.  The best point seen
-            # is kept only if it strictly improves the objective.
-            x_star = int(np.argmax(score))
+            # best-scoring vertex instead, to the point the line search
+            # returns; it never lowers the objective.
             direction = -p.copy()
-            direction[x_star] += 1.0
-            best_value, best_q = value, p
-
-            def slope(t: float) -> float:
-                nonlocal best_value, best_q
-                q = p + t * direction
-                s = objective.scores(q) - tilt
-                v = float(q @ s)
-                if v > best_value:
-                    best_value, best_q = v, q
-                return float(direction @ s)
-
-            t_lo, g_lo, t_hi, g_hi = 0.0, cert, 1.0, slope(1.0)
-            kept = 0  # +1 / -1: the last step replaced t_lo / t_hi
-            for _ in range(100):
-                if g_hi >= 0.0 or t_hi - t_lo <= 1e-12:
-                    break
-                t = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
-                if not t_lo < t < t_hi:
-                    t = 0.5 * (t_lo + t_hi)
-                g = slope(t)
-                if abs(g) <= 1e-15:
-                    break
-                if g > 0.0:
-                    t_lo, g_lo = t, g
-                    if kept == 1:
-                        g_hi *= 0.5  # Illinois: t_hi kept twice, halve its weight
-                    kept = 1
-                else:
-                    t_hi, g_hi = t, g
-                    if kept == -1:
-                        g_lo *= 0.5
-                    kept = -1
-            if best_value > value:
+            direction[int(np.argmax(score))] += 1.0
+            step, best_q, _, _ = _line_search(objective, tilt, p, direction, 1.0, cert, value)
+            if step > 0.0:
                 log_p = np.log(np.maximum(best_q, 1e-300))
                 hist.clear()
                 prev_value = value
@@ -289,7 +318,7 @@ def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) ->
     if cost_vector is None:
         cost_vector = optimal_estimator(model).cost_vector
     cost_vector = np.asarray(cost_vector, dtype=np.float64)
-    objective = _Objective([(1.0, model.output_given_input)])
+    objective = _Objective([(1.0, model)])
     score = objective.scores(probs) - lam * cost_vector
     with np.errstate(divide="ignore"):
         log_p = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), -np.inf) + score
@@ -308,7 +337,7 @@ def feasible_range(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -
     unconstrained capacity achiever.  Budgets >= d_max leave the constraint
     slack; budgets below d_min are infeasible."""
     policy = optimal_estimator(model)
-    objective = _Objective([(1.0, model.output_given_input)])
+    objective = _Objective([(1.0, model)])
     p, _, _ = _ascend(objective, np.zeros(model.input_size), opts)
     d_min = float(np.min(policy.cost_vector))
     d_max = float(p @ policy.cost_vector)
@@ -317,15 +346,226 @@ def feasible_range(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -
 
 def _face_solve(
     pyx: FloatArray, cost_vector: FloatArray, opts: SolverOptions
-) -> tuple[FloatArray, float]:
-    """Unconstrained ascent restricted to the minimum-cost letters."""
+) -> tuple[FloatArray, float, str | None]:
+    """Unconstrained ascent restricted to the minimum-cost letters.
+
+    Returns (law, value, warning)."""
     d_min = float(np.min(cost_vector))
     face = cost_vector <= d_min + FACE_TOL
     sub = _Objective([(1.0, pyx[face])])
-    p_sub, _, _ = _ascend(sub, np.zeros(int(face.sum())), opts)
+    p_sub, cert, capped = _ascend(sub, np.zeros(int(face.sum())), opts)
     p = np.zeros(cost_vector.size)
     p[face] = p_sub
-    return p, sub.value(p_sub)
+    return p, sub.value(p_sub), _uncertified(cert, capped, opts)
+
+
+def _uncertified(cert: float, capped: bool, opts: SolverOptions) -> str | None:
+    """The warning for an ascent whose law is returned as the solution."""
+    if capped:
+        return "inner ascent hit its iteration cap"
+    if cert > opts.stall_cert:
+        return f"inner ascent stopped with certificate {cert:.3g} above stall_cert"
+    return None
+
+
+def _budget_vertex(
+    cost: FloatArray, order: FloatArray, score: FloatArray, budget: float
+) -> tuple[int, int, float, float]:
+    """Best vertex of {p in simplex : cost.p <= budget} for the linear
+    objective score.p, read off the upper concave hull of the points
+    (cost(x), score(x)).
+
+    ``order`` sorts ``cost``.  Returns (x, y, alpha, top): the vertex puts
+    alpha on letter x and 1 - alpha on letter y (x == y for a single
+    letter), and top = score at the vertex is the hull at the budget, capped
+    at the hull's peak when the peak is affordable.  Since the hull's slope
+    at the budget is a multiplier lam >= 0, top = max_x [score(x) -
+    lam (cost(x) - budget)], a dual upper bound on the constrained optimum
+    when score is the gradient of a concave objective.
+    """
+    hull: list[int] = []  # monotone chain, left to right
+    for x in order:
+        c, s = cost[x], score[x]
+        if hull and cost[hull[-1]] == c:
+            if score[hull[-1]] >= s:
+                continue
+            hull.pop()
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (cost[b] - cost[a]) * (s - score[a]) < (score[b] - score[a]) * (c - cost[a]):
+                break
+            hull.pop()  # b lies on or below the chord from a to x
+        hull.append(x)
+    i = 0
+    while i + 1 < len(hull) and score[hull[i + 1]] > score[hull[i]] and cost[hull[i + 1]] <= budget:
+        i += 1
+    x = hull[i]
+    if i + 1 == len(hull) or score[hull[i + 1]] <= score[x] or cost[x] == budget:
+        return x, x, 1.0, float(score[x])
+    y = hull[i + 1]
+    alpha = float((cost[y] - budget) / (cost[y] - cost[x]))
+    return x, y, alpha, float(alpha * score[x] + (1.0 - alpha) * score[y])
+
+
+def _split_into_vertices(
+    p: FloatArray, cost: FloatArray, budget: float
+) -> dict[tuple[int, int], list[float]]:
+    """Write a law with cost.p <= budget as a convex combination of vertices
+    of the budget polytope: single letters with cost <= budget, and
+    two-letter mixes on the budget line.
+
+    Returns {(x, y): [alpha, weight]}, the keys as in ``_budget_vertex``.
+    Each expensive letter's excess p(y) (cost(y) - budget) is paired off
+    against cheap letters' slack; the mass a rounding shortfall leaves
+    unpaired is dropped.
+    """
+    cheap = [int(x) for x in np.flatnonzero((cost <= budget) & (p > 0.0))]
+    dear = [int(y) for y in np.flatnonzero((cost > budget) & (p > 0.0))]
+    left = {x: float(p[x]) for x in cheap}
+    slack = [x for x in cheap if cost[x] < budget]
+    vertices: dict[tuple[int, int], list[float]] = {}
+    i = 0
+    for y in dear:
+        need = float(p[y])  # mass of y still to pair
+        while i < len(slack):
+            x = slack[i]
+            alpha = float((cost[y] - budget) / (cost[y] - cost[x]))
+            paired = need * alpha < left[x] * (1.0 - alpha)  # x pairs off the rest of y
+            if paired:
+                weight = need / (1.0 - alpha)
+                left[x] -= weight * alpha
+            else:  # x's slack runs out
+                weight = max(left[x], 0.0) / alpha
+                need -= weight * (1.0 - alpha)
+                left[x] = 0.0
+                i += 1
+            if weight > 0.0:  # masses near the underflow limit give none
+                vertices[(x, y)] = [alpha, weight]
+            if paired:
+                break
+    for x in cheap:
+        if left[x] > 0.0:
+            vertices[(x, x)] = [1.0, left[x]]
+    return vertices
+
+
+def _frank_wolfe(
+    objective: _Objective, cost: FloatArray, budget: float, p: FloatArray, opts: SolverOptions
+) -> tuple[FloatArray, float, float]:
+    """Maximize objective(p) over {p in simplex : cost.p <= budget} by
+    pairwise Frank-Wolfe, from a feasible start p.
+
+    Each step moves weight from the active vertex of least score to the
+    best vertex of the polytope (``_budget_vertex``), as far as the line
+    search puts it.  The objective is I(p) = p . score(p) with gradient
+    score - 1, so by concavity the gap top - p.score bounds the
+    suboptimality.  Stops once the gap is at most ``opts.cert_tol``, after
+    ``opts.ba_max_iter`` steps, or when no step improves the objective.
+    Returns (law, value, final gap).
+    """
+    # A letter within FACE_TOL of the budget counts as on the budget line:
+    # pairing it would divide by a cost difference at the rounding level.
+    cost = np.where(np.abs(cost - budget) <= FACE_TOL, budget, cost)
+    n = cost.size
+    order = np.argsort(cost, kind="stable")
+    vertices = _split_into_vertices(p, cost, budget)
+
+    def law() -> FloatArray:
+        q = np.zeros(n)
+        for (x, y), (alpha, weight) in vertices.items():
+            q[x] += weight * alpha
+            q[y] += weight * (1.0 - alpha)
+        return q / q.sum()
+
+    p = law()
+    score = objective.scores(p)
+    value = float(p @ score)
+    for _ in range(opts.ba_max_iter):
+        sx, sy, s_alpha, top = _budget_vertex(cost, order, score, budget)
+        if top - value <= opts.cert_tol:
+            break
+        away, away_score = None, math.inf
+        for key, (alpha, _) in vertices.items():
+            at = alpha * score[key[0]] + (1.0 - alpha) * score[key[1]]
+            if at < away_score:
+                away, away_score = key, at
+        if away == (sx, sy):
+            break
+        a_alpha, t_max = vertices[away]
+        direction = np.zeros(n)
+        direction[sx] += s_alpha
+        direction[sy] += 1.0 - s_alpha
+        direction[away[0]] -= a_alpha
+        direction[away[1]] -= 1.0 - a_alpha
+        step, q, q_score, q_value = _line_search(
+            objective, 0.0, p, direction, t_max, top - away_score, value
+        )
+        if step <= 0.0:
+            break  # the segment is numerically flat
+        vertices.setdefault((sx, sy), [s_alpha, 0.0])[1] += step
+        if step >= t_max:
+            del vertices[away]  # a drop step
+        else:
+            vertices[away][1] -= step
+        p, score, value = q, q_score, q_value
+    # The steps leave rounding in p; rebuilt from the vertex weights it is
+    # nonnegative and its cost is on the budget line wherever theirs is.
+    p = law()
+    score = objective.scores(p)
+    value = float(p @ score)
+    return p, value, max(0.0, _budget_vertex(cost, order, score, budget)[3] - value)
+
+
+def _solve_budget(
+    model: ChannelModel, cost_vector: FloatArray, budget: float, opts: SolverOptions
+) -> tuple[FloatArray, float, bool, str | None]:
+    """Maximize the objective subject to cost_vector . p <= budget, for a
+    budget at or above the cheapest letter's cost.
+
+    Returns (law, value, constraint_active, warning).  A budget at the
+    cheapest cost is solved on the minimum-cost face.  Otherwise the
+    unconstrained law is returned if it is affordable.  If not, the cost
+    multiplier grows geometrically until its tilted ascent is affordable,
+    and the cost-matched mixture of the last two ascents starts a pairwise
+    Frank-Wolfe solve on the budget polytope, which ends with a certified
+    gap.  A gap above ``opts.stall_cert`` is flagged in the warning.
+    """
+    pyx = model.output_given_input
+    objective = _Objective([(1.0, model)])
+    if budget <= float(np.min(cost_vector)):
+        p, value, warning = _face_solve(pyx, cost_vector, opts)
+        return p, value, True, warning
+
+    p_free, cert, capped = _ascend(objective, np.zeros(cost_vector.size), opts)
+    cost_free = float(p_free @ cost_vector)
+    if cost_free <= budget:
+        return p_free, objective.value(p_free), False, _uncertified(cert, capped, opts)
+
+    # Grow the multiplier geometrically until the budget side is bracketed.
+    p_lo, cost_lo = p_free, cost_free
+    lam_hi = 1.0
+    while True:
+        p_hi, _, _ = _ascend(objective, lam_hi * cost_vector, opts, p0=p_lo)
+        cost_hi = float(p_hi @ cost_vector)
+        if cost_hi <= budget:
+            break
+        p_lo, cost_lo = p_hi, cost_hi
+        lam_hi *= 2.0
+        if lam_hi > opts.lambda_cap:
+            p, value, _ = _face_solve(pyx, cost_vector, opts)
+            return p, value, True, "multiplier cap reached; returned the minimum-cost face"
+
+    # Start from the cost-matched mixture of the bracketing solutions; it is
+    # feasible and, by concavity, worth at least their chord.
+    p = p_hi
+    if cost_lo > budget > cost_hi:
+        alpha = (budget - cost_hi) / (cost_lo - cost_hi)
+        p = alpha * p_lo + (1.0 - alpha) * p_hi
+    p, value, gap = _frank_wolfe(objective, cost_vector, budget, p, opts)
+    warning = None
+    if gap > opts.stall_cert:
+        warning = f"Frank-Wolfe finisher stopped with gap {gap:.3g} above stall_cert"
+    return p, value, True, warning
 
 
 def capacity_distortion_point(
@@ -333,86 +573,27 @@ def capacity_distortion_point(
 ) -> CDPoint:
     """Best achievable rate (nats per use) with expected estimation cost <= budget.
 
-    Strategy: solve unconstrained first and return it if already feasible;
-    otherwise bisect the cost multiplier until the achieved cost lands within
-    ``opts.cost_tol`` below the budget, then return the mixture of the two
-    bracketing solutions whose cost equals the budget.  Where no multiplier
-    attains the budget (the tradeoff has a linear segment there) that
-    mixture is optimal by concavity.  A NaN budget raises ``ValueError``.
+    Strategy: solve unconstrained first and return it if already feasible.
+    Otherwise double the cost multiplier until its tilted ascent is
+    affordable, then finish with pairwise Frank-Wolfe on the budget
+    polytope {p in simplex : d*.p <= D}, started from the cost-matched
+    mixture of the last two ascents.  Its linear step reads the best vertex
+    off the upper concave hull of (d*(x), score(x)), which also gives a dual
+    upper bound; the solve stops once the value is within
+    ``opts.cert_tol`` of that bound, and a binding point ends on the budget.
+    A point whose gap stays above ``opts.stall_cert`` carries a
+    ``convergence_warning``.  A NaN budget raises ``ValueError``.
     """
     if math.isnan(budget):
         raise ValueError("distortion budget is NaN")
-    policy = optimal_estimator(model)
-    cost_vector = policy.cost_vector
-    pyx = model.output_given_input
+    cost_vector = optimal_estimator(model).cost_vector
     d_min = float(np.min(cost_vector))
     if budget < d_min - FACE_TOL:
         raise InfeasibleDistortion(
             f"budget {budget} below minimum achievable estimation cost {d_min}", d_min=d_min
         )
-    objective = _Objective([(1.0, pyx)])
-
-    if budget <= d_min:
-        p, capacity = _face_solve(pyx, cost_vector, opts)
-        return CDPoint(budget, max(0.0, capacity), InputDistribution(p), True)
-
-    p_free, _, capped = _ascend(objective, np.zeros(model.input_size), opts)
-    warning = "inner ascent hit its iteration cap" if capped else None
-    cost_free = float(p_free @ cost_vector)
-    if cost_free <= budget:
-        return CDPoint(
-            budget, max(0.0, objective.value(p_free)), InputDistribution(p_free), False, warning
-        )
-
-    # Grow the multiplier geometrically until the budget side is bracketed.
-    lam_lo, p_lo, cost_lo = 0.0, p_free, cost_free
-    lam_hi = 1.0
-    p_warm = p_free
-    while True:
-        p_hi, _, capped = _ascend(objective, lam_hi * cost_vector, opts, p0=p_warm)
-        warning = warning or ("inner ascent hit its iteration cap" if capped else None)
-        cost_hi = float(p_hi @ cost_vector)
-        p_warm = p_hi
-        if cost_hi <= budget:
-            break
-        lam_lo, p_lo, cost_lo = lam_hi, p_hi, cost_hi
-        lam_hi *= 2.0
-        if lam_hi > opts.lambda_cap:
-            p, capacity = _face_solve(pyx, cost_vector, opts)
-            return CDPoint(
-                budget,
-                max(0.0, capacity),
-                InputDistribution(p),
-                True,
-                "multiplier cap reached; returned the minimum-cost face",
-            )
-
-    for _ in range(opts.max_bisections):
-        if budget - cost_hi <= opts.cost_tol or lam_hi - lam_lo <= 1e-15 * max(1.0, lam_hi):
-            break
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        p_mid, _, capped = _ascend(objective, lam_mid * cost_vector, opts, p0=p_warm)
-        warning = warning or ("inner ascent hit its iteration cap" if capped else None)
-        p_warm = p_mid
-        cost_mid = float(p_mid @ cost_vector)
-        if cost_mid > budget:
-            lam_lo, p_lo, cost_lo = lam_mid, p_mid, cost_mid
-        else:
-            lam_hi, p_hi, cost_hi = lam_mid, p_mid, cost_mid
-    else:
-        warning = warning or "bisection hit its iteration cap"
-
-    # Land on the budget with the cost-matched mixture of the bracketing
-    # solutions.  Where no multiplier hits the budget (the bracket collapsed)
-    # the curve is linear there and the mixture is optimal.  Otherwise it
-    # recovers the shortfall budget - cost_hi, which cost_tol bounds only in
-    # absolute terms: on a channel whose letter costs span 1e-3 a 1e-8
-    # shortfall is a visible fraction of the range.
-    p = p_hi
-    if cost_lo > budget > cost_hi:
-        alpha = (budget - cost_hi) / (cost_lo - cost_hi)
-        p = alpha * p_lo + (1.0 - alpha) * p_hi
-    return CDPoint(budget, max(0.0, objective.value(p)), InputDistribution(p), True, warning)
+    p, value, active, warning = _solve_budget(model, cost_vector, budget, opts)
+    return CDPoint(budget, max(0.0, value), InputDistribution(p), active, warning)
 
 
 def cd_curve(model: ChannelModel, grid, opts: SolverOptions = DEFAULT_OPTIONS) -> CDCurve:
@@ -533,9 +714,11 @@ def multi_constraint_point(
 ) -> CDPoint:
     """Capacity under several simultaneous linear cost budgets.
 
-    Coordinate-wise multiplier adjustment: each sweep re-bisects one
-    multiplier with the rest frozen, which is dual coordinate descent.  The
-    reported ``distortion_budget`` is the first constraint's budget.
+    One budget is solved by the single-budget routine of
+    ``capacity_distortion_point``.  Several use coordinate-wise multiplier
+    adjustment: each sweep re-bisects one multiplier with the rest frozen,
+    which is dual coordinate descent.  The reported ``distortion_budget`` is
+    the first constraint's budget.
     """
     if not constraints:
         raise ValueError("need at least one constraint")
@@ -554,7 +737,11 @@ def multi_constraint_point(
     if _feasibility_lp(cost_rows, budgets) > 1e-12:
         raise InfeasibleConstraints("no input distribution satisfies every budget")
 
-    objective = _Objective([(1.0, model.output_given_input)])
+    if len(constraints) == 1:
+        p, value, active, warning = _solve_budget(model, cost_rows[0], float(budgets[0]), opts)
+        return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
+
+    objective = _Objective([(1.0, model)])
     lams = np.zeros(len(constraints))
     p = np.full(model.input_size, 1.0 / model.input_size)
     warning: str | None = None
@@ -603,7 +790,7 @@ def _simplex_grid(n_inputs: int, step: float) -> FloatArray:
 def batch_mutual_information(model: ChannelModel, batch: FloatArray) -> FloatArray:
     """I(X; Y) in nats for every row of a (T, |X|) batch of input laws."""
     pyx = model.output_given_input
-    row_self = _channel_terms(pyx)
+    row_self = model._row_terms
     py = batch @ pyx
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(py > 0, -py * np.log(py), 0.0).sum(axis=1)

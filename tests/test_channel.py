@@ -168,6 +168,18 @@ def test_optimal_estimator_is_computed_once_per_model():
     assert cd.optimal_estimator(fresh) is not policy
 
 
+def test_channel_row_terms_are_computed_once_per_model():
+    from capdist import solver
+
+    model = cd.block_multiplicative_model(0.3, 2)
+    terms = solver._Objective([(1.0, model)]).terms[0][2]
+    assert solver._Objective([(1.0, model)]).terms[0][2] is terms
+    assert not terms.flags.writeable
+    assert np.array_equal(terms, solver._channel_terms(model.output_given_input))
+    fresh = cd.block_multiplicative_model(0.3, 2)
+    assert solver._Objective([(1.0, fresh)]).terms[0][2] is not terms
+
+
 def test_estimator_cost_zero_when_output_reveals_state():
     model = cd.additive_mod2_model(0.3)
     policy = cd.optimal_estimator(model)

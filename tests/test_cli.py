@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -80,6 +81,33 @@ def test_point_convergence_warning_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 4
     assert "warning:" in captured.err
+
+
+def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
+    # A real solve, cut to five iterations per ascent and finisher, whose
+    # gap stays above stall_cert.
+    lib = np.random.default_rng(8011136)
+    nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
+    doc = {
+        "sizes": {"x": nx, "y": ny, "s": ns},
+        "transition": lib.dirichlet(np.ones(ny), size=(nx, ns)).tolist(),
+        "state_prior": lib.dirichlet(np.ones(ns)).tolist(),
+        "distortion": (1.0 - np.eye(ns)).tolist(),
+    }
+    spec = tmp_path / "chan.json"
+    spec.write_text(json.dumps(doc))
+    model, _ = cli.load_spec(str(spec))
+    d_min, d_max = cd.feasible_range(model)
+    budget = repr(d_min + 0.9 * (d_max - d_min))
+    assert cli.main(["point", str(spec), "--distortion", budget]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "capacity_distortion_point", functools.partial(
+        cd.capacity_distortion_point, opts=cd.SolverOptions(ba_max_iter=5)))
+    code = cli.main(["point", str(spec), "--distortion", budget])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "above stall_cert" in captured.err
+    assert "C(D) =" in captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ failure reproduces; the database is off, so a run writes no files.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import capdist as cd
@@ -69,3 +69,42 @@ def test_point_is_feasible_and_below_every_dual_bound(model, frac):
     for lam in (0.0, 0.1, 1.0, 10.0, 100.0):
         bound = float(np.max(divergence - lam * (cost - budget)))
         assert bound >= point.capacity - 1e-9, lam
+
+
+def _vertex_bound(cost, score, budget):
+    """max of score.v over the vertices v of {p in simplex : cost.p <= budget},
+    by enumerating single letters and letter pairs on the budget line."""
+    best = float(np.max(score[cost <= budget]))
+    for x in np.flatnonzero(cost < budget):
+        for y in np.flatnonzero(cost > budget):
+            alpha = (cost[y] - budget) / (cost[y] - cost[x])
+            best = max(best, float(alpha * score[x] + (1.0 - alpha) * score[y]))
+    return best
+
+
+@PROPERTY_SETTINGS
+@given(model=channels(), frac=st.floats(0.05, 0.95))
+def test_binding_point_lands_on_the_budget_below_its_dual_bound(model, frac):
+    cost = cd.optimal_estimator(model).cost_vector
+    d_min, d_max = cd.feasible_range(model)
+    # The oracles below compare costs exactly (the grid up to 1e-12), while
+    # the solver puts letters within FACE_TOL of d_min on one face, so the
+    # range must be wide against both.
+    assume(d_max - d_min >= 1e-3)
+    budget = d_min + frac * (d_max - d_min)
+    point = cd.capacity_distortion_point(model, budget)
+    p = point.optimizer.probs
+    if not point.constraint_active:
+        # Only a budget within the unconstrained law's certificate of d_max.
+        assert p @ cost <= budget
+        return
+    assert abs(p @ cost - budget) <= 1e-12
+
+    # By concavity C(D) <= max_v score.v over the polytope's vertices, at the
+    # scores of any feasible law; the finisher certifies within that bound.
+    pyx = model.output_given_input
+    bound = _vertex_bound(cost, _kl_rows(pyx, p @ pyx), budget)
+    assert bound >= point.capacity - 1e-12
+    assert bound - point.capacity <= 1e-6 or point.convergence_warning is not None
+    if model.input_size <= 3:
+        assert point.capacity >= cd.grid_search_capacity(model, budget) - 1e-12

@@ -16,6 +16,7 @@ R04_CAP_AT_01 = 0.10610555179795111
 R04_UNCONSTRAINED_CAP = 0.1705046788786006
 R04_UNCONSTRAINED_P1 = 0.39190213948550917
 R04_DMAX = 0.24323914420579634
+HAMMING = [[0.0, 1.0], [1.0, 0.0]]
 
 
 def _silent_pair_model():
@@ -122,8 +123,8 @@ def test_binding_point_lands_on_the_budget_with_narrow_cost_spread():
     model = cd.validate_channel(transition, [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
     cost = cd.optimal_estimator(model).cost_vector
     assert np.allclose(cost, [0.15, 0.151], atol=1e-15)
-    # A coarse cost_tol leaves a shortfall of up to 1e-4 whatever path the
-    # bisection takes; the budget-matched mixture must still land on D.
+    # The Frank-Wolfe finisher does not read cost_tol, so a coarse one must
+    # change nothing: the point still lands on D.
     for opts in (cd.SolverOptions(), cd.SolverOptions(cost_tol=1e-4)):
         for budget in (0.1501, 0.1502, 0.1503, 0.1504):
             point = cd.capacity_distortion_point(model, budget, opts)
@@ -144,12 +145,7 @@ def _library_channel_0():
     return cd.validate_channel(transition, prior, 1.0 - np.eye(ns))
 
 
-def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
-    model = _library_channel_0()
-    assert model.input_size == 8
-    d_min, d_max = cd.feasible_range(model)
-    budget = d_min + 0.5 * (d_max - d_min)
-
+def _count_scores(monkeypatch):
     calls = [0]
     scores = solver._Objective.scores
 
@@ -158,6 +154,95 @@ def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
         return scores(self, p)
 
     monkeypatch.setattr(solver._Objective, "scores", counting_scores)
+    return calls
+
+
+def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypatch):
+    # 90 % of [d_min, d_max], with d_max the cost after 100 plain capacity
+    # iterations from the uniform law (the perfbench points workload's
+    # budget rule).  The optimum has 5 support letters and 4 outputs, so
+    # I(p) is flat along a null direction and multiplicative ascents at
+    # fixed multipliers crawl to their iteration cap: a multiplier bisection
+    # needed 416,012 evaluations and left a warning.  Pairwise Frank-Wolfe
+    # on the budget polytope certifies it in about 2,000.
+    model = _library_channel_0()
+    cost = cd.optimal_estimator(model).cost_vector
+    p = np.full(model.input_size, 1.0 / model.input_size)
+    for _ in range(100):
+        p = cd.lagrangian_ba_step(model, p, 0.0).probs
+    budget = cost.min() + 0.9 * (p @ cost - cost.min())
+    calls = _count_scores(monkeypatch)
+    point = cd.capacity_distortion_point(model, budget)
+    assert calls[0] < 20_000
+    assert point.convergence_warning is None
+    assert point.constraint_active
+    assert abs(point.optimizer.probs @ cost - budget) <= 1e-12
+
+
+def test_point_flags_an_uncertified_gap():
+    # Five iterations leave every ascent and the finisher far from optimal.
+    model = _library_channel_0()
+    d_min, d_max = cd.feasible_range(model)
+    budget = d_min + 0.9 * (d_max - d_min)
+    point = cd.capacity_distortion_point(model, budget, cd.SolverOptions(ba_max_iter=5))
+    assert point.constraint_active
+    assert point.convergence_warning is not None
+    assert "above stall_cert" in point.convergence_warning
+    assert cd.capacity_distortion_point(model, budget).convergence_warning is None
+
+
+def test_vertex_split_keeps_positive_weights_and_rebuilds_the_law():
+    # A bracket start law with masses near the underflow limit, on a
+    # channel with one cheap letter (6) whose slack runs out exactly.
+    p = np.array([9.812338300928357e-301, 1.61880712652659e-57, 0.20464387875584714,
+                  9.778807857097716e-301, 0.3467889175144767, 9.80237875540883e-301,
+                  0.4485672037296761, 2.866875956389484e-116])
+    cost = np.array([0.25678981583499055, 0.25881981291751266, 0.21401021011373644,
+                     0.2658576280981101, 0.23768077104967844, 0.2953762370618197,
+                     0.1679143318469842, 0.2248565469706022])
+    budget = 0.20154179910009162
+    vertices = solver._split_into_vertices(p, cost, budget)
+    rebuilt = np.zeros(p.size)
+    for (x, y), (alpha, weight) in vertices.items():
+        assert weight > 0.0 and 0.0 < alpha <= 1.0
+        assert alpha * cost[x] + (1.0 - alpha) * cost[y] <= budget + 1e-15
+        rebuilt[x] += weight * alpha
+        rebuilt[y] += weight * (1.0 - alpha)
+    assert np.allclose(rebuilt, p, rtol=0.0, atol=1e-15)
+
+
+def test_point_with_letter_costs_equal_up_to_rounding():
+    # The estimate is the likelier state whatever the output, so every
+    # letter costs P(state 0), up to a few ulps, and any budget leaves the
+    # unconstrained capacity.  Pairing letters across the budget would
+    # divide by those ulps (a 0.03 nat gap here).
+    transition = [
+        [[0.3000997008973081, 0.3000997008973081, 0.3998005982053839], [1 / 3, 1 / 3, 1 / 3]],
+        [[0.10069790628115655, 0.4995014955134596, 0.3998005982053839],
+         [0.3000997008973081, 0.3000997008973081, 0.3998005982053839]],
+        [[0.30009970089730803, 0.49950149551345957, 0.2003988035892323],
+         [0.3000997008973081, 0.3000997008973081, 0.3998005982053839]],
+        [[0.10069790628115655, 0.3000997008973081, 0.5992023928215354],
+         [0.20039880358923232, 0.3000997008973081, 0.4995014955134596]],
+    ]
+    model = cd.validate_channel(transition, [0.05935007104718665, 0.9406499289528134], HAMMING)
+    cost = cd.optimal_estimator(model).cost_vector
+    assert 0.0 < np.ptp(cost) < 1e-15
+    free = cd.capacity_distortion_point(model, float(cost.max()))
+    d_min, d_max = cd.feasible_range(model)
+    for frac in (0.3, 0.7):
+        point = cd.capacity_distortion_point(model, d_min + frac * (d_max - d_min))
+        assert point.convergence_warning is None
+        assert abs(point.capacity - free.capacity) < 1e-9
+
+
+def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
+    model = _library_channel_0()
+    assert model.input_size == 8
+    d_min, d_max = cd.feasible_range(model)
+    budget = d_min + 0.5 * (d_max - d_min)
+
+    calls = _count_scores(monkeypatch)
     point = cd.capacity_distortion_point(model, budget)
     # About 950 vertex escapes happen here.  The slope root-find needs about
     # 5 evaluations per escape and the point about 9,700 in all; a search
@@ -257,6 +342,22 @@ def test_multi_constraint_single_budget_matches_plain_solver():
         model, [cd.CostConstraint(cd.optimal_estimator(model).cost_vector, 0.1)]
     )
     assert abs(single.capacity - R04_CAP_AT_01) < 1e-8
+
+
+def test_multi_constraint_single_budget_lands_on_the_budget_with_narrow_cost_spread():
+    # One constraint takes the point path's routine, so it ends on the budget
+    # too; a bisection that stops cost_tol short of it was 8e-8 low here.
+    transition = [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.798, 0.202]]]
+    model = cd.validate_channel(transition, [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    cost = cd.optimal_estimator(model).cost_vector
+    for budget in (0.1501, 0.1502, 0.1503, 0.1504):
+        point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)])
+        p1 = (budget - cost[0]) / (cost[1] - cost[0])
+        exact = cd.mutual_information(model, np.array([1.0 - p1, p1]))
+        assert point.constraint_active
+        assert point.convergence_warning is None
+        assert abs(point.capacity - exact) < 1e-9, budget
+        assert point.optimizer.probs @ cost <= budget + 1e-12
 
 
 def test_multi_constraint_jointly_empty_budgets_raise():
