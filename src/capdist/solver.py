@@ -7,12 +7,13 @@ linear cost tilt: each step reweights
     p'(x) proportional to p(x) * exp( D(P_y|x || P_y) - lambda * cost(x) )
 
 which is monotone in the Lagrangian objective I(p) - lambda * E_p[cost].
-A binding budget is bracketed by doubling the multiplier, then solved
-directly on the budget polytope {p in simplex : cost.p <= D} by pairwise
-Frank-Wolfe, whose gap certifies the result; degenerate budgets are handled
-on the minimum-cost face.  Several simultaneous budgets use a bisection per
-multiplier.  A vectorized grid search over the input simplex doubles as an
-independent oracle for small alphabets.
+Budgets, one or several, are solved by one routine: an unconstrained ascent
+answers when every budget is slack, a budget at its cheapest cost confines
+the law to the cheapest letters, and otherwise pairwise Frank-Wolfe runs on
+the budget polytope {p in simplex : A p <= b}, whose gap certifies the
+result.  Its linear step reads a concave hull for one budget and solves a
+small linear program for several.  A vectorized grid search over the input
+simplex doubles as an independent oracle for small alphabets.
 """
 
 from __future__ import annotations
@@ -53,17 +54,10 @@ class SolverOptions:
     ba_tol        : stop the inner ascent once the objective increment drops
                     to this value (default 1e-10)
     ba_max_iter   : iteration cap of the inner ascent and of the Frank-Wolfe
-                    finisher (default 10_000)
+                    solve on the budget polytope (default 10_000)
     cert_tol      : early exit once the optimality-gap certificate
                     max_x score(x) - objective (the Frank-Wolfe gap for a
                     binding budget) falls below this (default 1e-11)
-    cost_tol      : multiplier bisection stops when the achieved cost is
-                    within this of the budget (default 1e-8); used only by
-                    multi_constraint_point with several budgets and by
-                    compound_cd
-    max_bisections: cap on that bisection (default 200); same callers
-    lambda_cap    : largest multiplier tried before falling back to the
-                    minimum-cost face (default 1e6)
     stall_cert    : largest certificate the increment-based inner stop may
                     accept, and the largest gap a returned point may carry
                     without a convergence_warning (default 1e-6)
@@ -73,9 +67,6 @@ class SolverOptions:
     ba_tol: float = 1e-10
     ba_max_iter: int = 10_000
     cert_tol: float = 1e-11
-    cost_tol: float = 1e-8
-    max_bisections: int = 200
-    lambda_cap: float = 1e6
     stall_cert: float = 1e-6
     debug: bool = False
 
@@ -153,6 +144,10 @@ class _Objective:
 
     def value(self, p: FloatArray) -> float:
         return float(p @ self.scores(p))
+
+    def restrict(self, keep: FloatArray) -> _Objective:
+        """The objective on the letters where ``keep`` is true."""
+        return _Objective([(weight, pyx[keep]) for weight, pyx, _ in self.terms])
 
 
 def _line_search(
@@ -328,7 +323,7 @@ def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) ->
 
 
 # ---------------------------------------------------------------------------
-# single-budget solver
+# budgeted solver
 # ---------------------------------------------------------------------------
 
 
@@ -342,21 +337,6 @@ def feasible_range(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -
     d_min = float(np.min(policy.cost_vector))
     d_max = float(p @ policy.cost_vector)
     return d_min, max(d_min, d_max)
-
-
-def _face_solve(
-    pyx: FloatArray, cost_vector: FloatArray, opts: SolverOptions
-) -> tuple[FloatArray, float, str | None]:
-    """Unconstrained ascent restricted to the minimum-cost letters.
-
-    Returns (law, value, warning)."""
-    d_min = float(np.min(cost_vector))
-    face = cost_vector <= d_min + FACE_TOL
-    sub = _Objective([(1.0, pyx[face])])
-    p_sub, cert, capped = _ascend(sub, np.zeros(int(face.sum())), opts)
-    p = np.zeros(cost_vector.size)
-    p[face] = p_sub
-    return p, sub.value(p_sub), _uncertified(cert, capped, opts)
 
 
 def _uncertified(cert: float, capped: bool, opts: SolverOptions) -> str | None:
@@ -407,165 +387,158 @@ def _budget_vertex(
     return x, y, alpha, float(alpha * score[x] + (1.0 - alpha) * score[y])
 
 
-def _split_into_vertices(
-    p: FloatArray, cost: FloatArray, budget: float
-) -> dict[tuple[int, int], list[float]]:
-    """Write a law with cost.p <= budget as a convex combination of vertices
-    of the budget polytope: single letters with cost <= budget, and
-    two-letter mixes on the budget line.
+def _lp_vertex(
+    cost_rows: FloatArray, budgets: FloatArray, score: FloatArray
+) -> tuple[FloatArray, float]:
+    """Best vertex of {p in simplex : cost_rows @ p <= budgets} for the
+    linear objective score.p, by the HiGHS dual simplex.
 
-    Returns {(x, y): [alpha, weight]}, the keys as in ``_budget_vertex``.
-    Each expensive letter's excess p(y) (cost(y) - budget) is paired off
-    against cheap letters' slack; the mass a rounding shortfall leaves
-    unpaired is dropped.
+    Returns (vertex, score at it); as in ``_budget_vertex``, that score is a
+    dual upper bound when score is the gradient of a concave objective.
     """
-    cheap = [int(x) for x in np.flatnonzero((cost <= budget) & (p > 0.0))]
-    dear = [int(y) for y in np.flatnonzero((cost > budget) & (p > 0.0))]
-    left = {x: float(p[x]) for x in cheap}
-    slack = [x for x in cheap if cost[x] < budget]
-    vertices: dict[tuple[int, int], list[float]] = {}
-    i = 0
-    for y in dear:
-        need = float(p[y])  # mass of y still to pair
-        while i < len(slack):
-            x = slack[i]
-            alpha = float((cost[y] - budget) / (cost[y] - cost[x]))
-            paired = need * alpha < left[x] * (1.0 - alpha)  # x pairs off the rest of y
-            if paired:
-                weight = need / (1.0 - alpha)
-                left[x] -= weight * alpha
-            else:  # x's slack runs out
-                weight = max(left[x], 0.0) / alpha
-                need -= weight * (1.0 - alpha)
-                left[x] = 0.0
-                i += 1
-            if weight > 0.0:  # masses near the underflow limit give none
-                vertices[(x, y)] = [alpha, weight]
-            if paired:
-                break
-    for x in cheap:
-        if left[x] > 0.0:
-            vertices[(x, x)] = [1.0, left[x]]
-    return vertices
+    from scipy.optimize import linprog
+
+    n = score.size
+    # On the simplex the budgets read (cost_rows - budgets) @ p <= 0.  HiGHS
+    # drops matrix entries below 1e-9, so a small cost would be priced at
+    # zero, while an excess is either zero or a cost difference.
+    res = linprog(
+        -score,
+        A_ub=cost_rows - budgets[:, None],
+        b_ub=np.zeros(budgets.size),
+        A_eq=np.ones((1, n)),
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs-ds",
+    )
+    if not res.success:
+        raise InfeasibleConstraints("linear step over the budget polytope failed to solve")
+    v = np.maximum(res.x, 0.0)
+    return v, float(score @ v)
 
 
 def _frank_wolfe(
-    objective: _Objective, cost: FloatArray, budget: float, p: FloatArray, opts: SolverOptions
+    objective: _Objective,
+    cost_rows: FloatArray,
+    budgets: FloatArray,
+    score: FloatArray,
+    opts: SolverOptions,
 ) -> tuple[FloatArray, float, float]:
-    """Maximize objective(p) over {p in simplex : cost.p <= budget} by
-    pairwise Frank-Wolfe, from a feasible start p.
+    """Maximize objective(p) over {p in simplex : cost_rows @ p <= budgets}
+    by pairwise Frank-Wolfe, from the best vertex for the linear objective
+    ``score``.
 
-    Each step moves weight from the active vertex of least score to the
-    best vertex of the polytope (``_budget_vertex``), as far as the line
-    search puts it.  The objective is I(p) = p . score(p) with gradient
-    score - 1, so by concavity the gap top - p.score bounds the
-    suboptimality.  Stops once the gap is at most ``opts.cert_tol``, after
+    The law is kept as a convex combination of polytope vertices (atoms).
+    Each step moves weight from the atom of least score to the best vertex,
+    as far as the line search puts it.  The linear step reads the best
+    vertex off the upper concave hull of (cost(x), score(x)) for one row
+    (``_budget_vertex``) and solves a linear program for several
+    (``_lp_vertex``); that is the only difference between the two.  The
+    objective is I(p) = p . score(p) with gradient score - 1, so by
+    concavity its maximum is at most the best vertex's score, a dual bound.
+    Stops once bound - value is at most ``opts.cert_tol``, after
     ``opts.ba_max_iter`` steps, or when no step improves the objective.
-    Returns (law, value, final gap).
+    Returns (law, value, dual bound).
     """
-    # A letter within FACE_TOL of the budget counts as on the budget line:
-    # pairing it would divide by a cost difference at the rounding level.
-    cost = np.where(np.abs(cost - budget) <= FACE_TOL, budget, cost)
-    n = cost.size
-    order = np.argsort(cost, kind="stable")
-    vertices = _split_into_vertices(p, cost, budget)
+    # A letter within FACE_TOL of a budget counts as on it: pairing it would
+    # divide by a cost difference at the rounding level.
+    cost_rows = np.where(
+        np.abs(cost_rows - budgets[:, None]) <= FACE_TOL, budgets[:, None], cost_rows
+    )
+    n = objective.n_inputs
+    if cost_rows.shape[0] == 1:
+        cost, budget = cost_rows[0], float(budgets[0])
+        order = np.argsort(cost, kind="stable")
 
-    def law() -> FloatArray:
-        q = np.zeros(n)
-        for (x, y), (alpha, weight) in vertices.items():
-            q[x] += weight * alpha
-            q[y] += weight * (1.0 - alpha)
-        return q / q.sum()
+        def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
+            x, y, alpha, top = _budget_vertex(cost, order, score, budget)
+            v = np.zeros(n)
+            v[x] += alpha
+            v[y] += 1.0 - alpha
+            return v, top
 
-    p = law()
+    else:
+
+        def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
+            return _lp_vertex(cost_rows, budgets, score)
+
+    atoms = best_vertex(score)[0][None, :]
+    weights = np.ones(1)
+    p = atoms[0]
     score = objective.scores(p)
     value = float(p @ score)
     for _ in range(opts.ba_max_iter):
-        sx, sy, s_alpha, top = _budget_vertex(cost, order, score, budget)
+        v, top = best_vertex(score)
         if top - value <= opts.cert_tol:
             break
-        away, away_score = None, math.inf
-        for key, (alpha, _) in vertices.items():
-            at = alpha * score[key[0]] + (1.0 - alpha) * score[key[1]]
-            if at < away_score:
-                away, away_score = key, at
-        if away == (sx, sy):
+        atom_scores = atoms @ score
+        away = int(np.argmin(atom_scores))
+        # The linear program returns copies of a vertex that differ in ulps.
+        same = np.flatnonzero(np.max(np.abs(atoms - v), axis=1) <= 1e-12)
+        if same.size and same[0] == away:
             break
-        a_alpha, t_max = vertices[away]
-        direction = np.zeros(n)
-        direction[sx] += s_alpha
-        direction[sy] += 1.0 - s_alpha
-        direction[away[0]] -= a_alpha
-        direction[away[1]] -= 1.0 - a_alpha
+        t_max = weights[away]
         step, q, q_score, q_value = _line_search(
-            objective, 0.0, p, direction, t_max, top - away_score, value
+            objective, 0.0, p, v - atoms[away], t_max, top - atom_scores[away], value
         )
         if step <= 0.0:
             break  # the segment is numerically flat
-        vertices.setdefault((sx, sy), [s_alpha, 0.0])[1] += step
-        if step >= t_max:
-            del vertices[away]  # a drop step
+        if same.size:
+            weights[same[0]] += step
         else:
-            vertices[away][1] -= step
+            atoms = np.vstack([atoms, v])
+            weights = np.append(weights, step)
+        if step >= t_max:  # a drop step
+            atoms = np.delete(atoms, away, axis=0)
+            weights = np.delete(weights, away)
+        else:
+            weights[away] -= step
         p, score, value = q, q_score, q_value
-    # The steps leave rounding in p; rebuilt from the vertex weights it is
-    # nonnegative and its cost is on the budget line wherever theirs is.
-    p = law()
+    # The steps leave rounding in p; rebuilt from the atom weights it is
+    # nonnegative and its cost is on a budget wherever theirs is.
+    p = weights @ atoms / weights.sum()
     score = objective.scores(p)
     value = float(p @ score)
-    return p, value, max(0.0, _budget_vertex(cost, order, score, budget)[3] - value)
+    return p, value, best_vertex(score)[1]
 
 
 def _solve_budget(
-    model: ChannelModel, cost_vector: FloatArray, budget: float, opts: SolverOptions
-) -> tuple[FloatArray, float, bool, str | None]:
-    """Maximize the objective subject to cost_vector . p <= budget, for a
-    budget at or above the cheapest letter's cost.
+    objective: _Objective, cost_rows: FloatArray, budgets: FloatArray, opts: SolverOptions
+) -> tuple[FloatArray, float, float, bool, str | None]:
+    """Maximize the objective subject to cost_rows @ p <= budgets, for
+    jointly feasible budgets, each at or above its row's cheapest cost.
 
-    Returns (law, value, constraint_active, warning).  A budget at the
-    cheapest cost is solved on the minimum-cost face.  Otherwise the
-    unconstrained law is returned if it is affordable.  If not, the cost
-    multiplier grows geometrically until its tilted ascent is affordable,
-    and the cost-matched mixture of the last two ascents starts a pairwise
-    Frank-Wolfe solve on the budget polytope, which ends with a certified
-    gap.  A gap above ``opts.stall_cert`` is flagged in the warning.
+    Returns (law, value, dual bound, constraint_active, warning).  A budget
+    at its row's cheapest cost confines the law to that row's cheapest
+    letters, on which the other rows are solved.  Otherwise the
+    unconstrained law is returned if it meets every budget.  If not,
+    pairwise Frank-Wolfe solves on the budget polytope, started from the
+    best vertex for the unconstrained law's scores, and ends with a
+    certified gap.  A gap above ``opts.stall_cert`` is flagged in the
+    warning.
     """
-    pyx = model.output_given_input
-    objective = _Objective([(1.0, model)])
-    if budget <= float(np.min(cost_vector)):
-        p, value, warning = _face_solve(pyx, cost_vector, opts)
-        return p, value, True, warning
+    floor = budgets <= cost_rows.min(axis=1)
+    if np.any(floor):
+        rows = cost_rows[floor]
+        face = np.all(rows <= rows.min(axis=1, keepdims=True) + FACE_TOL, axis=0)
+        if not np.any(face):
+            raise InfeasibleConstraints("the budgets at their cheapest costs share no letter")
+        q, value, bound, _, warning = _solve_budget(
+            objective.restrict(face), cost_rows[~floor][:, face], budgets[~floor], opts
+        )
+        p = np.zeros(face.size)
+        p[face] = q
+        return p, value, bound, True, warning
 
-    p_free, cert, capped = _ascend(objective, np.zeros(cost_vector.size), opts)
-    cost_free = float(p_free @ cost_vector)
-    if cost_free <= budget:
-        return p_free, objective.value(p_free), False, _uncertified(cert, capped, opts)
-
-    # Grow the multiplier geometrically until the budget side is bracketed.
-    p_lo, cost_lo = p_free, cost_free
-    lam_hi = 1.0
-    while True:
-        p_hi, _, _ = _ascend(objective, lam_hi * cost_vector, opts, p0=p_lo)
-        cost_hi = float(p_hi @ cost_vector)
-        if cost_hi <= budget:
-            break
-        p_lo, cost_lo = p_hi, cost_hi
-        lam_hi *= 2.0
-        if lam_hi > opts.lambda_cap:
-            p, value, _ = _face_solve(pyx, cost_vector, opts)
-            return p, value, True, "multiplier cap reached; returned the minimum-cost face"
-
-    # Start from the cost-matched mixture of the bracketing solutions; it is
-    # feasible and, by concavity, worth at least their chord.
-    p = p_hi
-    if cost_lo > budget > cost_hi:
-        alpha = (budget - cost_hi) / (cost_lo - cost_hi)
-        p = alpha * p_lo + (1.0 - alpha) * p_hi
-    p, value, gap = _frank_wolfe(objective, cost_vector, budget, p, opts)
+    p, cert, capped = _ascend(objective, np.zeros(objective.n_inputs), opts)
+    if np.all(cost_rows @ p <= budgets):
+        value = objective.value(p)
+        return p, value, value + cert, False, _uncertified(cert, capped, opts)
+    p, value, bound = _frank_wolfe(objective, cost_rows, budgets, objective.scores(p), opts)
     warning = None
-    if gap > opts.stall_cert:
-        warning = f"Frank-Wolfe finisher stopped with gap {gap:.3g} above stall_cert"
-    return p, value, True, warning
+    if bound - value > opts.stall_cert:
+        warning = f"Frank-Wolfe finisher stopped with gap {bound - value:.3g} above stall_cert"
+    return p, value, bound, True, warning
 
 
 def capacity_distortion_point(
@@ -573,16 +546,16 @@ def capacity_distortion_point(
 ) -> CDPoint:
     """Best achievable rate (nats per use) with expected estimation cost <= budget.
 
-    Strategy: solve unconstrained first and return it if already feasible.
-    Otherwise double the cost multiplier until its tilted ascent is
-    affordable, then finish with pairwise Frank-Wolfe on the budget
-    polytope {p in simplex : d*.p <= D}, started from the cost-matched
-    mixture of the last two ascents.  Its linear step reads the best vertex
-    off the upper concave hull of (d*(x), score(x)), which also gives a dual
-    upper bound; the solve stops once the value is within
-    ``opts.cert_tol`` of that bound, and a binding point ends on the budget.
-    A point whose gap stays above ``opts.stall_cert`` carries a
-    ``convergence_warning``.  A NaN budget raises ``ValueError``.
+    Strategy: a budget at d_min is solved on the minimum-cost letters.
+    Otherwise solve unconstrained and return it if already feasible.  If
+    not, run pairwise Frank-Wolfe on the budget polytope
+    {p in simplex : d*.p <= D}, started from its best vertex for the
+    unconstrained law's scores.  Its linear step reads the best vertex off
+    the upper concave hull of (d*(x), score(x)), which also gives a dual
+    upper bound; the solve stops once the value is within ``opts.cert_tol``
+    of that bound, and a binding point ends on the budget.  A point whose
+    gap stays above ``opts.stall_cert`` carries a ``convergence_warning``.
+    A NaN budget raises ``ValueError``.
     """
     if math.isnan(budget):
         raise ValueError("distortion budget is NaN")
@@ -592,7 +565,9 @@ def capacity_distortion_point(
         raise InfeasibleDistortion(
             f"budget {budget} below minimum achievable estimation cost {d_min}", d_min=d_min
         )
-    p, value, active, warning = _solve_budget(model, cost_vector, budget, opts)
+    p, value, _, active, warning = _solve_budget(
+        _Objective([(1.0, model)]), cost_vector[None, :], np.array([budget], dtype=np.float64), opts
+    )
     return CDPoint(budget, max(0.0, value), InputDistribution(p), active, warning)
 
 
@@ -661,52 +636,6 @@ def _feasibility_lp(cost_rows: FloatArray, budgets: FloatArray) -> float:
     return float(res.x[-1])
 
 
-def _bisect_multiplier(
-    objective: _Objective,
-    base_tilt: FloatArray,
-    cost_vector: FloatArray,
-    budget: float,
-    opts: SolverOptions,
-    p_warm: FloatArray,
-) -> tuple[float, FloatArray]:
-    """Smallest multiplier on one cost vector meeting its budget, others fixed."""
-    p0, _, _ = _ascend(objective, base_tilt, opts, p0=p_warm)
-    cost0 = float(p0 @ cost_vector)
-    if cost0 <= budget + opts.cost_tol:
-        return 0.0, p0
-    lam_lo, p_lo, cost_lo = 0.0, p0, cost0
-    lam_hi = 1.0
-    while True:
-        p_hi, _, _ = _ascend(objective, base_tilt + lam_hi * cost_vector, opts, p0=p_warm)
-        cost_hi = float(p_hi @ cost_vector)
-        p_warm = p_hi
-        if cost_hi <= budget:
-            break
-        lam_lo, p_lo, cost_lo = lam_hi, p_hi, cost_hi
-        lam_hi *= 2.0
-        if lam_hi > opts.lambda_cap:
-            return lam_hi, p_hi
-    for _ in range(opts.max_bisections):
-        if budget - cost_hi <= opts.cost_tol or lam_hi - lam_lo <= 1e-15 * max(1.0, lam_hi):
-            break
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        p_mid, _, _ = _ascend(objective, base_tilt + lam_mid * cost_vector, opts, p0=p_warm)
-        p_warm = p_mid
-        cost_mid = float(p_mid @ cost_vector)
-        if cost_mid > budget:
-            lam_lo, p_lo, cost_lo = lam_mid, p_mid, cost_mid
-        else:
-            lam_hi, p_hi, cost_hi = lam_mid, p_mid, cost_mid
-    if budget - cost_hi > opts.cost_tol and cost_lo > budget:
-        # Warm-started ascents can freeze across a sliver of multipliers, so
-        # the bracket may collapse with the cost stuck short of the budget.
-        # The cost-matched mixture of the bracketing solutions lands on the
-        # budget exactly and is optimal there up to the (tiny) chord error.
-        alpha = (budget - cost_hi) / (cost_lo - cost_hi)
-        p_hi = alpha * p_lo + (1.0 - alpha) * p_hi
-    return lam_hi, p_hi
-
-
 def multi_constraint_point(
     model: ChannelModel,
     constraints: Sequence[CostConstraint],
@@ -714,10 +643,9 @@ def multi_constraint_point(
 ) -> CDPoint:
     """Capacity under several simultaneous linear cost budgets.
 
-    One budget is solved by the single-budget routine of
-    ``capacity_distortion_point``.  Several use coordinate-wise multiplier
-    adjustment: each sweep re-bisects one multiplier with the rest frozen,
-    which is dual coordinate descent.  The reported ``distortion_budget`` is
+    Any number of budgets takes the routine of ``capacity_distortion_point``
+    on the polytope {p in simplex : A p <= b}; with several, its linear
+    step is a small linear program.  The reported ``distortion_budget`` is
     the first constraint's budget.
     """
     if not constraints:
@@ -737,38 +665,8 @@ def multi_constraint_point(
     if _feasibility_lp(cost_rows, budgets) > 1e-12:
         raise InfeasibleConstraints("no input distribution satisfies every budget")
 
-    if len(constraints) == 1:
-        p, value, active, warning = _solve_budget(model, cost_rows[0], float(budgets[0]), opts)
-        return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
-
-    objective = _Objective([(1.0, model)])
-    lams = np.zeros(len(constraints))
-    p = np.full(model.input_size, 1.0 / model.input_size)
-    warning: str | None = None
-    for _ in range(60):
-        moved = 0.0
-        for j in range(len(constraints)):
-            base_tilt = (lams @ cost_rows) - lams[j] * cost_rows[j]
-            new_lam, p = _bisect_multiplier(
-                objective, base_tilt, cost_rows[j], budgets[j], opts, p
-            )
-            moved = max(moved, abs(new_lam - lams[j]))
-            lams[j] = new_lam
-        # The last coordinate's bisection leaves p solved at the full tilt
-        # (possibly budget-matched by mixing); re-ascending here would only
-        # undo that correction.
-        costs = cost_rows @ p
-        if np.all(costs <= budgets + opts.cost_tol) and moved <= 1e-9 * (1.0 + np.max(lams)):
-            break
-    else:
-        costs = cost_rows @ p
-        if np.any(costs > budgets + opts.cost_tol):
-            warning = "multiplier sweeps hit their cap before satisfying every budget"
-
-    active = bool(np.any(cost_rows @ p >= budgets - 1e-6))
-    return CDPoint(
-        float(budgets[0]), max(0.0, objective.value(p)), InputDistribution(p), active, warning
-    )
+    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), cost_rows, budgets, opts)
+    return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 import capdist as cd
@@ -164,14 +163,3 @@ def test_compound_family_requires_a_prior():
             priors=(),
             distortion=HAMMING2,
         )
-
-
-def test_batch_mutual_information_multi_consistency():
-    rng = np.random.default_rng(11)
-    family = _two_prior_family()
-    channels = [m.output_given_input for m in family.models]
-    for _ in range(10):
-        p = rng.dirichlet(np.ones(2))
-        values = cd.batch_mutual_information_multi(channels, p)
-        for model, value in zip(family.models, values):
-            assert abs(value - cd.mutual_information(model, p)) < 1e-12

@@ -108,3 +108,56 @@ def test_binding_point_lands_on_the_budget_below_its_dual_bound(model, frac):
     assert bound - point.capacity <= 1e-6 or point.convergence_warning is not None
     if model.input_size <= 3:
         assert point.capacity >= cd.grid_search_capacity(model, budget) - 1e-12
+
+
+@st.composite
+def budgeted_channels(draw):
+    """A channel from ``channels``, its d* and 1-2 random cost rows, and one
+    budget per row strictly between the row's cheapest and dearest letters."""
+    model = draw(channels())
+    n = model.input_size
+    n_extra = draw(st.integers(1, 2))
+    extra = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n_extra, max_size=n * n_extra)))
+    rows = np.vstack([cd.optimal_estimator(model).cost_vector, extra.reshape(n_extra, n)])
+    fracs = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=rows.shape[0], max_size=rows.shape[0])))
+    budgets = rows.min(axis=1) + fracs * (rows.max(axis=1) - rows.min(axis=1))
+    return model, rows, budgets
+
+
+def _lp_dual_bound(divergence, rows, budgets):
+    """min over mu >= 0 of max_x [divergence(x) - mu . (rows[:, x] - budgets)],
+    a linear program in (mu, t) solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    m = rows.shape[0]
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    a_ub = np.hstack([-(rows - budgets[:, None]).T, -np.ones((rows.shape[1], 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=-divergence, bounds=[(0, None)] * m + [(None, None)], method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+@PROPERTY_SETTINGS
+@given(case=budgeted_channels())
+def test_several_budgets_are_met_below_an_independent_dual_bound(case):
+    model, rows, budgets = case
+    assume(solver._feasibility_lp(rows, budgets) <= 1e-12)
+    point = cd.multi_constraint_point(
+        model, [cd.CostConstraint(row, float(b)) for row, b in zip(rows, budgets)]
+    )
+    p = point.optimizer.probs
+    assert np.all(rows @ p <= budgets + 1e-12)
+    assert abs(point.capacity - cd.mutual_information(model, p)) < 1e-9
+
+    # Weak duality at the returned law's output marginal, minimized over the
+    # multipliers; 1e-7 absorbs the LP solver's own tolerance.
+    pyx = model.output_given_input
+    bound = _lp_dual_bound(_kl_rows(pyx, p @ pyx), rows, budgets)
+    assert point.capacity <= bound + 1e-7
+    assert bound - point.capacity <= 1e-6 or point.convergence_warning is not None
+    if model.input_size <= 3:
+        grid = solver._simplex_grid(model.input_size, 1e-4 if model.input_size == 2 else 1e-2)
+        grid = grid[np.all(grid @ rows.T <= budgets + 1e-12, axis=1)]
+        if grid.size:
+            assert point.capacity >= float(np.max(cd.batch_mutual_information(model, grid))) - 1e-9

@@ -109,30 +109,27 @@ def test_point_infeasible_budget_raises_with_floor():
 
 
 def test_point_rejects_nan_budget():
-    # NaN compares false with every cost, so without a check it would fall
-    # through the bracketing loop to the multiplier-cap fallback.
+    # NaN compares false with every cost, so without a check it would slip
+    # past the feasibility test into the solver.
     with pytest.raises(ValueError, match="NaN"):
         cd.capacity_distortion_point(cd.scalar_multiplicative_model(0.3), math.nan)
 
 
 def test_binding_point_lands_on_the_budget_with_narrow_cost_spread():
-    # The letter costs are 0.15 and 0.151, so a cost shortfall of cost_tol
-    # (1e-8 absolute) is 1e-5 of the range and was worth 8e-8 nats here.
-    # With two letters the optimum is the unique law with d*.p = D.
+    # The letter costs are 0.15 and 0.151, so a cost shortfall of 1e-8 is
+    # 1e-5 of the range and worth 8e-8 nats here.  With two letters the
+    # optimum is the unique law with d*.p = D.
     transition = [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.798, 0.202]]]
     model = cd.validate_channel(transition, [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
     cost = cd.optimal_estimator(model).cost_vector
     assert np.allclose(cost, [0.15, 0.151], atol=1e-15)
-    # The Frank-Wolfe finisher does not read cost_tol, so a coarse one must
-    # change nothing: the point still lands on D.
-    for opts in (cd.SolverOptions(), cd.SolverOptions(cost_tol=1e-4)):
-        for budget in (0.1501, 0.1502, 0.1503, 0.1504):
-            point = cd.capacity_distortion_point(model, budget, opts)
-            p1 = (budget - cost[0]) / (cost[1] - cost[0])
-            exact = cd.mutual_information(model, np.array([1.0 - p1, p1]))
-            assert point.constraint_active
-            assert abs(point.capacity - exact) < 1e-9, (opts.cost_tol, budget)
-            assert point.optimizer.probs @ cost <= budget + 1e-12
+    for budget in (0.1501, 0.1502, 0.1503, 0.1504):
+        point = cd.capacity_distortion_point(model, budget)
+        p1 = (budget - cost[0]) / (cost[1] - cost[0])
+        exact = cd.mutual_information(model, np.array([1.0 - p1, p1]))
+        assert point.constraint_active
+        assert abs(point.capacity - exact) < 1e-9, budget
+        assert point.optimizer.probs @ cost <= budget + 1e-12
 
 
 def _library_channel_0():
@@ -164,7 +161,7 @@ def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypa
     # I(p) is flat along a null direction and multiplicative ascents at
     # fixed multipliers crawl to their iteration cap: a multiplier bisection
     # needed 416,012 evaluations and left a warning.  Pairwise Frank-Wolfe
-    # on the budget polytope certifies it in about 2,000.
+    # on the budget polytope certifies it in about 1,700.
     model = _library_channel_0()
     cost = cd.optimal_estimator(model).cost_vector
     p = np.full(model.input_size, 1.0 / model.input_size)
@@ -191,26 +188,6 @@ def test_point_flags_an_uncertified_gap():
     assert cd.capacity_distortion_point(model, budget).convergence_warning is None
 
 
-def test_vertex_split_keeps_positive_weights_and_rebuilds_the_law():
-    # A bracket start law with masses near the underflow limit, on a
-    # channel with one cheap letter (6) whose slack runs out exactly.
-    p = np.array([9.812338300928357e-301, 1.61880712652659e-57, 0.20464387875584714,
-                  9.778807857097716e-301, 0.3467889175144767, 9.80237875540883e-301,
-                  0.4485672037296761, 2.866875956389484e-116])
-    cost = np.array([0.25678981583499055, 0.25881981291751266, 0.21401021011373644,
-                     0.2658576280981101, 0.23768077104967844, 0.2953762370618197,
-                     0.1679143318469842, 0.2248565469706022])
-    budget = 0.20154179910009162
-    vertices = solver._split_into_vertices(p, cost, budget)
-    rebuilt = np.zeros(p.size)
-    for (x, y), (alpha, weight) in vertices.items():
-        assert weight > 0.0 and 0.0 < alpha <= 1.0
-        assert alpha * cost[x] + (1.0 - alpha) * cost[y] <= budget + 1e-15
-        rebuilt[x] += weight * alpha
-        rebuilt[y] += weight * (1.0 - alpha)
-    assert np.allclose(rebuilt, p, rtol=0.0, atol=1e-15)
-
-
 def test_point_with_letter_costs_equal_up_to_rounding():
     # The estimate is the likelier state whatever the output, so every
     # letter costs P(state 0), up to a few ulps, and any budget leaves the
@@ -234,6 +211,27 @@ def test_point_with_letter_costs_equal_up_to_rounding():
         point = cd.capacity_distortion_point(model, d_min + frac * (d_max - d_min))
         assert point.convergence_warning is None
         assert abs(point.capacity - free.capacity) < 1e-9
+
+
+def test_point_just_above_d_min_lands_on_the_budget():
+    # x = 0 shows nothing and costs 1/2; x = 1 reveals state 1 with
+    # probability 1e-5, so it costs 1/2 - 5e-6 and [d_min, d_max] spans
+    # 2.5e-6.  A multiplier doubled until its tilted ascent met a budget 1 %
+    # into that range passed its 1e6 cap first and returned the face law,
+    # capacity 0 and 2.5e-8 below the budget, with a warning.
+    transition = [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 1.0 - 1e-5, 1e-5]]]
+    model = cd.validate_channel(transition, [0.5, 0.5], HAMMING)
+    cost = cd.optimal_estimator(model).cost_vector
+    d_min, d_max = cd.feasible_range(model)
+    budget = d_min + 0.01 * (d_max - d_min)
+    point = cd.capacity_distortion_point(model, budget)
+    # With two letters the optimum is the unique law with d*.p = D.
+    p1 = (budget - cost[0]) / (cost[1] - cost[0])
+    exact = cd.mutual_information(model, np.array([1.0 - p1, p1]))
+    assert abs(exact - 0.0314790660) < 1e-10
+    assert point.convergence_warning is None
+    assert abs(point.optimizer.probs @ cost - budget) <= 1e-12
+    assert abs(point.capacity - exact) <= 1e-9
 
 
 def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
@@ -346,7 +344,7 @@ def test_multi_constraint_single_budget_matches_plain_solver():
 
 def test_multi_constraint_single_budget_lands_on_the_budget_with_narrow_cost_spread():
     # One constraint takes the point path's routine, so it ends on the budget
-    # too; a bisection that stops cost_tol short of it was 8e-8 low here.
+    # too; stopping 1e-8 short of it is 8e-8 low here.
     transition = [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.798, 0.202]]]
     model = cd.validate_channel(transition, [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
     cost = cd.optimal_estimator(model).cost_vector
