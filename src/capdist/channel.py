@@ -5,7 +5,8 @@ state prior P(s) and a per-letter distortion d(s, s_hat) charged to the
 receiver-side estimate of the state.  Everything downstream (solvers,
 closed forms, simulation) is built on the derived quantities computed in
 this module: output marginals, state posteriors, the optimal one-shot
-estimator and its per-letter cost vector, and mutual information.
+estimator and its per-letter cost vector, and mutual information (one
+routine, for one input law or a batch).
 """
 
 from __future__ import annotations
@@ -292,18 +293,24 @@ def _channel_terms(pyx: FloatArray) -> FloatArray:
     return np.sum(pyx * log_pyx, axis=1)
 
 
-def mutual_information(model: ChannelModel, px) -> float:
-    """I(X; Y) in nats under the given input law, with 0 log 0 = 0."""
-    probs = _as_probs(px, model.input_size)
-    pyx = model.output_given_input
-    py = probs @ pyx
-    # Mask out unused letters too: a cell with p(x) = 0 but P(y|x) > 0 can
-    # face p(y) = 0, and its log-ratio must not pollute the sum.
-    mask = (pyx > 0.0) & (probs[:, None] > 0.0)
+def batch_mutual_information(model: ChannelModel, batch: FloatArray) -> FloatArray:
+    """I(X; Y) in nats for every row of a (T, |X|) batch of input laws.
+
+    I = H(Y) + sum_x p(x) sum_y P(y|x) log P(y|x), with 0 log 0 = 0; the
+    per-letter terms are cached on the model.  Values are clipped at 0
+    against -1e-17 style rounding noise.
+    """
+    py = batch @ model.output_given_input
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, np.log(pyx) - np.log(py[None, :]), 0.0)
-        mi = float(np.sum(np.where(mask, probs[:, None] * pyx * ratio, 0.0)))
-    return max(0.0, mi)  # guard against -1e-17 style noise
+        ent = np.where(py > 0, -py * np.log(py), 0.0).sum(axis=1)
+    return np.maximum(0.0, ent + batch @ model._row_terms)
+
+
+def mutual_information(model: ChannelModel, px) -> float:
+    """I(X; Y) in nats under the given input law: the one-row case of
+    ``batch_mutual_information``."""
+    probs = _as_probs(px, model.input_size)
+    return float(batch_mutual_information(model, probs[None, :])[0])
 
 
 def average_cost(px, policy: EstimatorPolicy) -> float:

@@ -38,12 +38,10 @@ from .solver import (  # noqa: F401
     DEFAULT_OPTIONS,
     SolverOptions,
     _ascend,
-    _feasibility_lp,
+    _matrix_game,
     _Objective,
     _solve_budget,
-    batch_mutual_information,
     capacity_distortion_point,
-    _simplex_grid,
 )
 
 ZERO_COST_TOL = 1e-12
@@ -240,6 +238,16 @@ class CompoundFamily:
 
 @dataclass(frozen=True, eq=False)
 class CompoundResult:
+    """Worst-case capacity over a prior family.
+
+    value       : min over priors of I(X; Y) at ``optimizer``, in nats
+    optimizer   : an input law meeting the budget under every prior
+    worst_theta : index of the prior attaining ``value``
+    gap         : a certified upper bound on the max-min optimum minus
+                  ``value``; at most the ``gap_tol`` of ``compound_cd``
+    certified   : always true; an uncertified solve raises ``NotCertified``
+    """
+
     value: float
     optimizer: InputDistribution
     worst_theta: int
@@ -269,22 +277,6 @@ def _solve_weighted(
     return p, bound
 
 
-def _grid_max_min(
-    family: CompoundFamily, budget: float, step: float
-) -> tuple[float, FloatArray]:
-    grid = _simplex_grid(family.models[0].input_size, step)
-    cost_rows = np.stack([optimal_estimator(m).cost_vector for m in family.models])
-    feasible = np.all(grid @ cost_rows.T <= budget + 1e-12, axis=1)
-    if not np.any(feasible):
-        raise InfeasibleDistortion("no grid point satisfies every prior's budget")
-    grid = grid[feasible]
-    worst = np.full(grid.shape[0], np.inf)
-    for m in family.models:
-        worst = np.minimum(worst, batch_mutual_information(m, grid))
-    k = int(np.argmax(worst))
-    return float(worst[k]), grid[k]
-
-
 def compound_cd(
     family: CompoundFamily,
     budget: float,
@@ -294,30 +286,34 @@ def compound_cd(
 ) -> CompoundResult:
     """Worst-case capacity over a finite prior family, budget enforced per prior.
 
-    Multiplicative-weights play over the priors: the inner solve maximizes
-    the weight-mixed information under all budgets, the weights then shift
-    toward the currently worst prior.  The inner solve is the Frank-Wolfe
-    solver of ``capacity_distortion_point`` on the polytope of laws meeting
-    every prior's budget, so each inner law is feasible and its dual bound
-    is an upper bound on the max-min value; pure single-prior solves are
-    probed first.  The reported gap is best upper bound minus best lower
-    bound, the lower bound being the worst prior's ``mutual_information``
-    at a returned law.  If the gap cannot be certified below ``gap_tol``, an
-    exhaustive grid search over input laws takes over for alphabets of size
-    <= 3, and otherwise ``NotCertified`` is raised.
+    The max-min value max_p min_theta I_theta(p), over laws p meeting every
+    prior's budget, equals min over prior weights w of the convex dual
+    g(w) = max_p sum_theta w_theta I_theta(p) (Sion's minimax theorem).
+    Kelley's cutting planes minimize g.  Each round solves the weighted
+    problem at one w with the budgeted solver of
+    ``capacity_distortion_point``; the law p_k it returns gives the cut
+    g >= w . v_k, with v_k = (I_theta(p_k))_theta, and its dual bound is an
+    upper bound on the max-min value.  The next w minimizes max_k w . v_k,
+    a matrix game whose other player mixes the laws: p = sum_k a_k p_k meets
+    every budget and, each I_theta being concave, is worth at least the
+    game value under every prior.  The first rounds use the pure priors.
+
+    The result is the mixed law, its value min_theta I_theta(p), and a gap
+    equal to the smallest dual bound seen minus that value.  Rounds stop
+    once the gap is at most ``gap_tol``; if ``max_outer`` rounds end above
+    it, ``NotCertified`` is raised.
     """
     models = family.models
     n_theta = len(models)
     channels = [m.output_given_input for m in models]
     cost_rows = np.stack([optimal_estimator(m).cost_vector for m in models])
-    n = models[0].input_size
 
     least = float(np.max(cost_rows.min(axis=1)))
     if budget < least - ZERO_COST_TOL:
         raise InfeasibleDistortion(
             f"budget {budget} below some prior's minimum achievable cost {least}", d_min=least
         )
-    if _feasibility_lp(cost_rows, np.full(n_theta, budget)) > 1e-12:
+    if _matrix_game(cost_rows - budget)[0] > 1e-12:
         raise InfeasibleDistortion(
             f"no input distribution meets budget {budget} under every prior", d_min=least
         )
@@ -331,56 +327,32 @@ def compound_cd(
     def info_values(p: FloatArray) -> FloatArray:
         return np.array([mutual_information(m, p) for m in models])
 
-    best_lb = -np.inf
-    best_p: FloatArray | None = None
-    best_ub = np.inf
-
-    def record(p: FloatArray, ub: float) -> FloatArray:
-        """Keep the best upper bound and the best feasible law; return p's values."""
-        nonlocal best_lb, best_p, best_ub
+    laws, cuts = [], []
+    best_ub, best_lb, best_p = np.inf, -np.inf, None
+    for k in range(max_outer):
+        w = np.eye(n_theta)[k] if k < n_theta else weights
+        p, ub = _solve_weighted(channels, w, cost_rows, budget, opts)
         best_ub = min(best_ub, ub)
-        vals = info_values(p)
-        if float(vals.min()) > best_lb:
-            best_lb, best_p = float(vals.min()), p
-        return vals
-
-    # Pure-prior probes: solving one prior's objective under the full
-    # constraint set yields a rigorous upper bound via its dual value and a
-    # feasible candidate.
-    for k in range(n_theta):
-        record(*_solve_weighted(channels, np.eye(n_theta)[k], cost_rows, budget, opts))
-
-    weights = np.full(n_theta, 1.0 / n_theta)
-    for t in range(1, max_outer + 1):
+        laws.append(p)
+        cuts.append(info_values(p))
+        _, weights, mix = _matrix_game(np.array(cuts))
+        p = mix @ np.array(laws)
+        lb = float(info_values(p).min())
+        if lb > best_lb:
+            best_lb, best_p = lb, p
         if best_ub - best_lb <= gap_tol:
             break
-        vals = record(*_solve_weighted(channels, weights, cost_rows, budget, opts))
-        eta = math.sqrt(8.0 * math.log(max(n_theta, 2)) / t)
-        weights = weights * np.exp(-eta * vals / max(float(vals.max()), 1e-12))
-        weights /= weights.sum()
+    else:
+        raise NotCertified(
+            f"gap {best_ub - best_lb:.3e} above {gap_tol:.0e} after {max_outer} rounds"
+        )
 
-    gap = best_ub - best_lb
-    certified = gap <= gap_tol
-    if not certified:
-        if n <= 3:
-            step = 1e-4 if n == 2 else 1e-2
-            g_val, g_p = _grid_max_min(family, budget, step)
-            if g_val > best_lb:
-                best_lb, best_p = g_val, g_p
-            certified = True
-            gap = min(gap, max(best_ub - best_lb, 0.0))
-        else:
-            raise NotCertified(
-                f"duality gap {gap:.3e} above {gap_tol:.0e} and alphabet too large for grid fallback"
-            )
-
-    vals = info_values(best_p)
     return CompoundResult(
-        max(0.0, best_lb),
+        best_lb,
         InputDistribution(best_p),
-        int(np.argmin(vals)),
-        max(0.0, gap),
-        certified,
+        int(np.argmin(info_values(best_p))),
+        max(0.0, best_ub - best_lb),
+        True,
     )
 
 

@@ -30,6 +30,7 @@ from .channel import (
     InputDistribution,
     _as_probs,
     _channel_terms,
+    batch_mutual_information,
     optimal_estimator,
 )
 from .errors import (
@@ -610,30 +611,36 @@ def cd_curve(model: ChannelModel, grid, opts: SolverOptions = DEFAULT_OPTIONS) -
 # ---------------------------------------------------------------------------
 
 
-def _feasibility_lp(cost_rows: FloatArray, budgets: FloatArray) -> float:
-    """min over the simplex of max_j (cost_j . p - budget_j), via scipy LP."""
+def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
+    """Value and optimal laws of the zero-sum game with this payoff matrix.
+
+    The column player picks a law q to minimize max_j (payoff @ q)_j and the
+    row player a law a to maximize min_i (a @ payoff)_i; both reach the
+    value.  Solved as min t s.t. payoff @ q <= t over the simplex by the
+    HiGHS dual simplex, whose constraint duals are the row law.  Returns
+    (value, column law, row law).
+    """
     from scipy.optimize import linprog
 
-    n_cons, n = cost_rows.shape
-    # variables: p (n) then t
-    c = np.zeros(n + 1)
+    n_rows, n_cols = payoff.shape
+    c = np.zeros(n_cols + 1)
     c[-1] = 1.0
-    a_ub = np.hstack([cost_rows, -np.ones((n_cons, 1))])
-    b_ub = budgets.copy()
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
+    a_eq = np.ones((1, n_cols + 1))
+    a_eq[0, -1] = 0.0
     res = linprog(
         c,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=np.hstack([payoff, -np.ones((n_rows, 1))]),
+        b_ub=np.zeros(n_rows),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)],
-        method="highs",
+        bounds=[(0, None)] * n_cols + [(None, None)],
+        method="highs-ds",
     )
     if not res.success:
-        raise InfeasibleConstraints("feasibility check failed to solve")
-    return float(res.x[-1])
+        raise InfeasibleConstraints("matrix game failed to solve")
+    column = np.maximum(res.x[:-1], 0.0)
+    row = np.maximum(-res.ineqlin.marginals, 0.0)
+    return float(res.x[-1]), column / column.sum(), row / row.sum()
 
 
 def multi_constraint_point(
@@ -662,7 +669,9 @@ def multi_constraint_point(
         raise InfeasibleConstraints(
             f"constraint {j}: cheapest letter costs {best_single[j]}, budget {budgets[j]}"
         )
-    if _feasibility_lp(cost_rows, budgets) > 1e-12:
+    # The game min_p max_j (cost_j . p - budget_j) is above 0 exactly when
+    # no input law meets every budget.
+    if _matrix_game(cost_rows - budgets[:, None])[0] > 1e-12:
         raise InfeasibleConstraints("no input distribution satisfies every budget")
 
     p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), cost_rows, budgets, opts)
@@ -683,16 +692,6 @@ def _simplex_grid(n_inputs: int, step: float) -> FloatArray:
     keep = (i + j) <= n
     i, j = i[keep], j[keep]
     return np.stack([i, j, n - i - j], axis=1) / n
-
-
-def batch_mutual_information(model: ChannelModel, batch: FloatArray) -> FloatArray:
-    """I(X; Y) in nats for every row of a (T, |X|) batch of input laws."""
-    pyx = model.output_given_input
-    row_self = model._row_terms
-    py = batch @ pyx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(py > 0, -py * np.log(py), 0.0).sum(axis=1)
-    return np.maximum(0.0, ent + batch @ row_self)
 
 
 def grid_search_capacity(model: ChannelModel, budget: float, step: float | None = None) -> float:
@@ -726,7 +725,6 @@ __all__ = [
     "CostConstraint",
     "DEFAULT_OPTIONS",
     "SolverOptions",
-    "batch_mutual_information",
     "capacity_distortion_point",
     "cd_curve",
     "feasible_range",

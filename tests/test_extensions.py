@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capdist as cd
+from capdist import extensions, solver
 
 HAMMING2 = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -16,6 +20,25 @@ HAMMING2 = [[0.0, 1.0], [1.0, 0.0]]
 # is the exact closed form -log(1-r)/r.
 COMPOUND_VALUE_AT_005 = 0.0411493655929831
 R04_CAP_AT_01 = 0.10610555179795111
+
+
+# The ``outer`` benchmark workload draws its random compound families from
+# a library seeded with this; the sixth (|X| = 4, 3 priors, |S| = 3, |Y| = 2)
+# is run at lo + 0.6 (hi - lo), lo the least worst-prior cost of any input
+# law and hi the largest letter cost.
+OUTER_LIBRARY_SEED = 8011137
+OUTER_FAMILY_BUDGET = 0.48838610460600024
+
+
+def _outer_family(draws=6):
+    """The ``draws``-th random compound family of the ``outer`` library."""
+    lib = np.random.default_rng(OUTER_LIBRARY_SEED)
+    for _ in range(draws):
+        nx, n_theta = int(lib.integers(3, 5)), int(lib.integers(2, 4))
+        ns, ny = int(lib.integers(2, 4)), int(lib.integers(2, 5))
+        transition = lib.dirichlet(np.ones(ny), size=(nx, ns))
+        priors = tuple(lib.dirichlet(np.ones(ns)) for _ in range(n_theta))
+    return cd.CompoundFamily(transition, priors, 1.0 - np.eye(ns))
 
 
 def _two_prior_family():
@@ -163,3 +186,122 @@ def test_compound_family_requires_a_prior():
             priors=(),
             distortion=HAMMING2,
         )
+
+
+def test_compound_raises_not_certified_when_rounds_run_out():
+    with pytest.raises(cd.NotCertified):
+        cd.compound_cd(_outer_family(), OUTER_FAMILY_BUDGET, max_outer=1)
+
+
+# ---------------------------------------------------------------------------
+# worst-case prior: independent bounds
+# ---------------------------------------------------------------------------
+
+
+def _kl_rows(pyx, q):
+    """D(P(.|x) || q) for every row x, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pyx > 0.0, pyx * (np.log(pyx) - np.log(q)), 0.0)
+    return terms.sum(axis=1)
+
+
+def _cost_rows(family):
+    return np.stack([cd.optimal_estimator(m).cost_vector for m in family.models])
+
+
+def _compound_lp_bound(family, budget, p):
+    """min over prior weights w and multipliers mu >= 0 of
+    max_x sum_theta [w_theta D(P_theta(.|x) || q_theta) - mu_theta (d*_theta(x) - D)],
+    q_theta the output law of p under prior theta.  Weak duality makes it an
+    upper bound on the max-min value for any p; a linear program in
+    (w, mu, t) solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    a = np.stack([_kl_rows(m.output_given_input, p @ m.output_given_input) for m in family.models])
+    b = _cost_rows(family) - budget
+    n_theta, n_x = a.shape
+    c = np.zeros(2 * n_theta + 1)
+    c[-1] = 1.0
+    a_eq = np.zeros((1, 2 * n_theta + 1))
+    a_eq[0, :n_theta] = 1.0
+    res = linprog(c, A_ub=np.hstack([a.T, -b.T, -np.ones((n_x, 1))]), b_ub=np.zeros(n_x),
+                  A_eq=a_eq, b_eq=[1.0], bounds=[(0, None)] * (2 * n_theta) + [(None, None)],
+                  method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def _grid_max_min(family, budget):
+    """Exhaustive max-min over a simplex grid of input laws meeting every
+    prior's budget (step 1e-4 for two letters, 1e-2 for three); -inf when
+    no grid law meets them."""
+    n = family.models[0].input_size
+    grid = solver._simplex_grid(n, 1e-4 if n == 2 else 1e-2)
+    grid = grid[np.all(grid @ _cost_rows(family).T <= budget + 1e-12, axis=1)]
+    worst = np.min([cd.batch_mutual_information(m, grid) for m in family.models], axis=0)
+    return float(np.max(worst, initial=-np.inf))
+
+
+def test_compound_gap_holds_against_an_independent_bound_on_the_outer_family():
+    # The bound does not use the solver; on this family it must read within
+    # gap_tol of the value, as the ``outer`` workload checks it.
+    family = _outer_family()
+    assert family.models[0].input_size == 4 and len(family.models) == 3
+    result = cd.compound_cd(family, OUTER_FAMILY_BUDGET)
+    bound = _compound_lp_bound(family, OUTER_FAMILY_BUDGET, result.optimizer.probs)
+    assert result.value <= bound + 1e-7
+    assert bound <= result.value + 1e-4
+
+
+def test_compound_mixes_its_laws_to_certify_in_few_rounds(monkeypatch):
+    # The 17th library family (|X| = 4, 2 priors) at 30 % of its budget
+    # range.  Mixing the inner laws by the master game's duals certifies it
+    # in 4 inner solves; the last inner law alone needs 8.
+    family = _outer_family(17)
+    rows = _cost_rows(family)
+    lo = solver._matrix_game(rows)[0]
+    real = extensions._solve_weighted
+    calls = []
+    monkeypatch.setattr(extensions, "_solve_weighted", lambda *args: calls.append(1) or real(*args))
+    result = cd.compound_cd(family, lo + 0.3 * (float(rows.max()) - lo))
+    assert result.gap <= 1e-4
+    assert len(calls) <= 6
+
+
+_weights = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def compound_cases(draw):
+    """A family with |X| 2-4, 2-3 priors, |S| 2-3, |Y| 2-4 and Hamming
+    distortion, and a budget between the least worst-prior cost of any
+    input law and the largest letter cost."""
+    nx, n_theta = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    ns, ny = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    transition = np.array(draw(st.lists(_weights, min_size=nx * ns * ny, max_size=nx * ns * ny)))
+    transition = transition.reshape(nx, ns, ny)
+    transition /= transition.sum(axis=2, keepdims=True)
+    priors = tuple(
+        np.array(draw(st.lists(_weights, min_size=ns, max_size=ns))) for _ in range(n_theta)
+    )
+    family = cd.CompoundFamily(transition, tuple(p / p.sum() for p in priors), 1.0 - np.eye(ns))
+    rows = _cost_rows(family)
+    lo, hi = solver._matrix_game(rows)[0], float(rows.max())
+    return family, lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(case=compound_cases())
+def test_compound_is_feasible_and_within_its_gap_of_independent_bounds(case):
+    family, budget = case
+    result = cd.compound_cd(family, budget)
+    p = result.optimizer.probs
+    assert np.all(_cost_rows(family) @ p <= budget + 1e-12)
+    worst = min(cd.mutual_information(m, p) for m in family.models)
+    assert abs(result.value - worst) <= 1e-9
+    assert result.gap <= 1e-4
+    assert result.value <= _compound_lp_bound(family, budget, p) + 1e-7
+    if family.models[0].input_size <= 3:
+        # 1e-12 absorbs the oracle's rounding: on a useless channel some grid
+        # laws read 1e-16 nats.
+        assert result.value >= _grid_max_min(family, budget) - result.gap - 1e-12
