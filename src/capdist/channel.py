@@ -94,8 +94,12 @@ class ChannelModel:
 
     @cached_property
     def _row_terms(self) -> FloatArray:
-        """``_channel_terms`` of ``output_given_input``, computed on first use."""
-        terms = _channel_terms(self.output_given_input)
+        """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0, computed on
+        first use."""
+        pyx = self.output_given_input
+        with np.errstate(divide="ignore"):
+            log_pyx = np.where(pyx > 0, np.log(np.maximum(pyx, 1e-300)), 0.0)
+        terms = np.sum(pyx * log_pyx, axis=1)
         terms.setflags(write=False)
         return terms
 
@@ -286,13 +290,6 @@ def optimal_estimator(model: ChannelModel) -> EstimatorPolicy:
     return model._estimator
 
 
-def _channel_terms(pyx: FloatArray) -> FloatArray:
-    """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0."""
-    with np.errstate(divide="ignore"):
-        log_pyx = np.where(pyx > 0, np.log(np.maximum(pyx, 1e-300)), 0.0)
-    return np.sum(pyx * log_pyx, axis=1)
-
-
 def batch_mutual_information(model: ChannelModel, batch: FloatArray) -> FloatArray:
     """I(X; Y) in nats for every row of a (T, |X|) batch of input laws.
 
@@ -335,7 +332,9 @@ def block_to_super_symbol(model: ChannelModel, block_len: int, cap: int = ALPHAB
 
     Raises ``AlphabetOverflow`` before allocating anything when |X|^K or
     |Y|^K exceeds ``cap``, or the dense tensor |X|^K |S| |Y|^K exceeds
-    ``DENSE_ENTRY_CAP`` entries.
+    ``DENSE_ENTRY_CAP`` entries.  The tensor is the only full-size
+    allocation: each state's last Kronecker factor is written into it, and
+    its rows, products of validated rows, are renormalized in place.
     """
     if block_len < 1:
         raise DimensionMismatch("block_len must be >= 1")
@@ -350,12 +349,15 @@ def block_to_super_symbol(model: ChannelModel, block_len: int, cap: int = ALPHAB
             f"dense super-symbol transition |X|^K |S| |Y|^K = {entries} entries "
             f"exceeds cap {DENSE_ENTRY_CAP}"
         )
-    stacked = []
-    for s in range(model.state_size):
+    nx, ns, ny = model.transition.shape
+    transition = np.empty((nx**block_len, ns, ny**block_len))
+    # kron(head, mat)[i nx + k, j ny + l] = head[i, j] mat[k, l]
+    blocks = transition.reshape(nx ** (block_len - 1), nx, ns, ny ** (block_len - 1), ny)
+    for s in range(ns):
         mat = model.transition[:, s, :]
-        super_mat = mat
+        head = np.ones((1, 1))  # the first K - 1 factors
         for _ in range(block_len - 1):
-            super_mat = np.kron(super_mat, mat)
-        stacked.append(super_mat)
-    transition = np.stack(stacked, axis=1)
-    return validate_channel(transition, model.state_prior, model.distortion)
+            head = np.kron(head, mat)
+        np.multiply(head[:, None, :, None], mat[None, :, None, :], out=blocks[:, :, s])
+    transition /= transition.sum(axis=-1, keepdims=True)
+    return ChannelModel(transition, model.state_prior, model.distortion)

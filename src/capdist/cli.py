@@ -15,9 +15,10 @@ scalar_multiplicative r=R, block_multiplicative r=R K=K, additive_mod2 r=R.
 Anywhere a spec path is expected, a bare preset string may be passed instead
 of a filename.
 
-Exit codes: 0 success, 2 malformed input, 3 infeasible budget or constraint
-set, 4 solver could not converge or certify.  Rates print in nats; --bits
-adds the base-2 conversion where supported.
+Exit codes: 0 success, 2 malformed input (a NaN budget included) or an
+input too large for memory, 3 infeasible budget or constraint set, 4 solver
+could not converge or certify.  Rates print in nats; --bits adds the base-2
+conversion where supported.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .extensions import (
     cpud_sup_definition,
 )
 from .simulate import simulate
-from .solver import capacity_distortion_point, cd_curve, feasible_range
+from .solver import _check_budgets, capacity_distortion_point, cd_curve
 
 LN2 = math.log(2.0)
 
@@ -215,10 +216,15 @@ def _cmd_curve(args) -> int:
     exit_code = 0
     if args.d_list is not None:
         budgets = sorted(float(tok) for tok in args.d_list.split(","))
-        d_min, _ = feasible_range(model)
+        cost = optimal_estimator(model).cost_vector[None, :]
         keep, skipped = [], []
         for b in budgets:
-            (keep if b >= d_min - 1e-12 else skipped).append(b)
+            try:
+                _check_budgets(cost, np.array([b]))
+                keep.append(b)
+            except InfeasibleDistortion as exc:
+                skipped.append(b)
+                d_min = exc.d_min
         if skipped:
             print(
                 "warning: skipping infeasible budgets below d_min="
@@ -415,7 +421,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (InfeasibleDistortion, InfeasibleConstraints) as exc:
+    except InfeasibleConstraints as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotCertified, SolverNonmonotone) as exc:
@@ -423,6 +429,9 @@ def main(argv=None) -> int:
         return 4
     except (CapdistError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, all derived from ``CapdistError``."""
 
 from __future__ import annotations
 
@@ -31,16 +31,20 @@ class AlphabetTooLarge(CapdistError):
     """Operation restricted to small alphabets received a larger one."""
 
 
-class InfeasibleDistortion(CapdistError):
-    """Distortion budget below the minimum achievable estimation cost."""
+class InfeasibleConstraints(CapdistError):
+    """No input distribution satisfies every cost budget simultaneously."""
+
+
+class InfeasibleDistortion(InfeasibleConstraints):
+    """A budget set that no input law meets, raised by every budgeted entry
+    point (a NaN budget raises ``ValueError``).  ``d_min`` is the least
+    budget all rows could share: the cheapest letter's cost for one row,
+    min over input laws of the dearest row's cost for several, and None
+    when the budgets differ."""
 
     def __init__(self, message: str, d_min: float | None = None):
         super().__init__(message)
         self.d_min = d_min
-
-
-class InfeasibleConstraints(CapdistError):
-    """No input distribution satisfies every cost budget simultaneously."""
 
 
 class SolverNonmonotone(CapdistError):

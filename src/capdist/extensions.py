@@ -26,11 +26,7 @@ from .channel import (
     optimal_estimator,
     validate_channel,
 )
-from .errors import (
-    InfeasibleDistortion,
-    NoZeroCostLetter,
-    NotCertified,
-)
+from .errors import NoZeroCostLetter, NotCertified
 # ``_ascend`` is not called here; it stays bound because perfbench's tracer
 # hooks it in every module that once bound it and drops the ascent counters
 # when a hook is missing.
@@ -38,6 +34,7 @@ from .solver import (  # noqa: F401
     DEFAULT_OPTIONS,
     SolverOptions,
     _ascend,
+    _check_budgets,
     _matrix_game,
     _Objective,
     _solve_budget,
@@ -88,6 +85,24 @@ def _divergence_rows(pyx: FloatArray, reference: FloatArray) -> FloatArray:
     return out
 
 
+def _infinite_case(model: ChannelModel, cost_vector: FloatArray, method: str) -> CpudResult | None:
+    """The infinite result of either route, or None when the value is finite.
+
+    The value is infinite with two or more free letters (communicate over
+    them at vanishing cost), and with exactly one, x0, when some
+    D(P(.|x) || P(.|x0)) diverges; the witness names the trigger.
+    """
+    free = _zero_cost_letters(cost_vector)
+    if free.size >= 2:
+        return CpudResult(math.inf, tuple(int(i) for i in free), method, "multiple zero-cost letters")
+    if free.size == 1:
+        pyx = model.output_given_input
+        divergent = np.isinf(_divergence_rows(pyx, pyx[free[0]]))
+        if np.any(divergent):
+            return CpudResult(math.inf, int(np.argmax(divergent)), method, "divergent likelihood ratio")
+    return None
+
+
 def cpud_ratio_formula(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -> CpudResult:
     """Rate per unit cost via divergences against the unique free letter.
 
@@ -97,7 +112,7 @@ def cpud_ratio_formula(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTION
 
         value = max over x != x0 of D(P(.|x) || P(.|x0)) / d*(x),
 
-    infinite if some numerator diverges.
+    infinite if some numerator diverges, and 0 with no other letter.
     """
     cost_vector = optimal_estimator(model).cost_vector
     free = _zero_cost_letters(cost_vector)
@@ -105,23 +120,16 @@ def cpud_ratio_formula(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTION
         raise NoZeroCostLetter(
             "no input letter has zero estimation cost; use the sup-definition route"
         )
-    if free.size >= 2:
-        return CpudResult(
-            math.inf, tuple(int(i) for i in free), "ratio-formula", "multiple zero-cost letters"
-        )
+    infinite = _infinite_case(model, cost_vector, "ratio-formula")
+    if infinite is not None:
+        return infinite
     x0 = int(free[0])
     pyx = model.output_given_input
-    divs = _divergence_rows(pyx, pyx[x0])
-    ratios = np.full(model.input_size, -np.inf)
-    for x in range(model.input_size):
-        if x == x0:
-            continue
-        ratios[x] = divs[x] / cost_vector[x]
+    others = np.arange(model.input_size) != x0
+    ratios = np.zeros(model.input_size)
+    ratios[others] = _divergence_rows(pyx, pyx[x0])[others] / cost_vector[others]
     best = int(np.argmax(ratios))
-    value = float(ratios[best])
-    if math.isinf(value):
-        return CpudResult(math.inf, best, "ratio-formula", "divergent likelihood ratio")
-    return CpudResult(value, best, "ratio-formula")
+    return CpudResult(float(ratios[best]), best, "ratio-formula")
 
 
 def cpud_sup_definition(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -> CpudResult:
@@ -134,23 +142,9 @@ def cpud_sup_definition(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIO
     safeguard) and the best point is refined by golden-section search.
     """
     cost_vector = optimal_estimator(model).cost_vector
-    free = _zero_cost_letters(cost_vector)
-    if free.size >= 2:
-        return CpudResult(
-            math.inf, tuple(int(i) for i in free), "sup-definition", "multiple zero-cost letters"
-        )
-    if free.size == 1:
-        x0 = int(free[0])
-        pyx = model.output_given_input
-        divs = _divergence_rows(pyx, pyx[x0])
-        divs[x0] = 0.0
-        if np.any(np.isinf(divs)):
-            return CpudResult(
-                math.inf,
-                int(np.argmax(np.isinf(divs))),
-                "sup-definition",
-                "divergent likelihood ratio",
-            )
+    infinite = _infinite_case(model, cost_vector, "sup-definition")
+    if infinite is not None:
+        return infinite
     d_min = float(np.min(cost_vector))
     d_max_letter = float(np.max(cost_vector))
     if model.input_size == 1:
@@ -172,10 +166,8 @@ def cpud_sup_definition(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIO
         return CpudResult(pt.capacity / d_min, pt.optimizer, "sup-definition")
 
     hi = d_max_letter
-    lo = max(d_min, 1e-9) if d_min <= ZERO_COST_TOL else d_min
     # Balance curvature bias against solver noise when probing near zero.
-    if d_min <= ZERO_COST_TOL:
-        lo = max(1e-6 * hi, 2e-5)
+    lo = max(1e-6 * hi, 2e-5) if d_min <= ZERO_COST_TOL else d_min
     grid = np.unique(
         np.concatenate(
             [
@@ -256,24 +248,21 @@ class CompoundResult:
 
 
 def _solve_weighted(
-    channels: Sequence[FloatArray],
+    models: Sequence[ChannelModel],
     weights: FloatArray,
     cost_rows: FloatArray,
-    budget: float,
+    budgets: FloatArray,
     opts: SolverOptions,
 ) -> tuple[FloatArray, float]:
-    """Maximize sum_i w_i I_i(p) subject to every cost row <= budget.
+    """Maximize sum_i w_i I_i(p) subject to cost_rows @ p <= budgets.
 
-    One call of the budgeted solver of ``capacity_distortion_point``, with
-    one cost row per prior.  Returns (p, dual_bound): p meets every budget,
-    and dual_bound is an upper bound on the constrained optimum (by
-    concavity, the best vertex of the budget polytope for the gradient at
-    the returned law).
+    One call of the budgeted solver of ``capacity_distortion_point``, on
+    rows and budgets returned by ``_check_budgets``.  Returns
+    (p, dual_bound): p meets every budget, and dual_bound is an upper bound
+    on the constrained optimum (by concavity, the best vertex of the budget
+    polytope for the gradient at the returned law).
     """
-    objective = _Objective(list(zip(weights, channels)))
-    p, _, bound, _, _ = _solve_budget(
-        objective, cost_rows, np.full(cost_rows.shape[0], budget), opts
-    )
+    p, _, bound, _, _ = _solve_budget(_Objective(list(zip(weights, models))), cost_rows, budgets, opts)
     return p, bound
 
 
@@ -301,28 +290,15 @@ def compound_cd(
     The result is the mixed law, its value min_theta I_theta(p), and a gap
     equal to the smallest dual bound seen minus that value.  Rounds stop
     once the gap is at most ``gap_tol``; if ``max_outer`` rounds end above
-    it, ``NotCertified`` is raised.
+    it, ``NotCertified`` is raised; one prior takes the same rounds.  The
+    budget is checked once by ``_check_budgets`` (one row per prior), so an
+    infeasible one raises ``InfeasibleDistortion`` whose ``d_min`` is
+    min_p max_theta d*_theta . p.
     """
     models = family.models
     n_theta = len(models)
-    channels = [m.output_given_input for m in models]
     cost_rows = np.stack([optimal_estimator(m).cost_vector for m in models])
-
-    least = float(np.max(cost_rows.min(axis=1)))
-    if budget < least - ZERO_COST_TOL:
-        raise InfeasibleDistortion(
-            f"budget {budget} below some prior's minimum achievable cost {least}", d_min=least
-        )
-    if _matrix_game(cost_rows - budget)[0] > 1e-12:
-        raise InfeasibleDistortion(
-            f"no input distribution meets budget {budget} under every prior", d_min=least
-        )
-
-    if n_theta == 1:
-        # One prior is not a game at all; delegate to the plain solver, whose
-        # convergence is much tighter than the minimax machinery's.
-        point = capacity_distortion_point(models[0], budget, opts)
-        return CompoundResult(point.capacity, point.optimizer, 0, 0.0, True)
+    cost_rows, budgets = _check_budgets(cost_rows, np.full(n_theta, float(budget)))
 
     def info_values(p: FloatArray) -> FloatArray:
         return np.array([mutual_information(m, p) for m in models])
@@ -331,7 +307,7 @@ def compound_cd(
     best_ub, best_lb, best_p = np.inf, -np.inf, None
     for k in range(max_outer):
         w = np.eye(n_theta)[k] if k < n_theta else weights
-        p, ub = _solve_weighted(channels, w, cost_rows, budget, opts)
+        p, ub = _solve_weighted(models, w, cost_rows, budgets, opts)
         best_ub = min(best_ub, ub)
         laws.append(p)
         cuts.append(info_values(p))

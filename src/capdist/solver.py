@@ -18,6 +18,7 @@ simplex doubles as an independent oracle for small alphabets.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +30,6 @@ from .channel import (
     FloatArray,
     InputDistribution,
     _as_probs,
-    _channel_terms,
     batch_mutual_information,
     optimal_estimator,
 )
@@ -116,23 +116,14 @@ class CostConstraint:
 
 
 class _Objective:
-    """Weighted mutual-information objective over one or more channels.
+    """Weighted mutual-information objective sum_i w_i I_i(p) over channel
+    models; ``terms`` holds (w_i, P_i(y|x), row terms cached on the model)
+    for every positive weight."""
 
-    Each channel is a ``ChannelModel``, whose row terms are cached on it, or
-    a raw P(y|x) array."""
-
-    def __init__(self, weighted_channels: Sequence[tuple[float, ChannelModel | FloatArray]]):
-        self.terms = []
-        for weight, channel in weighted_channels:
-            if weight <= 0.0:
-                continue
-            if isinstance(channel, ChannelModel):
-                pyx, row_self = channel.output_given_input, channel._row_terms
-            else:
-                pyx, row_self = channel, _channel_terms(channel)
-            self.terms.append((float(weight), pyx, row_self))
-        first = weighted_channels[0][1]
-        self.n_inputs = first.input_size if isinstance(first, ChannelModel) else first.shape[0]
+    def __init__(self, weighted_models: Sequence[tuple[float, ChannelModel]]):
+        self.terms = [(float(weight), model.output_given_input, model._row_terms)
+                      for weight, model in weighted_models if weight > 0.0]
+        self.n_inputs = weighted_models[0][1].input_size
 
     def scores(self, p: FloatArray) -> FloatArray:
         """sum_i w_i * D(P_i(.|x) || P_i(.)) per input letter, at input law p."""
@@ -143,12 +134,12 @@ class _Objective:
             total += weight * (row_self - pyx @ log_py)
         return total
 
-    def value(self, p: FloatArray) -> float:
-        return float(p @ self.scores(p))
-
     def restrict(self, keep: FloatArray) -> _Objective:
         """The objective on the letters where ``keep`` is true."""
-        return _Objective([(weight, pyx[keep]) for weight, pyx, _ in self.terms])
+        restricted = copy.copy(self)
+        restricted.terms = [(weight, pyx[keep], row_self[keep]) for weight, pyx, row_self in self.terms]
+        restricted.n_inputs = int(np.count_nonzero(keep))
+        return restricted
 
 
 def _line_search(
@@ -503,11 +494,45 @@ def _frank_wolfe(
     return p, value, best_vertex(score)[1]
 
 
+def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """The budget rule of every budgeted entry point: cost_rows @ p <= budgets.
+
+    A NaN budget raises ``ValueError``; a +inf budget constrains nothing,
+    so its row is dropped.  ``InfeasibleDistortion`` is raised when a budget
+    lies more than ``FACE_TOL`` below its row's cheapest letter or, with
+    several rows, when the game min_p max_j (cost_j . p - budget_j) is above
+    ``FACE_TOL``: no input law meets them all.  Its ``d_min`` is the least
+    common budget when the budgets are equal (the cheapest letter for one
+    row, else the game value of the costs), and None otherwise.  Returns the
+    rows and budgets left.
+    """
+    if np.any(np.isnan(budgets)):
+        raise ValueError(f"budget is NaN: {budgets.tolist()}")
+    cheapest = cost_rows.min(axis=1)
+    short = np.flatnonzero(budgets < cheapest - FACE_TOL)
+    finite = budgets < np.inf
+    rows, kept = cost_rows[finite], budgets[finite]
+    if short.size:
+        j = int(short[0])
+        reason = f"budget {budgets[j]} is below the cheapest letter's cost"
+        if budgets.size > 1:
+            reason = f"row {j}: {reason} {cheapest[j]}"
+    elif kept.size > 1 and _matrix_game(rows - kept[:, None])[0] > FACE_TOL:
+        reason = "no input law meets every budget"
+    else:
+        return rows, kept
+    d_min = None
+    if np.all(kept == kept[0]):
+        d_min = float(rows[0].min()) if kept.size == 1 else _matrix_game(rows)[0]
+        reason += f"; d_min = {d_min}"
+    raise InfeasibleDistortion(reason, d_min=d_min)
+
+
 def _solve_budget(
     objective: _Objective, cost_rows: FloatArray, budgets: FloatArray, opts: SolverOptions
 ) -> tuple[FloatArray, float, float, bool, str | None]:
     """Maximize the objective subject to cost_rows @ p <= budgets, for
-    jointly feasible budgets, each at or above its row's cheapest cost.
+    rows and budgets returned by ``_check_budgets``.
 
     Returns (law, value, dual bound, constraint_active, warning).  A budget
     at its row's cheapest cost confines the law to that row's cheapest
@@ -533,7 +558,7 @@ def _solve_budget(
 
     p, cert, capped = _ascend(objective, np.zeros(objective.n_inputs), opts)
     if np.all(cost_rows @ p <= budgets):
-        value = objective.value(p)
+        value = float(p @ objective.scores(p))
         return p, value, value + cert, False, _uncertified(cert, capped, opts)
     p, value, bound = _frank_wolfe(objective, cost_rows, budgets, objective.scores(p), opts)
     warning = None
@@ -547,28 +572,18 @@ def capacity_distortion_point(
 ) -> CDPoint:
     """Best achievable rate (nats per use) with expected estimation cost <= budget.
 
-    Strategy: a budget at d_min is solved on the minimum-cost letters.
-    Otherwise solve unconstrained and return it if already feasible.  If
-    not, run pairwise Frank-Wolfe on the budget polytope
-    {p in simplex : d*.p <= D}, started from its best vertex for the
-    unconstrained law's scores.  Its linear step reads the best vertex off
-    the upper concave hull of (d*(x), score(x)), which also gives a dual
-    upper bound; the solve stops once the value is within ``opts.cert_tol``
-    of that bound, and a binding point ends on the budget.  A point whose
+    ``_check_budgets`` checks the budget: NaN raises ``ValueError``, +inf
+    gives the unconstrained capacity, and a budget more than ``FACE_TOL``
+    below d_min raises ``InfeasibleDistortion``.  ``_solve_budget`` solves
+    it: on the minimum-cost letters at d_min, else unconstrained if that is
+    feasible, else by pairwise Frank-Wolfe on {p in simplex : d*.p <= D},
+    whose linear step reads the upper concave hull of (d*(x), score(x)) and
+    gives a dual bound.  A binding point ends on the budget, and one whose
     gap stays above ``opts.stall_cert`` carries a ``convergence_warning``.
-    A NaN budget raises ``ValueError``.
     """
-    if math.isnan(budget):
-        raise ValueError("distortion budget is NaN")
     cost_vector = optimal_estimator(model).cost_vector
-    d_min = float(np.min(cost_vector))
-    if budget < d_min - FACE_TOL:
-        raise InfeasibleDistortion(
-            f"budget {budget} below minimum achievable estimation cost {d_min}", d_min=d_min
-        )
-    p, value, _, active, warning = _solve_budget(
-        _Objective([(1.0, model)]), cost_vector[None, :], np.array([budget], dtype=np.float64), opts
-    )
+    rows, budgets = _check_budgets(cost_vector[None, :], np.array([budget], dtype=np.float64))
+    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, budgets, opts)
     return CDPoint(budget, max(0.0, value), InputDistribution(p), active, warning)
 
 
@@ -653,7 +668,8 @@ def multi_constraint_point(
     Any number of budgets takes the routine of ``capacity_distortion_point``
     on the polytope {p in simplex : A p <= b}; with several, its linear
     step is a small linear program.  The reported ``distortion_budget`` is
-    the first constraint's budget.
+    the first constraint's budget.  The budgets are checked by
+    ``_check_budgets``, as in ``capacity_distortion_point``.
     """
     if not constraints:
         raise ValueError("need at least one constraint")
@@ -663,18 +679,8 @@ def multi_constraint_point(
         raise DimensionMismatch(
             f"cost vectors have length {cost_rows.shape[1]}, expected {model.input_size}"
         )
-    best_single = cost_rows.min(axis=1)
-    if np.any(best_single > budgets + FACE_TOL):
-        j = int(np.argmax(best_single - budgets))
-        raise InfeasibleConstraints(
-            f"constraint {j}: cheapest letter costs {best_single[j]}, budget {budgets[j]}"
-        )
-    # The game min_p max_j (cost_j . p - budget_j) is above 0 exactly when
-    # no input law meets every budget.
-    if _matrix_game(cost_rows - budgets[:, None])[0] > 1e-12:
-        raise InfeasibleConstraints("no input distribution satisfies every budget")
-
-    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), cost_rows, budgets, opts)
+    rows, kept = _check_budgets(cost_rows, budgets)
+    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, kept, opts)
     return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
 
 

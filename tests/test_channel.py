@@ -169,13 +169,16 @@ def test_optimal_estimator_is_computed_once_per_model():
 
 
 def test_channel_row_terms_are_computed_once_per_model():
+    from scipy.special import xlogy
+
     from capdist import solver
 
     model = cd.block_multiplicative_model(0.3, 2)
     terms = solver._Objective([(1.0, model)]).terms[0][2]
     assert solver._Objective([(1.0, model)]).terms[0][2] is terms
     assert not terms.flags.writeable
-    assert np.array_equal(terms, solver._channel_terms(model.output_given_input))
+    pyx = model.output_given_input
+    assert np.array_equal(terms, xlogy(pyx, pyx).sum(axis=1))
     fresh = cd.block_multiplicative_model(0.3, 2)
     assert solver._Objective([(1.0, fresh)]).terms[0][2] is not terms
 
@@ -268,6 +271,46 @@ def test_block_builder_matches_kron_of_rows():
             expect = np.kron(base.transition[x1, s], base.transition[x2, s])
             assert np.allclose(model.transition[x, s], expect, atol=1e-15)
     del rng
+
+
+def _stacked_block(model, block_len):
+    """The block channel built by stacking each state's Kronecker power and
+    validating the stack."""
+    stacked = []
+    for s in range(model.state_size):
+        mat = model.transition[:, s, :]
+        power = mat
+        for _ in range(block_len - 1):
+            power = np.kron(power, mat)
+        stacked.append(power)
+    return cd.validate_channel(np.stack(stacked, axis=1), model.state_prior, model.distortion)
+
+
+def test_block_builder_is_bit_identical_to_the_stacked_construction():
+    rng = np.random.default_rng(11)
+    bases = [cd.scalar_multiplicative_model(0.3), _random_channel(rng, 2, 3, 2), _random_channel(rng, 3, 2, 2)]
+    for base in bases:
+        for K in range(1, 9):
+            if base.input_size**K * base.state_size * base.output_size**K > 2**21:
+                continue
+            built, stacked = cd.block_to_super_symbol(base, K), _stacked_block(base, K)
+            assert np.array_equal(built.transition, stacked.transition), K
+            assert np.array_equal(built.state_prior, stacked.state_prior)
+            assert np.array_equal(built.distortion, stacked.distortion)
+            assert not built.transition.flags.writeable
+
+
+def test_block_builder_peak_memory_is_within_twice_the_tensor():
+    import tracemalloc
+
+    base = cd.scalar_multiplicative_model(0.3)
+    tracemalloc.start()
+    try:
+        model = cd.block_to_super_symbol(base, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * model.transition.nbytes
 
 
 def test_block_builder_overflow_guard(monkeypatch):

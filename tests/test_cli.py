@@ -219,6 +219,19 @@ def test_compound_without_family_uses_the_models_own_prior(capsys):
     assert abs(float(_grab(out, "worst-case capacity").split()[0]) - R04_CAP_AT_01) < 1e-9
 
 
+def test_compound_infinite_budget_is_unconstrained_and_nan_exits_2(capsys):
+    code = cli.main(["compound", "scalar_multiplicative r=0.3", "--distortion", "inf"])
+    out = capsys.readouterr().out
+    assert code == 0
+    unconstrained = cd.capacity_distortion_point(cd.scalar_multiplicative_model(0.3), 0.3).capacity
+    assert abs(float(_grab(out, "worst-case capacity").split()[0]) - unconstrained) < 1e-9
+
+    code = cli.main(["compound", "scalar_multiplicative r=0.3", "--distortion", "nan"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "NaN" in err and "linprog" not in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -308,6 +321,16 @@ def test_oversized_block_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "exceeds cap 127" in captured.err
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_point", exhausted)
+    code = cli.main(["point", "scalar_multiplicative r=0.4", "--distortion", "0.1"])
+    assert code == 2
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_no_subcommand_exits_2(capsys):

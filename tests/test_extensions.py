@@ -1,4 +1,5 @@
-"""Rate per unit estimation cost and worst-case-prior solves."""
+"""Rate per unit estimation cost, worst-case-prior solves, and the budget
+rule they share with point and multi-constraint solves."""
 
 from __future__ import annotations
 
@@ -105,6 +106,13 @@ def test_ratio_formula_requires_a_free_letter():
         cd.cpud_ratio_formula(_noisy_everywhere_model())
 
 
+def test_one_letter_channel_has_zero_rate_per_cost_on_both_routes():
+    # The lone letter copies the state, so it is free and carries nothing.
+    model = cd.validate_channel([[[1.0, 0.0], [0.0, 1.0]]], [0.6, 0.4], HAMMING2)
+    assert cd.cpud_ratio_formula(model).value == 0.0
+    assert cd.cpud_sup_definition(model).value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # rate per unit cost: sup route
 # ---------------------------------------------------------------------------
@@ -170,8 +178,23 @@ def test_compound_single_prior_delegates_to_plain_solver():
     )
     result = cd.compound_cd(family, 0.1)
     assert result.certified
-    assert result.gap == 0.0
+    assert result.gap <= 1e-10
     assert abs(result.value - R04_CAP_AT_01) < 1e-9
+
+
+def test_compound_single_prior_reports_the_gap_of_its_solve():
+    # The first |X| = 8 library channel of the ``points`` workload, at 50 %
+    # of [d_min, d_max].  Five ascent iterations leave its point a
+    # Frank-Wolfe gap of about 1e-2; one prior goes through the same rounds
+    # as several, so the gap is reported, not replaced by 0.
+    lib = np.random.default_rng(8011136)
+    nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
+    transition = lib.dirichlet(np.ones(ny), size=(nx, ns))
+    model = cd.validate_channel(transition, lib.dirichlet(np.ones(ns)), 1.0 - np.eye(ns))
+    d_min, d_max = cd.feasible_range(model)
+    family = cd.CompoundFamily(model.transition, (model.state_prior,), model.distortion)
+    with pytest.raises(cd.NotCertified):
+        cd.compound_cd(family, 0.5 * (d_min + d_max), cd.SolverOptions(ba_max_iter=5), max_outer=5)
 
 
 def test_compound_infeasible_budget_raises():
@@ -305,3 +328,86 @@ def test_compound_is_feasible_and_within_its_gap_of_independent_bounds(case):
         # 1e-12 absorbs the oracle's rounding: on a useless channel some grid
         # laws read 1e-16 nats.
         assert result.value >= _grid_max_min(family, budget) - result.gap - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one budget rule for point, multi-constraint and compound solves
+# ---------------------------------------------------------------------------
+
+NARROW_TRANSITION = [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.798, 0.202]]]
+
+
+def _common_floor(rows):
+    """min over input laws p of max_j rows[j] . p: the least budget every
+    row can share, a linear program in (p, t) solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    m, n = rows.shape
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=np.hstack([rows, -np.ones((m, 1))]),
+                  b_ub=np.zeros(m), A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * n + [(None, None)], method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def _entry_point(name):
+    """(cost rows, budget -> value) of one budgeted entry point on the
+    narrow-cost channel, whose letters cost 0.15 and 0.151."""
+    model = cd.validate_channel(NARROW_TRANSITION, [0.5, 0.5], HAMMING2)
+    cost = cd.optimal_estimator(model).cost_vector
+    if name == "point":
+        return cost[None, :], lambda b: cd.capacity_distortion_point(model, b).capacity
+    if name == "compound":
+        family = cd.CompoundFamily(NARROW_TRANSITION, ([0.5, 0.5], [0.3, 0.7]), HAMMING2)
+        return _cost_rows(family), lambda b: cd.compound_cd(family, b).value
+    # Two rows whose cheapest letters differ: their common floor, 0.1505,
+    # is above both rows' cheapest costs.
+    rows = cost[None, :] if name == "multi, one row" else np.stack([cost, cost[::-1]])
+    return rows, lambda b: cd.multi_constraint_point(
+        model, [cd.CostConstraint(row, b) for row in rows]
+    ).capacity
+
+
+@pytest.mark.parametrize("name", ["point", "multi, one row", "multi, two rows", "compound"])
+def test_every_entry_point_applies_one_budget_rule(name):
+    rows, solve = _entry_point(name)
+    with pytest.raises(ValueError, match="NaN"):
+        solve(math.nan)
+    # +inf constrains nothing: the answer of a budget no letter exceeds.
+    assert solve(math.inf) == solve(float(rows.max()))
+    with pytest.raises(cd.InfeasibleDistortion) as excinfo:
+        solve(float(rows.min()) - 0.01)
+    assert isinstance(excinfo.value, cd.InfeasibleConstraints)
+    assert abs(excinfo.value.d_min - _common_floor(rows)) <= 1e-9
+
+
+def test_infinite_budget_leaves_the_constraint_inactive():
+    # Both letters cost 0.4: clipping +inf to the dearest cost would put the
+    # budget on the minimum-cost face and report it active.
+    model = cd.validate_channel([[[1.0, 0.0], [1.0, 0.0]]] * 2, [0.6, 0.4], HAMMING2)
+    point = cd.capacity_distortion_point(model, math.inf)
+    assert not point.constraint_active
+    assert point.capacity == 0.0
+
+
+def test_unequal_budgets_have_no_common_floor():
+    model = cd.scalar_multiplicative_model(0.4)
+    with pytest.raises(cd.InfeasibleDistortion) as excinfo:
+        cd.multi_constraint_point(
+            model,
+            [cd.CostConstraint(np.array([0.4, 0.0]), 0.1), cd.CostConstraint(np.array([0.0, 1.0]), 0.5)],
+        )
+    assert excinfo.value.d_min is None
+
+
+def test_compound_infeasible_budget_reports_the_common_floor():
+    # The 12th library family (|X| = 3, 2 priors).  Each prior alone can
+    # afford a letter below the budget, but no input law meets both
+    # budgets, and the least budget both can share is the LP floor.
+    family = _outer_family(12)
+    rows = _cost_rows(family)
+    floor, least = _common_floor(rows), float(rows.min(axis=1).max())
+    assert floor - least > 0.01
+    with pytest.raises(cd.InfeasibleDistortion) as excinfo:
+        cd.compound_cd(family, 0.5 * (least + floor))
+    assert abs(excinfo.value.d_min - floor) <= 1e-9

@@ -43,7 +43,7 @@ def _kl_rows(pyx, q):
 def test_ascent_never_decreases_the_objective(model, lam, warm):
     # debug=True raises AssertionError on any decreasing step, vertex
     # escapes and Aitken jumps included.
-    objective = solver._Objective([(1.0, model.output_given_input)])
+    objective = solver._Objective([(1.0, model)])
     cost = cd.optimal_estimator(model).cost_vector
     p0 = np.eye(model.input_size)[0] * 0.9 + 0.1 / model.input_size if warm else None
     p, cert, _ = solver._ascend(objective, lam * cost, cd.SolverOptions(debug=True), p0=p0)
