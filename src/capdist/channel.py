@@ -97,9 +97,11 @@ class ChannelModel:
         """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0, computed on
         first use."""
         pyx = self.output_given_input
-        with np.errstate(divide="ignore"):
-            log_pyx = np.where(pyx > 0, np.log(np.maximum(pyx, 1e-300)), 0.0)
-        terms = np.sum(pyx * log_pyx, axis=1)
+        # One temporary, logged and weighted in place: log 1 = 0 where P = 0.
+        terms = np.where(pyx > 0, pyx, 1.0)
+        np.log(terms, out=terms)
+        terms *= pyx
+        terms = terms.sum(axis=1)
         terms.setflags(write=False)
         return terms
 
@@ -111,24 +113,30 @@ class ChannelModel:
         # factor of the cost into the minimization, so zero-probability
         # outputs never divide by zero.  The sum runs in s order and the
         # running minimum only moves on a strict decrease, so ties go to the
-        # smallest state index.
-        shape = (self.input_size, self.output_size)
-        term = np.empty(shape)
-        best = table = None
-        for t in range(self.state_size):
-            risk = np.zeros(shape)
-            for s in range(self.state_size):
-                np.multiply(self.transition[:, s, :], self.state_prior[s], out=term)
-                term *= self.distortion[s, t]
-                risk += term
-            if best is None:
-                best, table = risk, np.zeros(shape, dtype=np.int64)
-            else:
-                better = risk < best
-                table[better] = t
+        # smallest state index.  The rows are taken a block at a time, so the
+        # temporaries hold about 2**17 entries (one row, if rows are longer)
+        # however large the channel is.
+        n_x, n_y = self.input_size, self.output_size
+        table = np.zeros((n_x, n_y), dtype=np.int64)
+        cost = np.empty(n_x)
+        step = max(1, (1 << 17) // n_y)
+        for lo in range(0, n_x, step):
+            rows = slice(lo, lo + step)
+            shape = table[rows].shape
+            term, risk, better = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+            best = np.full(shape, np.inf)
+            for t in range(self.state_size):
+                risk.fill(0.0)
+                for s in range(self.state_size):
+                    np.multiply(self.transition[rows, s, :], self.state_prior[s], out=term)
+                    term *= self.distortion[s, t]
+                    risk += term
+                np.less(risk, best, out=better)
+                table[rows][better] = t
                 np.copyto(best, risk, where=better)
+            cost[rows] = best.sum(axis=1)
         reachable = self.output_given_input > 0.0
-        return EstimatorPolicy(table, best.sum(axis=1), reachable)
+        return EstimatorPolicy(table, cost, reachable)
 
 
 @dataclass(frozen=True, eq=False)

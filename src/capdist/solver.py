@@ -12,8 +12,11 @@ answers when every budget is slack, a budget at its cheapest cost confines
 the law to the cheapest letters, and otherwise pairwise Frank-Wolfe runs on
 the budget polytope {p in simplex : A p <= b}, whose gap certifies the
 result.  Its linear step reads a concave hull for one budget and solves a
-small linear program for several.  A vectorized grid search over the input
-simplex doubles as an independent oracle for small alphabets.
+small linear program for several.  Pairwise steps move weight between two
+atoms at a time, so where the optimum lies inside the hull of three or more
+atoms (tied letters) a Newton step on the atom weights follows each of
+them.  A vectorized grid search over the input simplex doubles as an
+independent oracle for small alphabets.
 """
 
 from __future__ import annotations
@@ -132,6 +135,17 @@ class _Objective:
             py = p @ pyx
             log_py = np.log(np.maximum(py, 1e-300))
             total += weight * (row_self - pyx @ log_py)
+        return total
+
+    def curvature(self, atoms: FloatArray, weights: FloatArray) -> FloatArray:
+        """The negated Hessian of the objective in the coordinates of p =
+        weights @ atoms: sum_i w_i Q_i diag(1 / P_i(y)) Q_i^T with Q_i =
+        atoms @ P_i(y|x).  Only H(Y) curves; the conditional-entropy part of
+        I is linear in p."""
+        total = np.zeros((weights.size, weights.size))
+        for weight, pyx, _ in self.terms:
+            q = atoms @ pyx
+            total += weight * (q / np.maximum(weights @ q, 1e-300)) @ q.T
         return total
 
     def restrict(self, keep: FloatArray) -> _Objective:
@@ -386,7 +400,9 @@ def _lp_vertex(
     linear objective score.p, by the HiGHS dual simplex.
 
     Returns (vertex, score at it); as in ``_budget_vertex``, that score is a
-    dual upper bound when score is the gradient of a concave objective.
+    dual upper bound when score is the gradient of a concave objective, but
+    only to within HiGHS's optimality tolerance (about 1e-7): the vertex
+    returned may score that much below the best one.
     """
     from scipy.optimize import linprog
 
@@ -409,6 +425,48 @@ def _lp_vertex(
     return v, float(score @ v)
 
 
+def _newton_step(
+    objective: _Objective,
+    atoms: FloatArray,
+    weights: FloatArray,
+    p: FloatArray,
+    score: FloatArray,
+    value: float,
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, float]:
+    """One Newton step on the atom weights of p = weights @ atoms, within
+    the atoms' hull.
+
+    The quadratic model of the objective in weight space has gradient
+    g = atoms @ score and negated Hessian M (``_Objective.curvature``); its
+    best move d with sum(d) = 0 solves [M 1; 1^T 0][d; mu] = [g; 0], by
+    least squares since M is singular when the atoms' output laws are
+    affinely dependent.  The line search then runs along d @ atoms up to the
+    largest step that keeps every weight nonnegative, and an atom whose
+    weight reaches zero is dropped.  Returns (atoms, weights, p, score,
+    value), unchanged when d is not an ascent direction or no step improves.
+    """
+    k = weights.size
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = objective.curvature(atoms, weights)
+    kkt[k, k] = 0.0
+    g = atoms @ score
+    d = np.linalg.lstsq(kkt, np.append(g, 0.0), rcond=None)[0][:k]
+    g0 = float(d @ g)
+    shrink = np.flatnonzero(d < 0.0)
+    if g0 <= 0.0 or shrink.size == 0:
+        return atoms, weights, p, score, value
+    ratios = weights[shrink] / -d[shrink]
+    t_max = float(ratios.min())
+    step, q, q_score, q_value = _line_search(objective, 0.0, p, d @ atoms, t_max, g0, value)
+    if step <= 0.0:
+        return atoms, weights, p, score, value
+    weights = weights + step * d
+    if step >= t_max:
+        weights[shrink[np.argmin(ratios)]] = 0.0
+    keep = weights > 0.0
+    return atoms[keep], weights[keep], q, q_score, q_value
+
+
 def _frank_wolfe(
     objective: _Objective,
     cost_rows: FloatArray,
@@ -428,9 +486,16 @@ def _frank_wolfe(
     (``_lp_vertex``); that is the only difference between the two.  The
     objective is I(p) = p . score(p) with gradient score - 1, so by
     concavity its maximum is at most the best vertex's score, a dual bound.
-    Stops once bound - value is at most ``opts.cert_tol``, after
-    ``opts.ba_max_iter`` steps, or when no step improves the objective.
-    Returns (law, value, dual bound).
+    With several rows that bound is only as exact as HiGHS's optimality
+    tolerance (about 1e-7).
+
+    With three or more atoms each pairwise step is followed by a Newton step
+    on the atom weights (``_newton_step``).  Pairwise steps alone balance an
+    optimum inside the hull of several atoms, as tied letters give, two
+    atoms at a time and zig-zag; with two atoms the Newton step's line is the
+    pairwise one, so it adds nothing there.  Stops once bound - value is at
+    most ``opts.cert_tol``, after ``opts.ba_max_iter`` steps, or when no
+    pairwise step improves the objective.  Returns (law, value, dual bound).
     """
     # A letter within FACE_TOL of a budget counts as on it: pairing it would
     # divide by a cost difference at the rounding level.
@@ -486,6 +551,8 @@ def _frank_wolfe(
         else:
             weights[away] -= step
         p, score, value = q, q_score, q_value
+        if weights.size >= 3:
+            atoms, weights, p, score, value = _newton_step(objective, atoms, weights, p, score, value)
     # The steps leave rounding in p; rebuilt from the atom weights it is
     # nonnegative and its cost is on a budget wherever theirs is.
     p = weights @ atoms / weights.sum()
@@ -541,7 +608,8 @@ def _solve_budget(
     pairwise Frank-Wolfe solves on the budget polytope, started from the
     best vertex for the unconstrained law's scores, and ends with a
     certified gap.  A gap above ``opts.stall_cert`` is flagged in the
-    warning.
+    warning.  With several rows the dual bound is only as exact as the
+    linear step's optimality tolerance (about 1e-7, see ``_lp_vertex``).
     """
     floor = budgets <= cost_rows.min(axis=1)
     if np.any(floor):

@@ -313,6 +313,29 @@ def test_block_builder_peak_memory_is_within_twice_the_tensor():
     assert peak <= 2 * model.transition.nbytes
 
 
+def test_estimator_and_row_terms_peak_memory_at_k10():
+    # The estimator takes the rows a block at a time with buffers reused
+    # across estimates, and the row terms take their log in place: peaks of
+    # 2.52 and 1.13 times P(y|x), against 5.25 and 2.13 with a fresh
+    # full-size risk per estimate and masked-log temporaries.
+    import tracemalloc
+
+    model = cd.block_to_super_symbol(cd.scalar_multiplicative_model(0.3), 10)
+    tracemalloc.start()
+    try:
+        cd.optimal_estimator(model)
+        estimator_peak = tracemalloc.get_traced_memory()[1]
+        pyx_bytes = model.output_given_input.nbytes
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        model._row_terms
+        row_terms_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert estimator_peak <= 3.0 * pyx_bytes
+    assert row_terms_peak <= 1.5 * pyx_bytes
+
+
 def test_block_builder_overflow_guard(monkeypatch):
     base = cd.scalar_multiplicative_model(0.3)
     with pytest.raises(cd.AlphabetOverflow):

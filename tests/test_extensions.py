@@ -170,7 +170,7 @@ def test_compound_matches_frozen_grid_value():
         assert cd.mutual_information(model, result.optimizer.probs) >= result.value - 1e-12
 
 
-def test_compound_single_prior_delegates_to_plain_solver():
+def test_compound_single_prior_matches_the_plain_solver():
     family = cd.CompoundFamily(
         transition=cd.scalar_multiplicative_model(0.4).transition,
         priors=([0.6, 0.4],),
@@ -184,9 +184,9 @@ def test_compound_single_prior_delegates_to_plain_solver():
 
 def test_compound_single_prior_reports_the_gap_of_its_solve():
     # The first |X| = 8 library channel of the ``points`` workload, at 50 %
-    # of [d_min, d_max].  Five ascent iterations leave its point a
-    # Frank-Wolfe gap of about 1e-2; one prior goes through the same rounds
-    # as several, so the gap is reported, not replaced by 0.
+    # of [d_min, d_max].  Two iterations per ascent and finisher leave its
+    # point a Frank-Wolfe gap of about 3e-2; one prior goes through the same
+    # rounds as several, so the gap is reported, not replaced by 0.
     lib = np.random.default_rng(8011136)
     nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
     transition = lib.dirichlet(np.ones(ny), size=(nx, ns))
@@ -194,7 +194,7 @@ def test_compound_single_prior_reports_the_gap_of_its_solve():
     d_min, d_max = cd.feasible_range(model)
     family = cd.CompoundFamily(model.transition, (model.state_prior,), model.distortion)
     with pytest.raises(cd.NotCertified):
-        cd.compound_cd(family, 0.5 * (d_min + d_max), cd.SolverOptions(ba_max_iter=5), max_outer=5)
+        cd.compound_cd(family, 0.5 * (d_min + d_max), cd.SolverOptions(ba_max_iter=2), max_outer=5)
 
 
 def test_compound_infeasible_budget_raises():

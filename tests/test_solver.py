@@ -177,11 +177,13 @@ def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypa
 
 
 def test_point_flags_an_uncertified_gap():
-    # Five iterations leave every ascent and the finisher far from optimal.
+    # Two iterations leave every ascent and the finisher far from optimal
+    # (a gap of about 1.9e-2); the finisher's Newton steps certify this
+    # point within five.
     model = _library_channel_0()
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.9 * (d_max - d_min)
-    point = cd.capacity_distortion_point(model, budget, cd.SolverOptions(ba_max_iter=5))
+    point = cd.capacity_distortion_point(model, budget, cd.SolverOptions(ba_max_iter=2))
     assert point.constraint_active
     assert point.convergence_warning is not None
     assert "above stall_cert" in point.convergence_warning
@@ -250,6 +252,53 @@ def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
     checked = cd.capacity_distortion_point(model, budget, cd.SolverOptions(debug=True))
     assert checked.capacity == point.capacity
     assert np.array_equal(checked.optimizer.probs, point.optimizer.probs)
+
+
+BLOCK_TIE_R = 0.41935
+
+
+def test_tied_letters_do_not_zig_zag_along_a_block_curve(monkeypatch):
+    # The K = 3 block channel's 7 nonzero inputs tie, so each binding
+    # optimum lies inside the hull of several Frank-Wolfe atoms.  Pairwise
+    # steps alone balanced them two at a time (12,567 evaluations for the
+    # curve); a Newton step on the atom weights after each needs about 2,200.
+    import warnings
+
+    model = cd.block_multiplicative_model(BLOCK_TIE_R, 3)
+    calls = _count_scores(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = cd.cd_curve(model, 20)
+    assert calls[0] < 5_000
+    for point in curve.points:
+        assert point.convergence_warning is None
+        expected, _ = cd.block_cd_closed_form(BLOCK_TIE_R, 3, point.distortion_budget)
+        assert abs(point.capacity - 3 * expected) <= 1e-9
+
+
+def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
+    # The same tied block channel, with the d* row given twice, so every
+    # Frank-Wolfe step is a linear program.  Pairwise steps alone needed 52
+    # of them; with the Newton step, 9.
+    model = cd.block_multiplicative_model(BLOCK_TIE_R, 3)
+    cost = cd.optimal_estimator(model).cost_vector
+    d_min, d_max = cd.feasible_range(model)
+    budget = d_min + 0.5 * (d_max - d_min)
+    calls = [0]
+    lp_vertex = solver._lp_vertex
+
+    def counting_lp_vertex(*args):
+        calls[0] += 1
+        return lp_vertex(*args)
+
+    monkeypatch.setattr(solver, "_lp_vertex", counting_lp_vertex)
+    point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)] * 2)
+    assert calls[0] < 20
+    assert point.convergence_warning is None
+    assert point.constraint_active
+    expected, _ = cd.block_cd_closed_form(BLOCK_TIE_R, 3, budget)
+    assert abs(point.capacity - 3 * expected) <= 1e-9
+    assert point.optimizer.probs @ cost <= budget + 1e-12
 
 
 def test_feasible_range_scalar():
