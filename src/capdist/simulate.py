@@ -1,8 +1,9 @@
 """Monte Carlo validation of the analytic per-letter quantities.
 
-``simulate`` draws i.i.d. (input, state, output) triples, runs the optimal
-one-shot estimator on each pair, and reports the empirical distortion next
-to its analytic expectation plus a plug-in mutual-information estimate.
+``simulate`` draws the cell counts N(x, s, y) of n i.i.d. (input, state,
+output) triples, scores the optimal one-shot estimator on each cell, and
+reports the empirical distortion next to its analytic expectation plus a
+plug-in mutual-information estimate.
 ``check_factorization`` verifies numerically that the exhaustive posterior
 over a state block equals the product of single-letter posteriors for
 memoryless transmission, which is the identity the one-shot estimator rests
@@ -11,6 +12,9 @@ on.
 Randomness is reproducible: one integer seed is split into three named
 child streams (input, state, output) via ``numpy.random.SeedSequence.spawn``,
 in that fixed order, so reports depend only on (model, input law, n, seed).
+In ``simulate`` they draw N(x) ~ Mult(n, p), N(x, .) ~ Mult(N(x), P(s)) and
+N(x, s, .) ~ Mult(N(x, s), P(. | x, s)) by conditional binomials (Davis
+1993); a seed's numbers differ from those of the earlier per-sample sampler.
 """
 
 from __future__ import annotations
@@ -58,64 +62,59 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(c)) for c in children)
 
 
-def _cdf(rows: FloatArray) -> FloatArray:
-    out = np.cumsum(rows, axis=-1)
-    out[..., -1] = 1.0  # guard against cumsum rounding below 1
-    return out
+def _letters(rows: FloatArray, uniforms: FloatArray) -> np.ndarray:
+    """Inverse-CDF draws: letter i is the count of CDF entries of its law
+    (``rows``, or ``rows[i]``) below ``uniforms[i]``."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0  # guard against cumsum rounding below 1
+    return (cdf < uniforms[:, None]).sum(axis=-1)
 
 
-def _draw(cdf_rows: FloatArray, index, uniforms: FloatArray) -> np.ndarray:
-    """Inverse-CDF sampling, sample i from row ``cdf_rows[index[i]]``: its
-    letter is the count of that row's entries below ``uniforms[i]``.
-
-    Samples are grouped by row (stable argsort of ``index``) and each group
-    is searched in its own row, so memory is O(n) rather than n x |Y|.
-    """
-    out = np.empty(uniforms.size, dtype=np.intp)
-    # The narrowest unsigned key that holds every row index: numpy's stable
-    # argsort is a radix sort for 8- and 16-bit keys, several times faster
-    # than on int64.
-    keys = index.astype(np.min_scalar_type(len(cdf_rows) - 1))
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(index, minlength=len(cdf_rows))
-    stops = np.cumsum(counts)
-    for row in np.flatnonzero(counts):
-        group = order[stops[row] - counts[row]:stops[row]]
-        out[group] = np.searchsorted(cdf_rows[row], uniforms[group], side="left")
-    return out
+def _multinomial(gen: np.random.Generator, n, pvals: FloatArray) -> np.ndarray:
+    """Counts ~ Mult(n, pvals) along the last axis, broadcast over n.  numpy
+    gives each law's last entry what its conditional binomials leave, rounding
+    included; where that entry has probability 0 the remainder goes, as in
+    exact arithmetic, to the law's last positive entry."""
+    counts = gen.multinomial(n, pvals)
+    spill = (counts[..., -1] > 0) & (pvals[..., -1] == 0)
+    if not spill.any():
+        return counts
+    flat = np.atleast_2d(counts)
+    laws = np.broadcast_to(pvals, flat.shape)
+    for row in np.flatnonzero(spill):
+        flat[row, np.flatnonzero(laws[row])[-1]] += flat[row, -1]
+        flat[row, -1] = 0
+    return counts
 
 
 def simulate(model: ChannelModel, px, n: int, seed: int) -> SimulationReport:
     """Sample the channel n times and score the optimal one-shot estimator.
 
-    Per sample: x from the input law, s from the prior, y from
-    P(. | x, s), then s_hat = table[x, y] and the distortion d(s, s_hat) is
-    recorded.  The empirical mutual information is the plug-in estimate from
-    the joint (x, y) counts, in nats.
-
-    Memory is O(n) plus the model: the output draw searches each sample's
-    P(. | x, s) row separately and never gathers an n x |Y| array.
+    Draws the counts N(x, s, y) of n triples; cell (x, s, y) costs
+    d(s, table[x, y]).  ``joint_counts`` sums them over s, and the empirical
+    mutual information is their plug-in estimate, in nats.  Only the drawn
+    (x, s) rows are read: time and memory are O(min(n, |X||S|) |Y|) plus the
+    (|X|, |Y|) count table.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n <= np.iinfo(np.int64).max:
+        raise ValueError(f"need between 1 and 2**63 - 1 samples, got {n}")
     probs = _as_probs(px, model.input_size)
     policy = optimal_estimator(model)
     gen_x, gen_s, gen_y = _streams(seed)
 
-    xs = np.searchsorted(_cdf(probs), gen_x.random(n), side="left")
-    ss = np.searchsorted(_cdf(model.state_prior), gen_s.random(n), side="left")
-    ys = _draw(_cdf(model.transition).reshape(-1, model.output_size),
-               xs * model.state_size + ss, gen_y.random(n))
+    per_row = _multinomial(gen_s, _multinomial(gen_x, n, probs), model.state_prior).ravel()
+    rows = np.flatnonzero(per_row)
+    cells = _multinomial(gen_y, per_row[rows], model.transition.reshape(-1, model.output_size)[rows])
 
-    est = policy.table[xs, ys]
-    distortions = model.distortion[ss, est]
-
-    counts = np.bincount(xs * model.output_size + ys, minlength=model.input_size * model.output_size)
-    counts = counts.reshape(model.input_size, model.output_size)
+    row, ys = np.nonzero(cells)
+    hits = cells[row, ys]
+    xs, ss = np.divmod(rows[row], model.state_size)
+    counts = np.zeros((model.input_size, model.output_size), dtype=np.int64)
+    np.add.at(counts, (xs, ys), hits)
 
     return SimulationReport(
         samples=n,
-        empirical_distortion=float(distortions.mean()),
+        empirical_distortion=float(hits @ model.distortion[ss, policy.table[xs, ys]]) / n,
         analytic_distortion=float(probs @ policy.cost_vector),
         empirical_mi=plugin_mi(counts),
         seed=seed,
@@ -124,37 +123,42 @@ def simulate(model: ChannelModel, px, n: int, seed: int) -> SimulationReport:
 
 
 def plugin_mi(counts: np.ndarray) -> float:
-    """Plug-in mutual information (nats) of a joint count table."""
+    """Plug-in mutual information (nats) of a joint count table, summed over
+    its nonzero cells."""
     n = counts.sum()
     if n == 0:
         return 0.0
-    joint = counts / n
-    px = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mask, joint * (np.log(joint) - np.log(px) - np.log(py)), 0.0)
+    x, y = np.nonzero(counts)
+    joint = counts[x, y] / n
+    px = counts.sum(axis=1) / n
+    py = counts.sum(axis=0) / n
+    terms = joint * (np.log(joint) - np.log(px[x]) - np.log(py[y]))
     return max(0.0, float(terms.sum()))
+
+
+def _xlogx_step(m: np.ndarray) -> np.ndarray:
+    """m log m - (m - 1) log(m - 1), without cancellation for large m."""
+    below = np.maximum(m - 1.0, 1.0)
+    return np.where(m > 1, np.log(below + 1.0) + below * np.log1p(1.0 / below), 0.0)
 
 
 def mi_jackknife_std(counts: np.ndarray) -> float:
     """Delete-one jackknife standard error of the plug-in estimate.
 
-    Works on the sufficient statistics: removing one observation from cell
-    (x, y) gives the same leave-one-out value for every sample in that cell.
+    Removing one observation from cell (x, y) gives the same leave-one-out
+    value for every sample in that cell.  With f(m) = m log m, n times the
+    plug-in value is sum f(cell) - sum f(row) - sum f(column) + f(n), so that
+    removal changes it by -g(cell) + g(row x) + g(column y) - g(n), where
+    g(m) = f(m) - f(m - 1): O(1) per cell.
     """
     n = int(counts.sum())
     if n < 2:
         return 0.0
-    loo_vals = []
-    weights = []
-    for x, y in zip(*np.nonzero(counts)):
-        reduced = counts.copy()
-        reduced[x, y] -= 1
-        loo_vals.append(plugin_mi(reduced))
-        weights.append(counts[x, y])
-    loo = np.array(loo_vals)
-    w = np.array(weights, dtype=np.float64)
+    x, y = np.nonzero(counts)
+    w = counts[x, y].astype(np.float64)
+    shift = _xlogx_step(counts.sum(axis=1))[x] + _xlogx_step(counts.sum(axis=0))[y]
+    shift -= _xlogx_step(w) + _xlogx_step(n)
+    loo = np.maximum(0.0, (n * plugin_mi(counts) + shift) / (n - 1))
     mean = float(w @ loo / n)
     var = float(w @ (loo - mean) ** 2) * (n - 1) / n
     return float(np.sqrt(var))
@@ -187,16 +191,12 @@ def check_factorization(
         posterior_fn = lambda x, y: state_posterior(model, x, y)
     gen_x, gen_s, gen_y = _streams(seed)
 
-    x_cdf = _cdf(probs)
-    s_cdf = _cdf(model.state_prior)
-    y_cdf = _cdf(model.transition).reshape(-1, model.output_size)
-
     state_blocks = np.array(list(product(range(model.state_size), repeat=block_len)))
     max_dev = 0.0
     for _ in range(trials):
-        xs = np.searchsorted(x_cdf, gen_x.random(block_len), side="left")
-        s_true = np.searchsorted(s_cdf, gen_s.random(block_len), side="left")
-        ys = _draw(y_cdf, xs * model.state_size + s_true, gen_y.random(block_len))
+        xs = _letters(probs, gen_x.random(block_len))
+        s_true = _letters(model.state_prior, gen_s.random(block_len))
+        ys = _letters(model.transition[xs, s_true], gen_y.random(block_len))
 
         # Exhaustive route: joint weight of every state block, then normalize.
         weights = np.ones(state_blocks.shape[0])

@@ -220,13 +220,14 @@ def _ascend(
     tilt: FloatArray,
     opts: SolverOptions,
     p0: FloatArray | None = None,
-) -> tuple[FloatArray, float, bool]:
+) -> tuple[FloatArray, float, bool, float, FloatArray]:
     """Maximize objective(p) - tilt . p over the simplex.
 
-    Returns (maximizer, certified optimality gap, hit_iteration_cap).  The
-    gap bounds the true suboptimality from above: for any feasible q,
-    objective(q) - tilt.q <= max_x score(x), while the iterate achieves
-    p . score.
+    Returns (maximizer, certified optimality gap, hit_iteration_cap, value,
+    score), the last two being p . score and score = scores(p) - tilt at the
+    maximizer.  The gap bounds the true suboptimality from above: for any
+    feasible q, objective(q) - tilt.q <= max_x score(x), while the iterate
+    achieves p . score.
     """
     n = objective.n_inputs
     if p0 is None:
@@ -254,14 +255,14 @@ def _ascend(
                 f"objective decreased: {prev_value!r} -> {value!r}"
             )
         if cert <= opts.cert_tol:
-            return p, cert, False
+            return p, cert, False, value, score
         # The increment stop needs a certificate bound too: increments decay
         # geometrically while mass drains toward a face, so a stalled ascent
         # can still be visibly suboptimal.  The certificate bounds the
         # suboptimality, so accepting only small ones caps the damage.
         if value - prev_value <= opts.ba_tol and np.isfinite(prev_value):
             if cert <= opts.stall_cert:
-                return p, cert, False
+                return p, cert, False, value, score
             # Frozen far from optimal: a multiplicative update cannot grow a
             # tiny coordinate whose score advantage is itself tiny (the
             # per-step log gain equals the certificate).  Move toward the
@@ -275,7 +276,7 @@ def _ascend(
                 hist.clear()
                 prev_value = value
                 continue
-            return p, cert, False  # the segment is numerically flat: accept
+            return p, cert, False, value, score  # the segment is numerically flat: accept
         prev_value = value
         log_p = log_p + score
         log_p -= np.max(log_p)
@@ -305,8 +306,8 @@ def _ascend(
     p = np.exp(log_p)
     p /= p.sum()
     score = objective.scores(p) - tilt
-    cert = float(np.max(score) - float(p @ score))
-    return p, cert, True
+    value = float(p @ score)
+    return p, float(np.max(score) - value), True, value, score
 
 
 def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) -> InputDistribution:
@@ -339,7 +340,7 @@ def feasible_range(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -
     slack; budgets below d_min are infeasible."""
     policy = optimal_estimator(model)
     objective = _Objective([(1.0, model)])
-    p, _, _ = _ascend(objective, np.zeros(model.input_size), opts)
+    p = _ascend(objective, np.zeros(model.input_size), opts)[0]
     d_min = float(np.min(policy.cost_vector))
     d_max = float(p @ policy.cost_vector)
     return d_min, max(d_min, d_max)
@@ -624,11 +625,10 @@ def _solve_budget(
         p[face] = q
         return p, value, bound, True, warning
 
-    p, cert, capped = _ascend(objective, np.zeros(objective.n_inputs), opts)
+    p, cert, capped, value, score = _ascend(objective, np.zeros(objective.n_inputs), opts)
     if np.all(cost_rows @ p <= budgets):
-        value = float(p @ objective.scores(p))
         return p, value, value + cert, False, _uncertified(cert, capped, opts)
-    p, value, bound = _frank_wolfe(objective, cost_rows, budgets, objective.scores(p), opts)
+    p, value, bound = _frank_wolfe(objective, cost_rows, budgets, score, opts)
     warning = None
     if bound - value > opts.stall_cert:
         warning = f"Frank-Wolfe finisher stopped with gap {bound - value:.3g} above stall_cert"

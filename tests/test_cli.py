@@ -248,6 +248,23 @@ def test_simulate_cli_is_deterministic(capsys):
     assert abs(float(_grab(first, "analytic_distortion")) - 0.1) < 1e-9
 
 
+def test_simulate_cli_runs_a_trillion_samples(capsys):
+    code = cli.main(["simulate", "scalar_multiplicative r=0.4", "--px", "0.5,0.5",
+                     "--samples", "1000000000000", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _grab(out, "samples") == "1000000000000"
+    analytic = float(_grab(out, "analytic_distortion"))
+    assert abs(float(_grab(out, "empirical_distortion")) - analytic) < 1e-5
+
+
+def test_simulate_cli_rejects_more_samples_than_int64_holds(capsys):
+    code = cli.main(["simulate", "scalar_multiplicative r=0.4", "--px", "0.5,0.5",
+                     "--samples", str(2**63), "--seed", "1"])
+    assert code == 2
+    assert "2**63 - 1" in capsys.readouterr().err
+
+
 def test_simulate_requires_exactly_one_input_law(capsys):
     base = ["simulate", "scalar_multiplicative r=0.4", "--samples", "100", "--seed", "1"]
     both = cli.main(base + ["--px", "0.5,0.5", "--optimal-for", "0.1"])

@@ -1,4 +1,4 @@
-"""Property tests of the solver on random channels (Hypothesis).
+"""Property tests of the solver and the sampler on random channels (Hypothesis).
 
 Examples are derandomized, so every run checks the same channels and a
 failure reproduces; the database is off, so a run writes no files.
@@ -46,7 +46,7 @@ def test_ascent_never_decreases_the_objective(model, lam, warm):
     objective = solver._Objective([(1.0, model)])
     cost = cd.optimal_estimator(model).cost_vector
     p0 = np.eye(model.input_size)[0] * 0.9 + 0.1 / model.input_size if warm else None
-    p, cert, _ = solver._ascend(objective, lam * cost, cd.SolverOptions(debug=True), p0=p0)
+    p, cert = solver._ascend(objective, lam * cost, cd.SolverOptions(debug=True), p0=p0)[:2]
     assert abs(p.sum() - 1.0) < 1e-12 and np.all(p >= 0.0)
     assert cert >= -1e-12
 
@@ -161,3 +161,43 @@ def test_several_budgets_are_met_below_an_independent_dual_bound(case):
         grid = grid[np.all(grid @ rows.T <= budgets + 1e-12, axis=1)]
         if grid.size:
             assert point.capacity >= float(np.max(cd.batch_mutual_information(model, grid))) - 1e-9
+
+
+_maybe_zero = st.one_of(st.just(0.0), _weights)
+
+
+@st.composite
+def sparse_channels(draw):
+    """A channel with |X| 2-6, |S| 2-3, |Y| 2-5, some transition entries
+    zeroed and a random distortion, with an input law that has zeros."""
+    nx = draw(st.integers(2, 6))
+    ns = draw(st.integers(2, 3))
+    ny = draw(st.integers(2, 5))
+    transition = np.array(draw(st.lists(_maybe_zero, min_size=nx * ns * ny, max_size=nx * ns * ny)))
+    transition = transition.reshape(nx, ns, ny)
+    transition[..., 0] += transition.sum(axis=2) == 0  # every row keeps some mass
+    transition /= transition.sum(axis=2, keepdims=True)
+    prior = np.array(draw(st.lists(_weights, min_size=ns, max_size=ns)))
+    distortion = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=ns * ns, max_size=ns * ns)))
+    px = np.array(draw(st.lists(_maybe_zero, min_size=nx, max_size=nx)))
+    px[0] += px.sum() == 0
+    model = cd.validate_channel(transition, prior / prior.sum(), distortion.reshape(ns, ns))
+    return model, px / px.sum()
+
+
+@PROPERTY_SETTINGS
+@given(case=sparse_channels(), n=st.integers(1, 10**9), seed=st.integers(0, 2**32 - 1))
+def test_simulate_is_reproducible_and_stays_on_the_support(case, n, seed):
+    model, px = case
+    report = cd.simulate(model, px, n, seed)
+    again = cd.simulate(model, px, n, seed)
+    assert np.array_equal(report.joint_counts, again.joint_counts)
+    assert report.empirical_distortion == again.empirical_distortion
+    assert report.empirical_mi == again.empirical_mi
+    assert report.joint_counts.sum() == n
+    impossible = px[:, None] * model.output_given_input == 0
+    assert np.all(report.joint_counts[impossible] == 0)
+    # The empirical distortion is a mean of distortion entries; 1e-12
+    # absorbs the rounding of that mean.
+    d = model.distortion
+    assert d.min() - 1e-12 <= report.empirical_distortion <= d.max() * (1 + 1e-12)

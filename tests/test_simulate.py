@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import capdist as cd
 
@@ -60,48 +61,91 @@ def test_simulate_plugin_mi_approaches_true_information():
     assert abs(report.empirical_mi - true_mi) < 5e-3
 
 
-def _dense_reference(model, px, n, seed):
-    """Reference sampler: gathers one n x |Y| CDF row per sample and counts
-    the entries below each sample's uniform."""
-    gen_x, gen_s, gen_y = (np.random.Generator(np.random.PCG64(c))
-                           for c in np.random.SeedSequence(seed).spawn(3))
-
-    def cdf(rows):
-        out = np.cumsum(rows, axis=-1)
-        out[..., -1] = 1.0
-        return out
-
-    def draw(cdf_rows, index, uniforms):
-        return (cdf_rows[index] < uniforms[:, None]).sum(axis=1)
-
-    zeros = np.zeros(n, dtype=np.intp)
-    xs = draw(cdf(px)[None, :], zeros, gen_x.random(n))
-    ss = draw(cdf(model.state_prior)[None, :], zeros, gen_s.random(n))
-    ys = draw(cdf(model.transition).reshape(-1, model.output_size),
-              xs * model.state_size + ss, gen_y.random(n))
-    counts = np.zeros((model.input_size, model.output_size), dtype=np.int64)
-    np.add.at(counts, (xs, ys), 1)
-    est = cd.optimal_estimator(model).table[xs, ys]
-    return counts, float(model.distortion[ss, est].mean())
-
-
-def test_simulate_draws_match_dense_reference():
-    # Noisy K = 2 block channel with 4 x 3 = 12 (x, s) rows, each with
-    # mass on all 9 outputs, so the per-row grouping is exercised.
+def _noisy_block_channel():
+    # Noisy K = 2 block channel with 4 x 3 = 12 (x, s) rows, each with mass
+    # on all 9 outputs, and a real-valued distortion.
     rng = np.random.default_rng(4)
     transition = rng.random((2, 3, 3)) + 0.05
     transition /= transition.sum(axis=2, keepdims=True)
     base = cd.validate_channel(transition, [0.5, 0.3, 0.2], rng.random((3, 3)))
     model = cd.block_to_super_symbol(base, 2)
     px = rng.random(model.input_size)
-    px /= px.sum()
+    return model, px / px.sum()
+
+
+def _loss_moments(model, px):
+    """Mean and variance of the per-sample distortion d(s, table[x, y])."""
+    table = cd.optimal_estimator(model).table
+    states = np.arange(model.state_size)[None, :, None]
+    loss = model.distortion[states, table[:, None, :]]
+    weight = px[:, None, None] * model.state_prior[None, :, None] * model.transition
+    mean = float(np.sum(weight * loss))
+    return mean, float(np.sum(weight * loss**2)) - mean**2
+
+
+def test_simulate_counts_follow_the_channel_law():
+    model, px = _noisy_block_channel()
+    n = 10**7
+    expected = n * px[:, None] * model.output_given_input
+    threshold = stats.chi2.isf(1e-6, expected.size - 1)
+    mean, var = _loss_moments(model, px)
     for seed in (0, 1, 2):
-        report = cd.simulate(model, px, n=3_000, seed=seed)
-        counts, distortion = _dense_reference(model, px, 3_000, seed)
-        assert np.array_equal(report.joint_counts, counts)
-        assert report.joint_counts.dtype == counts.dtype
-        assert report.empirical_distortion == distortion
-        assert report.empirical_mi == cd.plugin_mi(counts)
+        report = cd.simulate(model, px, n=n, seed=seed)
+        assert report.joint_counts.sum() == n
+        chi2 = float(np.sum((report.joint_counts - expected) ** 2 / expected))
+        assert chi2 < threshold, (seed, chi2, threshold)
+        assert abs(report.analytic_distortion - mean) < 1e-12
+        assert abs(report.empirical_distortion - mean) < 5 * math.sqrt(var / n)
+        assert report.empirical_mi == cd.plugin_mi(report.joint_counts)
+
+
+def test_simulate_puts_no_count_on_a_zero_probability_cell():
+    # y = s * x leaves most (x, y) cells impossible, and px has zeros too.
+    model = cd.block_multiplicative_model(0.3, 3)
+    px = np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.25, 0.15, 0.0])
+    impossible = px[:, None] * model.output_given_input == 0
+    for seed in (0, 1, 2):
+        report = cd.simulate(model, px, n=10**7, seed=seed)
+        assert np.all(report.joint_counts[impossible] == 0)
+    # numpy's multinomial gives the rounding remainder of a row's conditional
+    # binomials to its last entry, here about 50 counts at n = 10**18 on the
+    # zero-probability output 3; they belong to output 2.
+    model = cd.validate_channel([[[1 / 3, 1 / 3, 1 / 3, 0.0]]], [1.0], [[0.0]])
+    for seed in (0, 1, 2):
+        report = cd.simulate(model, [1.0], n=10**18, seed=seed)
+        assert report.joint_counts[0, 3] == 0
+        assert report.joint_counts.sum() == 10**18
+
+
+def test_simulate_cost_does_not_grow_with_samples():
+    # 10**12 triples: the counts are exact and memory stays small.
+    model = cd.block_multiplicative_model(0.3, 6)
+    uniform = np.full(model.input_size, 1.0 / model.input_size)
+    tracemalloc.start()
+    try:
+        report = cd.simulate(model, uniform, n=10**12, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.joint_counts.sum() == 10**12
+    assert peak < 4 * 2**20
+
+
+def test_simulate_reads_only_the_drawn_rows():
+    # 100 samples touch at most 100 of the 2048 (x, s) rows of the K = 10
+    # transition (16 MiB).  The returned (|X|, |Y|) count table (8 MiB) is
+    # the only allocation of full size.
+    model = cd.block_multiplicative_model(0.3, 10)
+    uniform = np.full(model.input_size, 1.0 / model.input_size)
+    cd.optimal_estimator(model)  # cached on the model, built outside the trace
+    tracemalloc.start()
+    try:
+        report = cd.simulate(model, uniform, n=100, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.joint_counts.sum() == 100
+    assert peak - report.joint_counts.nbytes < model.transition.nbytes / 4
 
 
 def test_simulate_memory_is_linear_in_samples():
@@ -147,6 +191,52 @@ def test_jackknife_std_scales_down_with_sample_size():
 def test_jackknife_std_degenerate_counts():
     assert cd.mi_jackknife_std(np.array([[1, 0], [0, 0]])) == 0.0
     assert cd.mi_jackknife_std(np.zeros((2, 2), dtype=int)) == 0.0
+
+
+def _jackknife_by_refits(counts):
+    """One plug-in refit per nonzero cell, O(cells^2): the reference for the
+    closed-form leave-one-out in ``mi_jackknife_std``."""
+    n = int(counts.sum())
+    if n < 2:
+        return 0.0
+    loo_vals, weights = [], []
+    for x, y in zip(*np.nonzero(counts)):
+        reduced = counts.copy()
+        reduced[x, y] -= 1
+        loo_vals.append(cd.plugin_mi(reduced))
+        weights.append(counts[x, y])
+    loo = np.array(loo_vals)
+    w = np.array(weights, dtype=np.float64)
+    mean = float(w @ loo / n)
+    var = float(w @ (loo - mean) ** 2) * (n - 1) / n
+    return float(np.sqrt(var))
+
+
+def test_jackknife_closed_form_matches_refits():
+    rng = np.random.default_rng(8)
+    tables = [
+        np.zeros((2, 2), dtype=np.int64),
+        np.array([[1]]),
+        np.array([[7]]),
+        np.array([[3, 0], [0, 0]]),
+        np.array([[1, 1], [1, 1]]),
+        np.array([[1, 0], [0, 1]]),
+        np.array([[5, 9, 2]]),
+        np.array([[5], [9], [2]]),
+        np.array([[10, 10], [10, 10]]),
+        np.array([[1, 0, 0], [0, 400, 3], [0, 0, 999_596]]),
+        np.outer([1, 2, 3], [4, 5]) * 1000,
+    ]
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 7, size=2))
+        law = rng.random(shape) * (rng.random(shape) < 0.7)
+        if law.sum() == 0:
+            law.flat[0] = 1.0
+        n = int(rng.choice([2, 3, 10, 1000, 10**5, 10**6]))
+        tables.append(rng.multinomial(n, (law / law.sum()).ravel()).reshape(shape))
+    for counts in tables:
+        got = cd.mi_jackknife_std(counts)
+        assert abs(got - _jackknife_by_refits(counts)) <= 1e-12, counts
 
 
 def test_jackknife_covers_true_information_here():
