@@ -1,21 +1,19 @@
 """Numerical solver for capacity under an estimation-cost budget.
 
 The core is a multiplicatively-updated ascent on the input distribution
-(classical alternating maximization of mutual information) extended with a
-linear cost tilt: each step reweights
-
-    p'(x) proportional to p(x) * exp( D(P_y|x || P_y) - lambda * cost(x) )
-
-which is monotone in the Lagrangian objective I(p) - lambda * E_p[cost].
-Budgets, one or several, are solved by one routine: an unconstrained ascent
-answers when every budget is slack, a budget at its cheapest cost confines
-the law to the cheapest letters, and otherwise pairwise Frank-Wolfe runs on
-the budget polytope {p in simplex : A p <= b}, whose gap certifies the
-result.  Its linear step reads a concave hull for one budget and solves a
-small linear program for several.  Pairwise steps move weight between two
-atoms at a time, so where the optimum lies inside the hull of three or more
-atoms (tied letters) a Newton step on the atom weights follows each of
-them.  A vectorized grid search over the input simplex doubles as an
+(classical alternating maximization of mutual information), and one
+pairwise Frank-Wolfe routine finishes every solve the ascent leaves
+uncertified: on the simplex when the ascent stalls short of its
+certificate or hits its iteration cap, and on the budget polytope
+{p in simplex : A p <= b} when the unconstrained law breaks a budget.  A
+budget at its cheapest cost confines the law to the cheapest letters.
+The linear step is the best letter with no budget, reads a concave hull
+for one and solves a small linear program for several; the Frank-Wolfe
+gap certifies the result.  Pairwise steps move weight between two atoms at
+a time, so where the optimum lies inside the hull of three or more atoms
+(tied letters) a Newton step on the atom weights follows each of them.
+``lagrangian_ba_step`` exposes the multiplicative step with a linear cost
+tilt.  A vectorized grid search over the input simplex doubles as an
 independent oracle for small alphabets.
 """
 
@@ -47,6 +45,11 @@ from .errors import (
 # Tolerance for deciding that a per-letter cost sits on the minimum-cost face.
 FACE_TOL = 1e-12
 
+# Least mass that makes a letter a starting atom when an uncertified ascent
+# hands its law to Frank-Wolfe.  Lighter letters would only enlarge the
+# Newton system; the linear step brings back any that should gain mass.
+MASS_FLOOR = 1e-6
+
 # Tolerance applied to curve monotonicity / concavity checks.
 CURVE_TOL = 1e-7
 
@@ -58,14 +61,16 @@ class SolverOptions:
     ba_tol        : stop the inner ascent once the objective increment drops
                     to this value (default 1e-10)
     ba_max_iter   : iteration cap of the inner ascent and of the Frank-Wolfe
-                    solve on the budget polytope (default 10_000)
+                    finisher (default 10_000)
     cert_tol      : early exit once the optimality-gap certificate
-                    max_x score(x) - objective (the Frank-Wolfe gap for a
-                    binding budget) falls below this (default 1e-11)
+                    max_x score(x) - objective (the Frank-Wolfe gap on the
+                    budget polytope) falls below this (default 1e-11)
     stall_cert    : largest certificate the increment-based inner stop may
-                    accept, and the largest gap a returned point may carry
-                    without a convergence_warning (default 1e-6)
-    debug         : assert objective monotonicity on every inner step
+                    accept without handing the law to the finisher, and the
+                    largest gap a returned point may carry without a
+                    convergence_warning (default 1e-6)
+    debug         : assert that no inner step lowers the objective and that
+                    the finisher ends no lower than it started
     """
 
     ba_tol: float = 1e-10
@@ -82,8 +87,9 @@ DEFAULT_OPTIONS = SolverOptions()
 class CDPoint:
     """One point of the tradeoff curve.
 
-    convergence_warning is None on a clean solve; otherwise it names the
-    iteration cap or fallback that fired (never silently dropped).
+    convergence_warning is None on a clean solve; otherwise it gives the
+    certified gap, which is above ``SolverOptions.stall_cert`` (never
+    silently dropped).
     """
 
     distortion_budget: float
@@ -158,24 +164,23 @@ class _Objective:
 
 def _line_search(
     objective: _Objective,
-    tilt: FloatArray | float,
     p: FloatArray,
     direction: FloatArray,
     t_max: float,
     g0: float,
     value: float,
 ) -> tuple[float, FloatArray, FloatArray | None, float]:
-    """Best point of objective(q) - tilt.q on q_t = p + t * direction, 0 <= t <= t_max.
+    """Best point of the objective on q_t = p + t * direction, 0 <= t <= t_max.
 
     The objective is concave along the segment with slope
-    g(t) = direction . (scores(q_t) - tilt) (the gradient of I is score - 1
-    and direction sums to zero), so g is nonincreasing with g(0) = g0 > 0.
+    g(t) = direction . scores(q_t) (the gradient of I is score - 1 and
+    direction sums to zero), so g is nonincreasing with g(0) = g0 > 0.
     The best t is t_max if g(t_max) >= 0, else the root of g, found by
     Illinois regula falsi with a bisection fallback in a few evaluations.
-    ``value`` is the objective at p.  Returns (t, q, tilted scores at q,
-    value at q): the point at t_max when g(t_max) >= 0, which concavity
-    makes no worse than p even where rounding hides its gain; otherwise the
-    best point seen, or (0, p, None, value) when none strictly improves on p.
+    ``value`` is the objective at p.  Returns (t, q, scores at q, value at
+    q): the point at t_max when g(t_max) >= 0, which concavity makes no
+    worse than p even where rounding hides its gain; otherwise the best
+    point seen, or (0, p, None, value) when none strictly improves on p.
     """
     best = (0.0, p, None, value)
     end = best
@@ -183,7 +188,7 @@ def _line_search(
     def slope(t: float) -> float:
         nonlocal best, end
         q = p + t * direction
-        s = objective.scores(q) - tilt
+        s = objective.scores(q)
         end = (t, q, s, float(q @ s))
         if end[3] > best[3]:
             best = end
@@ -215,68 +220,45 @@ def _line_search(
     return best
 
 
-def _ascend(
-    objective: _Objective,
-    tilt: FloatArray,
-    opts: SolverOptions,
-    p0: FloatArray | None = None,
-) -> tuple[FloatArray, float, bool, float, FloatArray]:
-    """Maximize objective(p) - tilt . p over the simplex.
+def _ascend(objective: _Objective, opts: SolverOptions) -> tuple[FloatArray, float, bool, float, FloatArray]:
+    """Maximize the objective over the simplex.
+
+    Runs the multiplicative update from the uniform law.  It returns once
+    the certificate max_x score(x) - value is at most ``opts.cert_tol``, or
+    once the value increment drops to ``opts.ba_tol`` with a certificate of
+    at most ``opts.stall_cert``.  Any other stall, and the end of
+    ``opts.ba_max_iter`` updates, hand the law to ``_frank_wolfe`` on the
+    simplex, started from the letters with mass above ``MASS_FLOOR``.
 
     Returns (maximizer, certified optimality gap, hit_iteration_cap, value,
-    score), the last two being p . score and score = scores(p) - tilt at the
-    maximizer.  The gap bounds the true suboptimality from above: for any
-    feasible q, objective(q) - tilt.q <= max_x score(x), while the iterate
-    achieves p . score.
+    score), the last two being p . score and score = scores(p) at the
+    maximizer; hit_iteration_cap says the update ran to its cap before the
+    hand-off.  The gap bounds the true suboptimality from above: for any
+    law q, objective(q) <= max_x score(x), while the iterate achieves
+    p . score.
     """
     n = objective.n_inputs
-    if p0 is None:
-        log_p = np.full(n, -math.log(n))
-    else:
-        # Floor warm-start masses.  The update is multiplicative, so a
-        # coordinate whose warm mass is near zero regrows only by tiny value
-        # increments and the increment stop below would otherwise fire long
-        # before optimality.  A floor (unlike a uniform blend) leaves healthy
-        # interior warm starts untouched.
-        start = np.maximum(np.asarray(p0, dtype=np.float64), 1e-5 / n)
-        start /= start.sum()
-        log_p = np.log(start)
+    log_p = np.full(n, -math.log(n))
     prev_value = -np.inf
-    cert = np.inf
     hist: list[FloatArray] = []  # recent consecutive log-iterates
-    for it in range(opts.ba_max_iter):
+    for it in range(opts.ba_max_iter + 1):
         p = np.exp(log_p)
         p /= p.sum()
-        score = objective.scores(p) - tilt
+        score = objective.scores(p)
         value = float(p @ score)
         cert = float(np.max(score) - value)
         if opts.debug and value < prev_value - 1e-12:
             raise AssertionError(
                 f"objective decreased: {prev_value!r} -> {value!r}"
             )
-        if cert <= opts.cert_tol:
+        # Increments decay geometrically while mass drains toward a face, so
+        # a stalled update can still be visibly suboptimal; only a small
+        # certificate, which bounds the suboptimality, is accepted then.
+        stalled = value - prev_value <= opts.ba_tol
+        if cert <= opts.cert_tol or (stalled and cert <= opts.stall_cert):
             return p, cert, False, value, score
-        # The increment stop needs a certificate bound too: increments decay
-        # geometrically while mass drains toward a face, so a stalled ascent
-        # can still be visibly suboptimal.  The certificate bounds the
-        # suboptimality, so accepting only small ones caps the damage.
-        if value - prev_value <= opts.ba_tol and np.isfinite(prev_value):
-            if cert <= opts.stall_cert:
-                return p, cert, False, value, score
-            # Frozen far from optimal: a multiplicative update cannot grow a
-            # tiny coordinate whose score advantage is itself tiny (the
-            # per-step log gain equals the certificate).  Move toward the
-            # best-scoring vertex instead, to the point the line search
-            # returns; it never lowers the objective.
-            direction = -p.copy()
-            direction[int(np.argmax(score))] += 1.0
-            step, best_q, _, _ = _line_search(objective, tilt, p, direction, 1.0, cert, value)
-            if step > 0.0:
-                log_p = np.log(np.maximum(best_q, 1e-300))
-                hist.clear()
-                prev_value = value
-                continue
-            return p, cert, False, value, score  # the segment is numerically flat: accept
+        if stalled or it == opts.ba_max_iter:
+            break
         prev_value = value
         log_p = log_p + score
         log_p -= np.max(log_p)
@@ -300,18 +282,24 @@ def _ascend(
                 cand -= np.max(cand)
                 q = np.exp(cand)
                 q /= q.sum()
-                if float(q @ (objective.scores(q) - tilt)) > value:
+                if float(q @ objective.scores(q)) > value:
                     log_p = np.log(np.maximum(q, 1e-300))
                     hist.clear()
-    p = np.exp(log_p)
-    p /= p.sum()
-    score = objective.scores(p) - tilt
-    value = float(p @ score)
-    return p, float(np.max(score) - value), True, value, score
+    # A multiplicative update cannot grow a tiny coordinate whose score
+    # advantage is itself tiny (the per-step log gain equals the
+    # certificate); Frank-Wolfe moves weight to the best letter directly.
+    held = np.flatnonzero(p > MASS_FLOOR)
+    atoms = (held[:, None] == np.arange(n)).astype(np.float64)
+    q, q_value, bound, q_score = _frank_wolfe(
+        objective, np.zeros((0, n)), np.zeros(0), score, opts, atoms, p[held] / p[held].sum()
+    )
+    if opts.debug and q_value < value - 1e-12:
+        raise AssertionError(f"finisher returned below its start: {value!r} -> {q_value!r}")
+    return q, bound - q_value, it == opts.ba_max_iter, q_value, q_score
 
 
 def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) -> InputDistribution:
-    """One multiplicative update of the tilted ascent, exposed for inspection.
+    """One multiplicative update tilted by lam * cost, exposed for inspection.
 
     With lam = 0 this is the classical capacity iteration; its fixed points
     are exactly the unconstrained optimizers.
@@ -340,19 +328,10 @@ def feasible_range(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -
     slack; budgets below d_min are infeasible."""
     policy = optimal_estimator(model)
     objective = _Objective([(1.0, model)])
-    p = _ascend(objective, np.zeros(model.input_size), opts)[0]
+    p = _ascend(objective, opts)[0]
     d_min = float(np.min(policy.cost_vector))
     d_max = float(p @ policy.cost_vector)
     return d_min, max(d_min, d_max)
-
-
-def _uncertified(cert: float, capped: bool, opts: SolverOptions) -> str | None:
-    """The warning for an ascent whose law is returned as the solution."""
-    if capped:
-        return "inner ascent hit its iteration cap"
-    if cert > opts.stall_cert:
-        return f"inner ascent stopped with certificate {cert:.3g} above stall_cert"
-    return None
 
 
 def _budget_vertex(
@@ -439,26 +418,34 @@ def _newton_step(
 
     The quadratic model of the objective in weight space has gradient
     g = atoms @ score and negated Hessian M (``_Objective.curvature``); its
-    best move d with sum(d) = 0 solves [M 1; 1^T 0][d; mu] = [g; 0], by
-    least squares since M is singular when the atoms' output laws are
-    affinely dependent.  The line search then runs along d @ atoms up to the
-    largest step that keeps every weight nonnegative, and an atom whose
-    weight reaches zero is dropped.  Returns (atoms, weights, p, score,
-    value), unchanged when d is not an ascent direction or no step improves.
+    best move d with sum(d) = 0 solves K [d; mu] = [g; 0], K = [M 1; 1^T 0].
+    K is singular when the atoms' output laws are affinely dependent.  Along
+    its null directions P(Y) stays fixed, so the objective is linear there:
+    when [g; 0] has a component in that null space, d is that component,
+    whose slope d . g is its squared norm.  Otherwise d is the least-norm
+    solution.  Both come from one SVD of K.  The line search then runs along
+    d @ atoms up to the largest step that keeps every weight nonnegative,
+    and an atom whose weight reaches zero is dropped.  Returns (atoms,
+    weights, p, score, value), unchanged when d is not an ascent direction
+    or no step improves.
     """
     k = weights.size
     kkt = np.ones((k + 1, k + 1))
     kkt[:k, :k] = objective.curvature(atoms, weights)
     kkt[k, k] = 0.0
     g = atoms @ score
-    d = np.linalg.lstsq(kkt, np.append(g, 0.0), rcond=None)[0][:k]
+    u, s, vt = np.linalg.svd(kkt)
+    null = s <= s[0] * (k + 1) * np.finfo(np.float64).eps
+    d = vt[null, :k].T @ (vt[null, :k] @ g)
+    if not d @ g > 0.0:
+        d = vt[~null, :k].T @ ((u[:k, ~null].T @ g) / s[~null])
     g0 = float(d @ g)
     shrink = np.flatnonzero(d < 0.0)
     if g0 <= 0.0 or shrink.size == 0:
         return atoms, weights, p, score, value
     ratios = weights[shrink] / -d[shrink]
     t_max = float(ratios.min())
-    step, q, q_score, q_value = _line_search(objective, 0.0, p, d @ atoms, t_max, g0, value)
+    step, q, q_score, q_value = _line_search(objective, p, d @ atoms, t_max, g0, value)
     if step <= 0.0:
         return atoms, weights, p, score, value
     weights = weights + step * d
@@ -474,21 +461,23 @@ def _frank_wolfe(
     budgets: FloatArray,
     score: FloatArray,
     opts: SolverOptions,
-) -> tuple[FloatArray, float, float]:
+    atoms: FloatArray | None = None,
+    weights: FloatArray | None = None,
+) -> tuple[FloatArray, float, float, FloatArray]:
     """Maximize objective(p) over {p in simplex : cost_rows @ p <= budgets}
-    by pairwise Frank-Wolfe, from the best vertex for the linear objective
-    ``score``.
+    by pairwise Frank-Wolfe, from the given atoms and weights, or else from
+    the best vertex for the linear objective ``score``.
 
     The law is kept as a convex combination of polytope vertices (atoms).
     Each step moves weight from the atom of least score to the best vertex,
-    as far as the line search puts it.  The linear step reads the best
-    vertex off the upper concave hull of (cost(x), score(x)) for one row
-    (``_budget_vertex``) and solves a linear program for several
-    (``_lp_vertex``); that is the only difference between the two.  The
-    objective is I(p) = p . score(p) with gradient score - 1, so by
-    concavity its maximum is at most the best vertex's score, a dual bound.
-    With several rows that bound is only as exact as HiGHS's optimality
-    tolerance (about 1e-7).
+    as far as the line search puts it.  The linear step is the only part
+    that depends on the number of rows: with none it is the best letter,
+    with one it reads the best vertex off the upper concave hull of
+    (cost(x), score(x)) (``_budget_vertex``), and with several it solves a
+    linear program (``_lp_vertex``).  The objective is I(p) = p . score(p)
+    with gradient score - 1, so by concavity its maximum is at most the best
+    vertex's score, a dual bound.  With several rows that bound is only as
+    exact as HiGHS's optimality tolerance (about 1e-7).
 
     With three or more atoms each pairwise step is followed by a Newton step
     on the atom weights (``_newton_step``).  Pairwise steps alone balance an
@@ -496,7 +485,8 @@ def _frank_wolfe(
     atoms at a time and zig-zag; with two atoms the Newton step's line is the
     pairwise one, so it adds nothing there.  Stops once bound - value is at
     most ``opts.cert_tol``, after ``opts.ba_max_iter`` steps, or when no
-    pairwise step improves the objective.  Returns (law, value, dual bound).
+    pairwise step improves the objective.  Returns (law, value, dual bound,
+    scores at the law).
     """
     # A letter within FACE_TOL of a budget counts as on it: pairing it would
     # divide by a cost difference at the rounding level.
@@ -504,7 +494,13 @@ def _frank_wolfe(
         np.abs(cost_rows - budgets[:, None]) <= FACE_TOL, budgets[:, None], cost_rows
     )
     n = objective.n_inputs
-    if cost_rows.shape[0] == 1:
+    if cost_rows.shape[0] == 0:
+
+        def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
+            x = int(np.argmax(score))
+            return np.eye(1, n, x)[0], float(score[x])
+
+    elif cost_rows.shape[0] == 1:
         cost, budget = cost_rows[0], float(budgets[0])
         order = np.argsort(cost, kind="stable")
 
@@ -520,9 +516,9 @@ def _frank_wolfe(
         def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
             return _lp_vertex(cost_rows, budgets, score)
 
-    atoms = best_vertex(score)[0][None, :]
-    weights = np.ones(1)
-    p = atoms[0]
+    if atoms is None:
+        atoms, weights = best_vertex(score)[0][None, :], np.ones(1)
+    p = weights @ atoms
     score = objective.scores(p)
     value = float(p @ score)
     for _ in range(opts.ba_max_iter):
@@ -537,7 +533,7 @@ def _frank_wolfe(
             break
         t_max = weights[away]
         step, q, q_score, q_value = _line_search(
-            objective, 0.0, p, v - atoms[away], t_max, top - atom_scores[away], value
+            objective, p, v - atoms[away], t_max, top - atom_scores[away], value
         )
         if step <= 0.0:
             break  # the segment is numerically flat
@@ -559,7 +555,7 @@ def _frank_wolfe(
     p = weights @ atoms / weights.sum()
     score = objective.scores(p)
     value = float(p @ score)
-    return p, value, best_vertex(score)[1]
+    return p, value, best_vertex(score)[1], score
 
 
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -605,12 +601,13 @@ def _solve_budget(
     Returns (law, value, dual bound, constraint_active, warning).  A budget
     at its row's cheapest cost confines the law to that row's cheapest
     letters, on which the other rows are solved.  Otherwise the
-    unconstrained law is returned if it meets every budget.  If not,
-    pairwise Frank-Wolfe solves on the budget polytope, started from the
-    best vertex for the unconstrained law's scores, and ends with a
-    certified gap.  A gap above ``opts.stall_cert`` is flagged in the
-    warning.  With several rows the dual bound is only as exact as the
-    linear step's optimality tolerance (about 1e-7, see ``_lp_vertex``).
+    unconstrained law (``_ascend``) is returned if it meets every budget.
+    If not, pairwise Frank-Wolfe solves on the budget polytope, started
+    from the best vertex for the unconstrained law's scores.  Either way the
+    law comes with a certified gap, and one rule flags it: a gap above
+    ``opts.stall_cert`` is named in the warning.  With several rows the
+    dual bound is only as exact as the linear step's optimality tolerance
+    (about 1e-7, see ``_lp_vertex``).
     """
     floor = budgets <= cost_rows.min(axis=1)
     if np.any(floor):
@@ -625,14 +622,15 @@ def _solve_budget(
         p[face] = q
         return p, value, bound, True, warning
 
-    p, cert, capped, value, score = _ascend(objective, np.zeros(objective.n_inputs), opts)
-    if np.all(cost_rows @ p <= budgets):
-        return p, value, value + cert, False, _uncertified(cert, capped, opts)
-    p, value, bound = _frank_wolfe(objective, cost_rows, budgets, score, opts)
+    p, cert, _, value, score = _ascend(objective, opts)
+    bound = value + cert
+    active = bool(np.any(cost_rows @ p > budgets))
+    if active:
+        p, value, bound, _ = _frank_wolfe(objective, cost_rows, budgets, score, opts)
     warning = None
     if bound - value > opts.stall_cert:
-        warning = f"Frank-Wolfe finisher stopped with gap {bound - value:.3g} above stall_cert"
-    return p, value, bound, True, warning
+        warning = f"solver stopped with gap {bound - value:.3g} above stall_cert"
+    return p, value, bound, active, warning
 
 
 def capacity_distortion_point(

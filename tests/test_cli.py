@@ -85,7 +85,7 @@ def test_point_convergence_warning_exits_4(monkeypatch, capsys):
 
 def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
     # A real solve, cut to two iterations per ascent and finisher, whose
-    # gap stays above stall_cert (about 1.9e-2).
+    # gap stays above stall_cert (about 2.7e-3).
     lib = np.random.default_rng(8011136)
     nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
     doc = {

@@ -134,7 +134,7 @@ def test_binding_point_lands_on_the_budget_with_narrow_cost_spread():
 
 def _library_channel_0():
     """First |X| = 8, |S| = 2, |Y| = 4 channel of a Dirichlet(1) draw whose
-    ascents stall near a face and escape toward a vertex thousands of times."""
+    ascents stall near a face short of their certificate."""
     lib = np.random.default_rng(8011136)
     nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
     transition = lib.dirichlet(np.ones(ny), size=(nx, ns))
@@ -178,7 +178,7 @@ def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypa
 
 def test_point_flags_an_uncertified_gap():
     # Two iterations leave every ascent and the finisher far from optimal
-    # (a gap of about 1.9e-2); the finisher's Newton steps certify this
+    # (a gap of about 2.7e-3); the finisher's Newton steps certify this
     # point within five.
     model = _library_channel_0()
     d_min, d_max = cd.feasible_range(model)
@@ -188,6 +188,50 @@ def test_point_flags_an_uncertified_gap():
     assert point.convergence_warning is not None
     assert "above stall_cert" in point.convergence_warning
     assert cd.capacity_distortion_point(model, budget).convergence_warning is None
+
+
+# Channel 49 of 50 drawn by rng = np.random.default_rng(20261018), each as
+# nx, ns, ny = rng.integers(2, 11), rng.integers(2, 4), rng.integers(2, 7);
+# T = rng.dirichlet(np.ones(ny) * rng.choice([0.3, 1.0, 3.0]), size=(nx, ns));
+# T[1] = T[0] when i % 5 == 0; prior = rng.dirichlet(np.ones(ns)).
+CAPPED_TRANSITION = [
+    [[0.25987127470618515, 6.867714968620732e-05, 0.7400600481441286],
+     [0.9901614617036598, 0.004257812718122358, 0.005580725578217837]],
+    [[0.9057884579181823, 0.0919616055847459, 0.0022499364970717363],
+     [0.7540721524309452, 0.005353024243331687, 0.24057482332572325]],
+    [[0.5209914998284004, 0.3643383752248016, 0.11467012494679815],
+     [0.09118286874300355, 0.007825373291679014, 0.9009917579653174]],
+    [[0.7361779960758472, 0.14705920215272367, 0.11676280177142924],
+     [0.024196203809652234, 0.0022761853441112187, 0.9735276108462365]],
+    [[0.8858070155265715, 0.0005113010712199386, 0.11368168340220844],
+     [0.00027874990846625536, 0.9814152729916087, 0.018305977099924986]],
+    [[0.3654905746662557, 0.6017075990130042, 0.03280182632074023],
+     [0.8644771795876599, 0.13551896448635015, 3.855925990016358e-06]],
+    [[0.8104587731210645, 0.010573093675894905, 0.17896813320304053],
+     [0.00042906138660623726, 0.09425024660431407, 0.9053206920090798]],
+    [[0.32517590464140317, 0.6748164085725262, 7.686786070575275e-06],
+     [0.29612695991365606, 0.02084678941089652, 0.6830262506754473]],
+    [[0.906161579817135, 0.0926014676762003, 0.0012369525066644896],
+     [1.4320245879334485e-08, 0.07883772914501512, 0.9211622565347389]],
+]
+CAPPED_PRIOR = [0.4917603668930458, 0.5082396331069543]
+
+
+def test_capped_ascent_is_finished_and_certified(monkeypatch):
+    # The multiplicative ascent runs to its iteration cap here, 2.1e-5 nats
+    # short, and the finisher takes the law from the cap.  Its atoms' output
+    # laws are affinely dependent, so least-squares Newton steps would crawl
+    # along the null direction of their system (about 1,970 steps, 30,000
+    # evaluations in all); a step along that direction certifies the point
+    # in a few.
+    model = cd.validate_channel(CAPPED_TRANSITION, CAPPED_PRIOR, 1.0 - np.eye(2))
+    budget = float(cd.optimal_estimator(model).cost_vector.max())
+    calls = _count_scores(monkeypatch)
+    point = cd.capacity_distortion_point(model, budget)
+    assert point.convergence_warning is None
+    assert not point.constraint_active
+    assert abs(point.capacity - 0.238656425659) <= 1e-9
+    assert calls[0] < 12_000
 
 
 def test_point_with_letter_costs_equal_up_to_rounding():
@@ -244,9 +288,9 @@ def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
 
     calls = _count_scores(monkeypatch)
     point = cd.capacity_distortion_point(model, budget)
-    # About 950 vertex escapes happen here.  The slope root-find needs about
-    # 5 evaluations per escape and the point about 9,700 in all; a search
-    # of about 100 evaluations per escape would need about 100,000.
+    # The unconstrained ascent here stalls near a face with a certificate
+    # above stall_cert, and the Frank-Wolfe finisher certifies its law; the
+    # point takes about 800 evaluations in all.
     assert calls[0] < 30_000
     assert point.convergence_warning is None
     checked = cd.capacity_distortion_point(model, budget, cd.SolverOptions(debug=True))
