@@ -24,6 +24,7 @@ conversion where supported.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -307,39 +308,27 @@ def _cmd_simulate(args) -> int:
 def _cmd_analytic(args) -> int:
     r = args.r
     if args.model == "scalar":
-        budgets = np.linspace(0.0, r, args.points)
-        print("D,closed_form_nats,p_star" + (",solver_nats,delta" if args.compare else ""))
-        worst = 0.0
-        for budget in budgets:
-            value, p_star = analytic.scalar_cd_closed_form(r, float(budget))
-            cols = [_sig(float(budget)), _sig(value), _sig(p_star)]
-            if args.compare:
-                model = analytic.scalar_multiplicative_model(r)
-                solved = capacity_distortion_point(model, float(budget)).capacity
-                worst = max(worst, abs(solved - value))
-                cols += [_sig(solved), _sig(solved - value)]
-            print(",".join(cols))
-        if args.compare:
-            print(f"max |closed form - solver| = {_sig(worst)} nats")
-        return 0
-
-    block_len = args.block_len
-    if block_len is None:
-        raise ValueError("--model block requires --block-len")
-    flat = analytic.case1_predicate(r, block_len)
-    print(f"case 1 (flat tradeoff, silent letter unused) = {'true' if flat else 'false'}")
-    zero_rate = analytic.block_zero_budget_rate(r, block_len)
-    print(f"C(0) = {_sig(zero_rate)} nats/use")
-    if block_len > 1:
-        train = analytic.training_rate(r, block_len)
-        print(f"training baseline R(0) = {_sig(train)} nats/use")
-        print(f"C(0)/R(0) = {_sig(zero_rate / train)}")
-    budgets = np.linspace(0.0, r, args.points)
-    print("D,closed_form_nats_per_use,p_star" + (",solver_nats_per_use,delta" if args.compare else ""))
+        block_len, column, unit = 1, "nats", "nats"
+        closed_form = functools.partial(analytic.scalar_cd_closed_form, r)
+        model = analytic.scalar_multiplicative_model(r) if args.compare else None
+    else:
+        block_len, column, unit = args.block_len, "nats_per_use", "nats/use"
+        if block_len is None:
+            raise ValueError("--model block requires --block-len")
+        closed_form = functools.partial(analytic.block_cd_closed_form, r, block_len)
+        flat = analytic.case1_predicate(r, block_len)
+        print(f"case 1 (flat tradeoff, silent letter unused) = {'true' if flat else 'false'}")
+        zero_rate = analytic.block_zero_budget_rate(r, block_len)
+        print(f"C(0) = {_sig(zero_rate)} nats/use")
+        if block_len > 1:
+            train = analytic.training_rate(r, block_len)
+            print(f"training baseline R(0) = {_sig(train)} nats/use")
+            print(f"C(0)/R(0) = {_sig(zero_rate / train)}")
+        model = analytic.block_multiplicative_model(r, block_len) if args.compare else None
+    print(f"D,closed_form_{column},p_star" + (f",solver_{column},delta" if args.compare else ""))
     worst = 0.0
-    model = analytic.block_multiplicative_model(r, block_len) if args.compare else None
-    for budget in budgets:
-        value, p_star = analytic.block_cd_closed_form(r, block_len, float(budget))
+    for budget in np.linspace(0.0, r, args.points):
+        value, p_star = closed_form(float(budget))
         cols = [_sig(float(budget)), _sig(value), _sig(p_star)]
         if args.compare:
             # rates are per channel use; the budget is already on the
@@ -349,7 +338,7 @@ def _cmd_analytic(args) -> int:
             cols += [_sig(solved), _sig(solved - value)]
         print(",".join(cols))
     if args.compare:
-        print(f"max |closed form - solver| = {_sig(worst)} nats/use")
+        print(f"max |closed form - solver| = {_sig(worst)} {unit}")
     return 0
 
 

@@ -48,7 +48,8 @@ class InfeasibleDistortion(InfeasibleConstraints):
 
 
 class SolverNonmonotone(CapdistError):
-    """A computed tradeoff curve violated monotonicity or concavity beyond tolerance."""
+    """A computed tradeoff curve violated monotonicity or concavity beyond
+    tolerance, or a solver step lowered the objective it maximizes."""
 
 
 class NoZeroCostLetter(CapdistError):

@@ -31,8 +31,6 @@ from .errors import NoZeroCostLetter, NotCertified
 # hooks it in every module that once bound it and drops the ascent counters
 # when a hook is missing.
 from .solver import (  # noqa: F401
-    DEFAULT_OPTIONS,
-    SolverOptions,
     _ascend,
     _check_budgets,
     _matrix_game,
@@ -42,6 +40,11 @@ from .solver import (  # noqa: F401
 )
 
 ZERO_COST_TOL = 1e-12
+
+# compound_cd stops once its certified gap is at most GAP_TOL, and raises
+# NotCertified when MAX_OUTER rounds end above it.
+GAP_TOL = 1e-4
+MAX_OUTER = 400
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -103,7 +106,7 @@ def _infinite_case(model: ChannelModel, cost_vector: FloatArray, method: str) ->
     return None
 
 
-def cpud_ratio_formula(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -> CpudResult:
+def cpud_ratio_formula(model: ChannelModel) -> CpudResult:
     """Rate per unit cost via divergences against the unique free letter.
 
     Requires some letter with zero estimation cost.  With two or more such
@@ -132,7 +135,7 @@ def cpud_ratio_formula(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTION
     return CpudResult(float(ratios[best]), best, "ratio-formula")
 
 
-def cpud_sup_definition(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -> CpudResult:
+def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     """Rate per unit cost as sup over budgets of capacity(budget) / budget.
 
     The infinite cases are detected from the same structural conditions as
@@ -154,7 +157,7 @@ def cpud_sup_definition(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIO
 
     def point(budget: float):
         if budget not in cache:
-            cache[budget] = capacity_distortion_point(model, budget, opts)
+            cache[budget] = capacity_distortion_point(model, budget)
         return cache[budget]
 
     def ratio(budget: float) -> float:
@@ -236,7 +239,7 @@ class CompoundResult:
     optimizer   : an input law meeting the budget under every prior
     worst_theta : index of the prior attaining ``value``
     gap         : a certified upper bound on the max-min optimum minus
-                  ``value``; at most the ``gap_tol`` of ``compound_cd``
+                  ``value``; at most ``GAP_TOL``
     certified   : always true; an uncertified solve raises ``NotCertified``
     """
 
@@ -252,7 +255,6 @@ def _solve_weighted(
     weights: FloatArray,
     cost_rows: FloatArray,
     budgets: FloatArray,
-    opts: SolverOptions,
 ) -> tuple[FloatArray, float]:
     """Maximize sum_i w_i I_i(p) subject to cost_rows @ p <= budgets.
 
@@ -262,17 +264,11 @@ def _solve_weighted(
     on the constrained optimum (by concavity, the best vertex of the budget
     polytope for the gradient at the returned law).
     """
-    p, _, bound, _, _ = _solve_budget(_Objective(list(zip(weights, models))), cost_rows, budgets, opts)
+    p, _, bound, _, _ = _solve_budget(_Objective(list(zip(weights, models))), cost_rows, budgets)
     return p, bound
 
 
-def compound_cd(
-    family: CompoundFamily,
-    budget: float,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-    gap_tol: float = 1e-4,
-    max_outer: int = 400,
-) -> CompoundResult:
+def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     """Worst-case capacity over a finite prior family, budget enforced per prior.
 
     The max-min value max_p min_theta I_theta(p), over laws p meeting every
@@ -289,7 +285,7 @@ def compound_cd(
 
     The result is the mixed law, its value min_theta I_theta(p), and a gap
     equal to the smallest dual bound seen minus that value.  Rounds stop
-    once the gap is at most ``gap_tol``; if ``max_outer`` rounds end above
+    once the gap is at most ``GAP_TOL``; if ``MAX_OUTER`` rounds end above
     it, ``NotCertified`` is raised; one prior takes the same rounds.  The
     budget is checked once by ``_check_budgets`` (one row per prior), so an
     infeasible one raises ``InfeasibleDistortion`` whose ``d_min`` is
@@ -305,9 +301,9 @@ def compound_cd(
 
     laws, cuts = [], []
     best_ub, best_lb, best_p = np.inf, -np.inf, None
-    for k in range(max_outer):
+    for k in range(MAX_OUTER):
         w = np.eye(n_theta)[k] if k < n_theta else weights
-        p, ub = _solve_weighted(models, w, cost_rows, budgets, opts)
+        p, ub = _solve_weighted(models, w, cost_rows, budgets)
         best_ub = min(best_ub, ub)
         laws.append(p)
         cuts.append(info_values(p))
@@ -316,11 +312,11 @@ def compound_cd(
         lb = float(info_values(p).min())
         if lb > best_lb:
             best_lb, best_p = lb, p
-        if best_ub - best_lb <= gap_tol:
+        if best_ub - best_lb <= GAP_TOL:
             break
     else:
         raise NotCertified(
-            f"gap {best_ub - best_lb:.3e} above {gap_tol:.0e} after {max_outer} rounds"
+            f"gap {best_ub - best_lb:.3e} above {GAP_TOL:.0e} after {MAX_OUTER} rounds"
         )
 
     return CompoundResult(

@@ -53,34 +53,20 @@ MASS_FLOOR = 1e-6
 # Tolerance applied to curve monotonicity / concavity checks.
 CURVE_TOL = 1e-7
 
+# The inner ascent stalls once its objective increment is at most BA_TOL.
+BA_TOL = 1e-10
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs for the iterative solver.
+# Iteration cap of the inner ascent and of the Frank-Wolfe finisher.
+BA_MAX_ITER = 10_000
 
-    ba_tol        : stop the inner ascent once the objective increment drops
-                    to this value (default 1e-10)
-    ba_max_iter   : iteration cap of the inner ascent and of the Frank-Wolfe
-                    finisher (default 10_000)
-    cert_tol      : early exit once the optimality-gap certificate
-                    max_x score(x) - objective (the Frank-Wolfe gap on the
-                    budget polytope) falls below this (default 1e-11)
-    stall_cert    : largest certificate the increment-based inner stop may
-                    accept without handing the law to the finisher, and the
-                    largest gap a returned point may carry without a
-                    convergence_warning (default 1e-6)
-    debug         : assert that no inner step lowers the objective and that
-                    the finisher ends no lower than it started
-    """
+# A solve stops once its certificate max_x score(x) - objective (the
+# Frank-Wolfe gap on the budget polytope) is at most CERT_TOL.
+CERT_TOL = 1e-11
 
-    ba_tol: float = 1e-10
-    ba_max_iter: int = 10_000
-    cert_tol: float = 1e-11
-    stall_cert: float = 1e-6
-    debug: bool = False
-
-
-DEFAULT_OPTIONS = SolverOptions()
+# The largest certificate a stalled ascent may accept without handing its law
+# to the finisher, and the largest gap a returned point may carry without a
+# convergence_warning.
+STALL_CERT = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +74,7 @@ class CDPoint:
     """One point of the tradeoff curve.
 
     convergence_warning is None on a clean solve; otherwise it gives the
-    certified gap, which is above ``SolverOptions.stall_cert`` (never
-    silently dropped).
+    certified gap, which is above ``STALL_CERT`` (never silently dropped).
     """
 
     distortion_budget: float
@@ -220,15 +205,17 @@ def _line_search(
     return best
 
 
-def _ascend(objective: _Objective, opts: SolverOptions) -> tuple[FloatArray, float, bool, float, FloatArray]:
+def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, FloatArray]:
     """Maximize the objective over the simplex.
 
     Runs the multiplicative update from the uniform law.  It returns once
-    the certificate max_x score(x) - value is at most ``opts.cert_tol``, or
-    once the value increment drops to ``opts.ba_tol`` with a certificate of
-    at most ``opts.stall_cert``.  Any other stall, and the end of
-    ``opts.ba_max_iter`` updates, hand the law to ``_frank_wolfe`` on the
-    simplex, started from the letters with mass above ``MASS_FLOOR``.
+    the certificate max_x score(x) - value is at most ``CERT_TOL``, or once
+    the value increment drops to ``BA_TOL`` with a certificate of at most
+    ``STALL_CERT``.  Any other stall, and the end of ``BA_MAX_ITER``
+    updates, hand the law to ``_frank_wolfe`` on the simplex, started from
+    the letters with mass above ``MASS_FLOOR``.  An update that lowers the
+    value by more than 1e-12, or a finisher that ends below the value it
+    started from, raises ``SolverNonmonotone``.
 
     Returns (maximizer, certified optimality gap, hit_iteration_cap, value,
     score), the last two being p . score and score = scores(p) at the
@@ -241,23 +228,21 @@ def _ascend(objective: _Objective, opts: SolverOptions) -> tuple[FloatArray, flo
     log_p = np.full(n, -math.log(n))
     prev_value = -np.inf
     hist: list[FloatArray] = []  # recent consecutive log-iterates
-    for it in range(opts.ba_max_iter + 1):
+    for it in range(BA_MAX_ITER + 1):
         p = np.exp(log_p)
         p /= p.sum()
         score = objective.scores(p)
         value = float(p @ score)
         cert = float(np.max(score) - value)
-        if opts.debug and value < prev_value - 1e-12:
-            raise AssertionError(
-                f"objective decreased: {prev_value!r} -> {value!r}"
-            )
+        if value < prev_value - 1e-12:
+            raise SolverNonmonotone(f"ascent step lowered the objective: {prev_value!r} -> {value!r}")
         # Increments decay geometrically while mass drains toward a face, so
         # a stalled update can still be visibly suboptimal; only a small
         # certificate, which bounds the suboptimality, is accepted then.
-        stalled = value - prev_value <= opts.ba_tol
-        if cert <= opts.cert_tol or (stalled and cert <= opts.stall_cert):
+        stalled = value - prev_value <= BA_TOL
+        if cert <= CERT_TOL or (stalled and cert <= STALL_CERT):
             return p, cert, False, value, score
-        if stalled or it == opts.ba_max_iter:
+        if stalled or it == BA_MAX_ITER:
             break
         prev_value = value
         log_p = log_p + score
@@ -291,11 +276,11 @@ def _ascend(objective: _Objective, opts: SolverOptions) -> tuple[FloatArray, flo
     held = np.flatnonzero(p > MASS_FLOOR)
     atoms = (held[:, None] == np.arange(n)).astype(np.float64)
     q, q_value, bound, q_score = _frank_wolfe(
-        objective, np.zeros((0, n)), np.zeros(0), score, opts, atoms, p[held] / p[held].sum()
+        objective, np.zeros((0, n)), np.zeros(0), score, atoms, p[held] / p[held].sum()
     )
-    if opts.debug and q_value < value - 1e-12:
-        raise AssertionError(f"finisher returned below its start: {value!r} -> {q_value!r}")
-    return q, bound - q_value, it == opts.ba_max_iter, q_value, q_score
+    if q_value < value - 1e-12:
+        raise SolverNonmonotone(f"finisher returned below its start: {value!r} -> {q_value!r}")
+    return q, bound - q_value, it == BA_MAX_ITER, q_value, q_score
 
 
 def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) -> InputDistribution:
@@ -322,13 +307,13 @@ def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) ->
 # ---------------------------------------------------------------------------
 
 
-def feasible_range(model: ChannelModel, opts: SolverOptions = DEFAULT_OPTIONS) -> tuple[float, float]:
+def feasible_range(model: ChannelModel) -> tuple[float, float]:
     """(d_min, d_max): the smallest achievable cost and the cost at the
     unconstrained capacity achiever.  Budgets >= d_max leave the constraint
     slack; budgets below d_min are infeasible."""
     policy = optimal_estimator(model)
     objective = _Objective([(1.0, model)])
-    p = _ascend(objective, opts)[0]
+    p = _ascend(objective)[0]
     d_min = float(np.min(policy.cost_vector))
     d_max = float(p @ policy.cost_vector)
     return d_min, max(d_min, d_max)
@@ -460,7 +445,6 @@ def _frank_wolfe(
     cost_rows: FloatArray,
     budgets: FloatArray,
     score: FloatArray,
-    opts: SolverOptions,
     atoms: FloatArray | None = None,
     weights: FloatArray | None = None,
 ) -> tuple[FloatArray, float, float, FloatArray]:
@@ -484,9 +468,9 @@ def _frank_wolfe(
     optimum inside the hull of several atoms, as tied letters give, two
     atoms at a time and zig-zag; with two atoms the Newton step's line is the
     pairwise one, so it adds nothing there.  Stops once bound - value is at
-    most ``opts.cert_tol``, after ``opts.ba_max_iter`` steps, or when no
-    pairwise step improves the objective.  Returns (law, value, dual bound,
-    scores at the law).
+    most ``CERT_TOL``, after ``BA_MAX_ITER`` steps, or when no pairwise step
+    improves the objective.  Returns (law, value, dual bound, scores at the
+    law).
     """
     # A letter within FACE_TOL of a budget counts as on it: pairing it would
     # divide by a cost difference at the rounding level.
@@ -521,9 +505,9 @@ def _frank_wolfe(
     p = weights @ atoms
     score = objective.scores(p)
     value = float(p @ score)
-    for _ in range(opts.ba_max_iter):
+    for _ in range(BA_MAX_ITER):
         v, top = best_vertex(score)
-        if top - value <= opts.cert_tol:
+        if top - value <= CERT_TOL:
             break
         atom_scores = atoms @ score
         away = int(np.argmin(atom_scores))
@@ -593,7 +577,7 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArr
 
 
 def _solve_budget(
-    objective: _Objective, cost_rows: FloatArray, budgets: FloatArray, opts: SolverOptions
+    objective: _Objective, cost_rows: FloatArray, budgets: FloatArray
 ) -> tuple[FloatArray, float, float, bool, str | None]:
     """Maximize the objective subject to cost_rows @ p <= budgets, for
     rows and budgets returned by ``_check_budgets``.
@@ -605,7 +589,7 @@ def _solve_budget(
     If not, pairwise Frank-Wolfe solves on the budget polytope, started
     from the best vertex for the unconstrained law's scores.  Either way the
     law comes with a certified gap, and one rule flags it: a gap above
-    ``opts.stall_cert`` is named in the warning.  With several rows the
+    ``STALL_CERT`` is named in the warning.  With several rows the
     dual bound is only as exact as the linear step's optimality tolerance
     (about 1e-7, see ``_lp_vertex``).
     """
@@ -616,26 +600,24 @@ def _solve_budget(
         if not np.any(face):
             raise InfeasibleConstraints("the budgets at their cheapest costs share no letter")
         q, value, bound, _, warning = _solve_budget(
-            objective.restrict(face), cost_rows[~floor][:, face], budgets[~floor], opts
+            objective.restrict(face), cost_rows[~floor][:, face], budgets[~floor]
         )
         p = np.zeros(face.size)
         p[face] = q
         return p, value, bound, True, warning
 
-    p, cert, _, value, score = _ascend(objective, opts)
+    p, cert, _, value, score = _ascend(objective)
     bound = value + cert
     active = bool(np.any(cost_rows @ p > budgets))
     if active:
-        p, value, bound, _ = _frank_wolfe(objective, cost_rows, budgets, score, opts)
+        p, value, bound, _ = _frank_wolfe(objective, cost_rows, budgets, score)
     warning = None
-    if bound - value > opts.stall_cert:
+    if bound - value > STALL_CERT:
         warning = f"solver stopped with gap {bound - value:.3g} above stall_cert"
     return p, value, bound, active, warning
 
 
-def capacity_distortion_point(
-    model: ChannelModel, budget: float, opts: SolverOptions = DEFAULT_OPTIONS
-) -> CDPoint:
+def capacity_distortion_point(model: ChannelModel, budget: float) -> CDPoint:
     """Best achievable rate (nats per use) with expected estimation cost <= budget.
 
     ``_check_budgets`` checks the budget: NaN raises ``ValueError``, +inf
@@ -645,15 +627,15 @@ def capacity_distortion_point(
     feasible, else by pairwise Frank-Wolfe on {p in simplex : d*.p <= D},
     whose linear step reads the upper concave hull of (d*(x), score(x)) and
     gives a dual bound.  A binding point ends on the budget, and one whose
-    gap stays above ``opts.stall_cert`` carries a ``convergence_warning``.
+    gap stays above ``STALL_CERT`` carries a ``convergence_warning``.
     """
     cost_vector = optimal_estimator(model).cost_vector
     rows, budgets = _check_budgets(cost_vector[None, :], np.array([budget], dtype=np.float64))
-    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, budgets, opts)
+    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, budgets)
     return CDPoint(budget, max(0.0, value), InputDistribution(p), active, warning)
 
 
-def cd_curve(model: ChannelModel, grid, opts: SolverOptions = DEFAULT_OPTIONS) -> CDCurve:
+def cd_curve(model: ChannelModel, grid) -> CDCurve:
     """Tradeoff curve on a budget grid.
 
     ``grid`` is either a point count n (n budgets spanning [d_min, d_max];
@@ -662,7 +644,7 @@ def cd_curve(model: ChannelModel, grid, opts: SolverOptions = DEFAULT_OPTIONS) -
     nondecreasing and concave within 1e-7; violations raise
     ``SolverNonmonotone`` rather than returning a silently bad curve.
     """
-    d_min, d_max = feasible_range(model, opts)
+    d_min, d_max = feasible_range(model)
     if isinstance(grid, (int, np.integer)):
         n = int(grid)
         if n < 1:
@@ -672,7 +654,7 @@ def cd_curve(model: ChannelModel, grid, opts: SolverOptions = DEFAULT_OPTIONS) -
         budgets = np.sort(np.asarray(list(grid), dtype=np.float64))
         if budgets.size == 0:
             raise ValueError("empty budget grid")
-    points = tuple(capacity_distortion_point(model, float(b), opts) for b in budgets)
+    points = tuple(capacity_distortion_point(model, float(b)) for b in budgets)
 
     caps = np.array([pt.capacity for pt in points])
     if np.any(np.diff(caps) < -CURVE_TOL):
@@ -724,11 +706,7 @@ def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
     return float(res.x[-1]), column / column.sum(), row / row.sum()
 
 
-def multi_constraint_point(
-    model: ChannelModel,
-    constraints: Sequence[CostConstraint],
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> CDPoint:
+def multi_constraint_point(model: ChannelModel, constraints: Sequence[CostConstraint]) -> CDPoint:
     """Capacity under several simultaneous linear cost budgets.
 
     Any number of budgets takes the routine of ``capacity_distortion_point``
@@ -746,7 +724,7 @@ def multi_constraint_point(
             f"cost vectors have length {cost_rows.shape[1]}, expected {model.input_size}"
         )
     rows, kept = _check_budgets(cost_rows, budgets)
-    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, kept, opts)
+    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, kept)
     return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
 
 
@@ -795,8 +773,6 @@ __all__ = [
     "CDCurve",
     "CDPoint",
     "CostConstraint",
-    "DEFAULT_OPTIONS",
-    "SolverOptions",
     "capacity_distortion_point",
     "cd_curve",
     "feasible_range",

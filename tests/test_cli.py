@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 import capdist as cd
-from capdist import cli
+from capdist import cli, solver
 
 R04_CAP_AT_01 = 0.10610555179795111
 
@@ -72,7 +71,7 @@ def test_point_nan_budget_exits_2(capsys):
 
 
 def test_point_convergence_warning_exits_4(monkeypatch, capsys):
-    def fake_point(model, budget, opts=None):
+    def fake_point(model, budget):
         return cd.CDPoint(budget, 0.1, cd.InputDistribution([0.5, 0.5]), True,
                           "inner ascent hit its iteration cap")
 
@@ -83,9 +82,10 @@ def test_point_convergence_warning_exits_4(monkeypatch, capsys):
     assert "warning:" in captured.err
 
 
-def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
-    # A real solve, cut to two iterations per ascent and finisher, whose
-    # gap stays above stall_cert (about 2.7e-3).
+def _library_channel_0_spec(tmp_path):
+    """The first |X| = 8 library channel of the ``points`` workload as a
+    spec file, whose unconstrained ascent stalls and hands off to the
+    finisher, and its model."""
     lib = np.random.default_rng(8011136)
     nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
     doc = {
@@ -97,17 +97,47 @@ def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
     spec = tmp_path / "chan.json"
     spec.write_text(json.dumps(doc))
     model, _ = cli.load_spec(str(spec))
+    return str(spec), model
+
+
+def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
+    # A real solve, cut to two iterations per ascent and finisher, whose
+    # gap stays above stall_cert (about 2.7e-3).
+    spec, model = _library_channel_0_spec(tmp_path)
     d_min, d_max = cd.feasible_range(model)
     budget = repr(d_min + 0.9 * (d_max - d_min))
-    assert cli.main(["point", str(spec), "--distortion", budget]) == 0
+    assert cli.main(["point", spec, "--distortion", budget]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "capacity_distortion_point", functools.partial(
-        cd.capacity_distortion_point, opts=cd.SolverOptions(ba_max_iter=2)))
-    code = cli.main(["point", str(spec), "--distortion", budget])
+    monkeypatch.setattr(solver, "BA_MAX_ITER", 2)
+    code = cli.main(["point", spec, "--distortion", budget])
     captured = capsys.readouterr()
     assert code == 4
     assert "above stall_cert" in captured.err
     assert "C(D) =" in captured.out
+
+
+def test_finisher_ending_below_its_start_raises_and_exits_4(tmp_path, monkeypatch, capsys):
+    # The unconstrained ascent on this channel stalls and hands its law to
+    # the finisher; a finisher that reports a value below that law's is a
+    # solver fault, raised rather than returned as a point.
+    spec, model = _library_channel_0_spec(tmp_path)
+    d_min, d_max = cd.feasible_range(model)
+    budget = 0.5 * (d_min + d_max)
+    frank_wolfe = solver._frank_wolfe
+
+    def lowered(*args, **kwargs):
+        p, value, bound, score = frank_wolfe(*args, **kwargs)
+        return p, value - 1e-6, bound, score
+
+    monkeypatch.setattr(solver, "_frank_wolfe", lowered)
+    with pytest.raises(cd.SolverNonmonotone, match="finisher returned below its start"):
+        cd.capacity_distortion_point(model, budget)
+    code = cli.main(["point", spec, "--distortion", repr(budget)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert "C(D)" not in captured.out
 
 
 # ---------------------------------------------------------------------------

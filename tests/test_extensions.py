@@ -182,7 +182,7 @@ def test_compound_single_prior_matches_the_plain_solver():
     assert abs(result.value - R04_CAP_AT_01) < 1e-9
 
 
-def test_compound_single_prior_reports_the_gap_of_its_solve():
+def test_compound_single_prior_reports_the_gap_of_its_solve(monkeypatch):
     # The first |X| = 8 library channel of the ``points`` workload, at 50 %
     # of [d_min, d_max].  Two iterations per ascent and finisher leave its
     # point a Frank-Wolfe gap of about 3e-2; one prior goes through the same
@@ -193,8 +193,10 @@ def test_compound_single_prior_reports_the_gap_of_its_solve():
     model = cd.validate_channel(transition, lib.dirichlet(np.ones(ns)), 1.0 - np.eye(ns))
     d_min, d_max = cd.feasible_range(model)
     family = cd.CompoundFamily(model.transition, (model.state_prior,), model.distortion)
+    monkeypatch.setattr(solver, "BA_MAX_ITER", 2)
+    monkeypatch.setattr(extensions, "MAX_OUTER", 5)
     with pytest.raises(cd.NotCertified):
-        cd.compound_cd(family, 0.5 * (d_min + d_max), cd.SolverOptions(ba_max_iter=2), max_outer=5)
+        cd.compound_cd(family, 0.5 * (d_min + d_max))
 
 
 def test_compound_infeasible_budget_raises():
@@ -211,9 +213,10 @@ def test_compound_family_requires_a_prior():
         )
 
 
-def test_compound_raises_not_certified_when_rounds_run_out():
+def test_compound_raises_not_certified_when_rounds_run_out(monkeypatch):
+    monkeypatch.setattr(extensions, "MAX_OUTER", 1)
     with pytest.raises(cd.NotCertified):
-        cd.compound_cd(_outer_family(), OUTER_FAMILY_BUDGET, max_outer=1)
+        cd.compound_cd(_outer_family(), OUTER_FAMILY_BUDGET)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ _weights = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def channels(draw):
-    """A channel with |X| 2-6, |S| 2-3, |Y| 2-5 and Hamming state distortion."""
-    nx = draw(st.integers(2, 6))
+def channels(draw, max_inputs=6):
+    """A channel with |X| 2-max_inputs, |S| 2-3, |Y| 2-5 and Hamming state
+    distortion."""
+    nx = draw(st.integers(2, max_inputs))
     ns = draw(st.integers(2, 3))
     ny = draw(st.integers(2, 5))
     transition = np.array(draw(st.lists(_weights, min_size=nx * ns * ny, max_size=nx * ns * ny)))
@@ -41,10 +42,10 @@ def _kl_rows(pyx, q):
 @PROPERTY_SETTINGS
 @given(model=channels())
 def test_ascent_never_decreases_the_objective(model):
-    # debug=True raises AssertionError on any decreasing step, Aitken jumps
+    # The ascent raises SolverNonmonotone on any decreasing step, Aitken jumps
     # included, and when the finisher returns below the value it started at.
     objective = solver._Objective([(1.0, model)])
-    p, cert = solver._ascend(objective, cd.SolverOptions(debug=True))[:2]
+    p, cert = solver._ascend(objective)[:2]
     assert abs(p.sum() - 1.0) < 1e-12 and np.all(p >= 0.0)
     assert cert >= -1e-12
 
@@ -119,7 +120,7 @@ def _certified_capacity(model, budget):
     return point.capacity
 
 
-STALL_CERT = cd.SolverOptions().stall_cert
+STALL_CERT = solver.STALL_CERT
 
 
 @PROPERTY_SETTINGS
@@ -166,6 +167,31 @@ def test_budget_at_or_above_d_max_gives_the_unconstrained_capacity(model, excess
     _, d_max = cd.feasible_range(model)
     free = _certified_capacity(model, np.inf)
     assert abs(_certified_capacity(model, d_max * (1.0 + excess)) - free) <= STALL_CERT
+
+
+@PROPERTY_SETTINGS
+@given(model=channels())
+def test_curve_is_nondecreasing_and_concave(model):
+    curve = cd.cd_curve(model, 5)
+    budgets = np.array([pt.distortion_budget for pt in curve.points])
+    caps = np.array([pt.capacity for pt in curve.points])
+    assert np.all(np.diff(caps) >= -solver.CURVE_TOL)
+    for i in range(len(caps) - 2):
+        d0, d1, d2 = budgets[i:i + 3]
+        if d2 > d0:
+            chord = caps[i] + (caps[i + 2] - caps[i]) * (d1 - d0) / (d2 - d0)
+            assert caps[i + 1] >= chord - solver.CURVE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(model=channels(max_inputs=3))
+def test_grid_search_never_beats_an_unflagged_point(model):
+    # The grid searches only laws that meet the budget, so it bounds C(D)
+    # from below; a point without a warning is within STALL_CERT of C(D).
+    for point in cd.cd_curve(model, 5).points:
+        if point.convergence_warning is None:
+            grid = cd.grid_search_capacity(model, point.distortion_budget)
+            assert grid <= point.capacity + STALL_CERT
 
 
 @st.composite

@@ -176,14 +176,16 @@ def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypa
     assert abs(point.optimizer.probs @ cost - budget) <= 1e-12
 
 
-def test_point_flags_an_uncertified_gap():
+def test_point_flags_an_uncertified_gap(monkeypatch):
     # Two iterations leave every ascent and the finisher far from optimal
     # (a gap of about 2.7e-3); the finisher's Newton steps certify this
     # point within five.
     model = _library_channel_0()
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.9 * (d_max - d_min)
-    point = cd.capacity_distortion_point(model, budget, cd.SolverOptions(ba_max_iter=2))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "BA_MAX_ITER", 2)
+        point = cd.capacity_distortion_point(model, budget)
     assert point.constraint_active
     assert point.convergence_warning is not None
     assert "above stall_cert" in point.convergence_warning
@@ -280,7 +282,7 @@ def test_point_just_above_d_min_lands_on_the_budget():
     assert abs(point.capacity - exact) <= 1e-9
 
 
-def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
+def test_stalled_ascent_point_needs_few_score_evaluations(monkeypatch):
     model = _library_channel_0()
     assert model.input_size == 8
     d_min, d_max = cd.feasible_range(model)
@@ -293,9 +295,6 @@ def test_vertex_escape_needs_few_score_evaluations(monkeypatch):
     # point takes about 800 evaluations in all.
     assert calls[0] < 30_000
     assert point.convergence_warning is None
-    checked = cd.capacity_distortion_point(model, budget, cd.SolverOptions(debug=True))
-    assert checked.capacity == point.capacity
-    assert np.array_equal(checked.optimizer.probs, point.optimizer.probs)
 
 
 BLOCK_TIE_R = 0.41935
