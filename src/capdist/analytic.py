@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .channel import ChannelModel, block_to_super_symbol, validate_channel
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]

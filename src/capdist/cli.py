@@ -36,8 +36,6 @@ from . import analytic
 from .channel import (
     ChannelModel,
     InputDistribution,
-    average_cost,
-    mutual_information,
     optimal_estimator,
     validate_channel,
 )
@@ -289,8 +287,6 @@ def _cmd_compound(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model, _ = load_spec(args.spec)
-    if (args.px is None) == (args.optimal_for is None):
-        raise ValueError("exactly one of --px or --optimal-for is required")
     if args.px is not None:
         px = InputDistribution([float(tok) for tok in args.px.split(",")])
     else:
@@ -386,8 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo check of distortion and information")
     add_spec(p)
-    p.add_argument("--px", help="comma-separated input law")
-    p.add_argument("--optimal-for", type=float, help="use the optimizer for this budget")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--px", help="comma-separated input law")
+    group.add_argument("--optimal-for", type=float, help="use the optimizer for this budget")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_simulate)

@@ -27,11 +27,8 @@ from .channel import (
     validate_channel,
 )
 from .errors import NoZeroCostLetter, NotCertified
-# ``_ascend`` is not called here; it stays bound because perfbench's tracer
-# hooks it in every module that once bound it and drops the ascent counters
-# when a hook is missing.
-from .solver import (  # noqa: F401
-    _ascend,
+from .solver import (
+    FACE_TOL,
     _check_budgets,
     _matrix_game,
     _Objective,
@@ -39,7 +36,10 @@ from .solver import (  # noqa: F401
     capacity_distortion_point,
 )
 
-ZERO_COST_TOL = 1e-12
+# ``_ascend`` is not called here; it stays bound because perfbench's tracer
+# hooks it in every module that once bound it and drops the ascent counters
+# when a hook is missing.
+from .solver import _ascend  # noqa: F401
 
 # compound_cd stops once its certified gap is at most GAP_TOL, and raises
 # NotCertified when MAX_OUTER rounds end above it.
@@ -72,7 +72,7 @@ class CpudResult:
 
 
 def _zero_cost_letters(cost_vector: FloatArray) -> np.ndarray:
-    return np.flatnonzero(cost_vector <= ZERO_COST_TOL)
+    return np.flatnonzero(cost_vector <= FACE_TOL)
 
 
 def _divergence_rows(pyx: FloatArray, reference: FloatArray) -> FloatArray:
@@ -163,14 +163,14 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     def ratio(budget: float) -> float:
         return point(budget).capacity / budget
 
-    if d_max_letter <= d_min + ZERO_COST_TOL:
+    if d_max_letter <= d_min + FACE_TOL:
         # Uniform cost: every input law spends d_min, so the sup sits there.
         pt = point(d_min)
         return CpudResult(pt.capacity / d_min, pt.optimizer, "sup-definition")
 
     hi = d_max_letter
     # Balance curvature bias against solver noise when probing near zero.
-    lo = max(1e-6 * hi, 2e-5) if d_min <= ZERO_COST_TOL else d_min
+    lo = max(1e-6 * hi, 2e-5) if d_min <= FACE_TOL else d_min
     grid = np.unique(
         np.concatenate(
             [

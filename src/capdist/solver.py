@@ -42,7 +42,7 @@ from .errors import (
     SolverNonmonotone,
 )
 
-# Tolerance for deciding that a per-letter cost sits on the minimum-cost face.
+# A cost within FACE_TOL of its budget counts as on it (``_check_budgets``).
 FACE_TOL = 1e-12
 
 # Least mass that makes a letter a starting atom when an uncertified ascent
@@ -73,6 +73,8 @@ STALL_CERT = 1e-6
 class CDPoint:
     """One point of the tradeoff curve.
 
+    constraint_active says the budget binds: the unconstrained law breaks
+    it, or it is at most ``FACE_TOL`` above d_min (the cheapest letters).
     convergence_warning is None on a clean solve; otherwise it gives the
     certified gap, which is above ``STALL_CERT`` (never silently dropped).
     """
@@ -93,7 +95,8 @@ class CDCurve:
 
 @dataclass(frozen=True, eq=False)
 class CostConstraint:
-    """A linear budget: sum_x p(x) cost_vector[x] <= budget."""
+    """A linear budget sum_x p(x) cost_vector[x] <= budget, with finite costs
+    (else ``ValueError``); a cost within ``FACE_TOL`` of it counts as on it."""
 
     cost_vector: FloatArray
     budget: float
@@ -450,7 +453,8 @@ def _frank_wolfe(
 ) -> tuple[FloatArray, float, float, FloatArray]:
     """Maximize objective(p) over {p in simplex : cost_rows @ p <= budgets}
     by pairwise Frank-Wolfe, from the given atoms and weights, or else from
-    the best vertex for the linear objective ``score``.
+    the best vertex for the linear objective ``score``.  Rows, if any, come
+    from ``_check_budgets``: no cost is off its budget by ``FACE_TOL`` or less.
 
     The law is kept as a convex combination of polytope vertices (atoms).
     Each step moves weight from the atom of least score to the best vertex,
@@ -472,11 +476,6 @@ def _frank_wolfe(
     improves the objective.  Returns (law, value, dual bound, scores at the
     law).
     """
-    # A letter within FACE_TOL of a budget counts as on it: pairing it would
-    # divide by a cost difference at the rounding level.
-    cost_rows = np.where(
-        np.abs(cost_rows - budgets[:, None]) <= FACE_TOL, budgets[:, None], cost_rows
-    )
     n = objective.n_inputs
     if cost_rows.shape[0] == 0:
 
@@ -545,19 +544,25 @@ def _frank_wolfe(
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArray, FloatArray]:
     """The budget rule of every budgeted entry point: cost_rows @ p <= budgets.
 
-    A NaN budget raises ``ValueError``; a +inf budget constrains nothing,
-    so its row is dropped.  ``InfeasibleDistortion`` is raised when a budget
-    lies more than ``FACE_TOL`` below its row's cheapest letter or, with
-    several rows, when the game min_p max_j (cost_j . p - budget_j) is above
-    ``FACE_TOL``: no input law meets them all.  Its ``d_min`` is the least
-    common budget when the budgets are equal (the cheapest letter for one
-    row, else the game value of the costs), and None otherwise.  Returns the
-    rows and budgets left.
+    A non-finite cost or a NaN budget raises ``ValueError``; a +inf budget
+    constrains nothing, so its row is dropped.  ``InfeasibleDistortion`` is
+    raised when a budget lies more than ``FACE_TOL`` below its row's
+    cheapest letter or, with several rows, when the game min_p max_j
+    (cost_j . p - budget_j) is above ``FACE_TOL``: no input law meets them
+    all.  Its ``d_min`` is the least common budget when the budgets are
+    equal (the cheapest letter for one row, else the game value of the
+    costs), and None otherwise.  Returns the rows and budgets left, every
+    cost within ``FACE_TOL`` of its budget snapped onto it: pairing such a
+    letter across the budget would divide by a rounding-level difference.
     """
     if np.any(np.isnan(budgets)):
         raise ValueError(f"budget is NaN: {budgets.tolist()}")
+    if not np.all(np.isfinite(cost_rows)):
+        raise ValueError("every cost entry must be finite")
     cheapest = cost_rows.min(axis=1)
-    short = np.flatnonzero(budgets < cheapest - FACE_TOL)
+    # The difference the snap tests, so a kept budget at or below its row's
+    # cheapest letter always has that letter snapped onto it.
+    short = np.flatnonzero(cheapest - budgets > FACE_TOL)
     finite = budgets < np.inf
     rows, kept = cost_rows[finite], budgets[finite]
     if short.size:
@@ -568,7 +573,7 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArr
     elif kept.size > 1 and _matrix_game(rows - kept[:, None])[0] > FACE_TOL:
         reason = "no input law meets every budget"
     else:
-        return rows, kept
+        return np.where(np.abs(rows - kept[:, None]) <= FACE_TOL, kept[:, None], rows), kept
     d_min = None
     if np.all(kept == kept[0]):
         d_min = float(rows[0].min()) if kept.size == 1 else _matrix_game(rows)[0]
@@ -583,20 +588,20 @@ def _solve_budget(
     rows and budgets returned by ``_check_budgets``.
 
     Returns (law, value, dual bound, constraint_active, warning).  A budget
-    at its row's cheapest cost confines the law to that row's cheapest
-    letters, on which the other rows are solved.  Otherwise the
-    unconstrained law (``_ascend``) is returned if it meets every budget.
-    If not, pairwise Frank-Wolfe solves on the budget polytope, started
-    from the best vertex for the unconstrained law's scores.  Either way the
-    law comes with a certified gap, and one rule flags it: a gap above
-    ``STALL_CERT`` is named in the warning.  With several rows the
-    dual bound is only as exact as the linear step's optimality tolerance
-    (about 1e-7, see ``_lp_vertex``).
+    on its row's cheapest cost (where the snap puts costs within FACE_TOL)
+    confines the law to the letters on it, on which the other rows are
+    solved.  Otherwise the unconstrained law (``_ascend``) is returned if
+    it meets every budget.  If not, pairwise Frank-Wolfe solves on the
+    budget polytope, started from the best vertex for the unconstrained
+    law's scores.  Either way the law comes with a certified gap, and one
+    rule flags it: a gap above ``STALL_CERT`` is named in the warning.
+    With several rows the dual bound is only as exact as the linear step's
+    optimality tolerance (about 1e-7, see ``_lp_vertex``).
     """
     floor = budgets <= cost_rows.min(axis=1)
     if np.any(floor):
         rows = cost_rows[floor]
-        face = np.all(rows <= rows.min(axis=1, keepdims=True) + FACE_TOL, axis=0)
+        face = np.all(rows == budgets[floor][:, None], axis=0)
         if not np.any(face):
             raise InfeasibleConstraints("the budgets at their cheapest costs share no letter")
         q, value, bound, _, warning = _solve_budget(
@@ -623,11 +628,12 @@ def capacity_distortion_point(model: ChannelModel, budget: float) -> CDPoint:
     ``_check_budgets`` checks the budget: NaN raises ``ValueError``, +inf
     gives the unconstrained capacity, and a budget more than ``FACE_TOL``
     below d_min raises ``InfeasibleDistortion``.  ``_solve_budget`` solves
-    it: on the minimum-cost letters at d_min, else unconstrained if that is
-    feasible, else by pairwise Frank-Wolfe on {p in simplex : d*.p <= D},
-    whose linear step reads the upper concave hull of (d*(x), score(x)) and
-    gives a dual bound.  A binding point ends on the budget, and one whose
-    gap stays above ``STALL_CERT`` carries a ``convergence_warning``.
+    it: within ``FACE_TOL`` of d_min on the minimum-cost letters, else
+    unconstrained if that is feasible, else by pairwise Frank-Wolfe on
+    {p in simplex : d*.p <= D}, whose linear step reads the upper concave
+    hull of (d*(x), score(x)) and gives a dual bound.  A binding point ends
+    on the budget, and one whose gap stays above ``STALL_CERT`` carries a
+    ``convergence_warning``.
     """
     cost_vector = optimal_estimator(model).cost_vector
     rows, budgets = _check_budgets(cost_vector[None, :], np.array([budget], dtype=np.float64))
@@ -749,23 +755,19 @@ def grid_search_capacity(model: ChannelModel, budget: float, step: float | None 
 
     Only tiny input alphabets are supported (2 or 3 letters); the default
     step is 1e-4 for two letters and 1e-2 for three, giving an O(step)
-    approximation from below.
+    approximation from below.  ``_check_budgets`` checks the budget, and a
+    grid law at most ``FACE_TOL`` above it counts as feasible.
     """
     if model.input_size > 3:
         raise AlphabetTooLarge("grid search supports input alphabets of size 2 or 3")
     if step is None:
         step = 1e-4 if model.input_size == 2 else 1e-2
     cost_vector = optimal_estimator(model).cost_vector
+    _check_budgets(cost_vector[None, :], np.array([budget], dtype=np.float64))
     if model.input_size == 1:
-        if cost_vector[0] > budget + FACE_TOL:
-            raise InfeasibleDistortion("budget below the single letter's cost", d_min=float(cost_vector[0]))
         return 0.0
     grid = _simplex_grid(model.input_size, step)
-    feasible = grid @ cost_vector <= budget + 1e-12
-    if not np.any(feasible):
-        raise InfeasibleDistortion(
-            f"budget {budget} below minimum achievable estimation cost", d_min=float(cost_vector.min())
-        )
+    feasible = grid @ cost_vector - budget <= FACE_TOL
     return float(np.max(batch_mutual_information(model, grid[feasible])))
 
 

@@ -170,6 +170,22 @@ def test_budget_at_or_above_d_max_gives_the_unconstrained_capacity(model, excess
 
 
 @PROPERTY_SETTINGS
+@given(model=channels(), frac=st.floats(0.0, 1.0))
+def test_budget_within_face_tol_above_d_min_solves_on_the_cheapest_face(model, frac):
+    # A cost within FACE_TOL of its budget counts as on it, so such a budget
+    # confines the law to the cheapest letters, as d_min itself does.
+    cost = cd.optimal_estimator(model).cost_vector
+    d_min = float(cost.min())
+    budget = d_min + frac * solver.FACE_TOL
+    assume(budget - d_min <= solver.FACE_TOL)
+    floor = cd.capacity_distortion_point(model, d_min)
+    point = cd.capacity_distortion_point(model, budget)
+    assert point.constraint_active
+    assert point.optimizer.probs @ cost <= budget + solver.FACE_TOL
+    assert abs(point.capacity - floor.capacity) <= 1e-12
+
+
+@PROPERTY_SETTINGS
 @given(model=channels())
 def test_curve_is_nondecreasing_and_concave(model):
     curve = cd.cd_curve(model, 5)

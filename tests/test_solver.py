@@ -319,6 +319,23 @@ def test_tied_letters_do_not_zig_zag_along_a_block_curve(monkeypatch):
         assert abs(point.capacity - 3 * expected) <= 1e-9
 
 
+def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch):
+    # At r = 0.3 the K = 3 block curve is flat and d_max is about 1e-110, so
+    # every budget lies within FACE_TOL of d_min = 0 and counts as on the
+    # cheapest face.  Running Frank-Wolfe inside that band took 2,125
+    # evaluations for the same capacities; the face solves take 38.
+    model = cd.block_multiplicative_model(0.3, 3)
+    calls = _count_scores(monkeypatch)
+    curve = cd.cd_curve(model, 20)
+    assert curve.d_max - curve.d_min <= solver.FACE_TOL
+    assert calls[0] <= 100
+    for point in curve.points:
+        assert point.constraint_active
+        assert point.convergence_warning is None
+        expected, _ = cd.block_cd_closed_form(0.3, 3, point.distortion_budget)
+        assert abs(point.capacity - 3 * expected) <= 1e-12
+
+
 def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
     # The same tied block channel, with the d* row given twice, so every
     # Frank-Wolfe step is a linear program.  Pairwise steps alone needed 52
@@ -476,6 +493,15 @@ def test_multi_constraint_wrong_length_cost_vector():
         cd.multi_constraint_point(model, [cd.CostConstraint(np.array([0.1, 0.2, 0.3]), 0.5)])
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_multi_constraint_rejects_a_non_finite_cost(entry):
+    # A NaN cost once returned the unconstrained law as slack, and an
+    # infinite one failed inside the solver with NotAProbability.
+    model = cd.scalar_multiplicative_model(0.4)
+    with pytest.raises(ValueError, match="finite"):
+        cd.multi_constraint_point(model, [cd.CostConstraint(np.array([entry, 0.0]), 0.3)])
+
+
 def test_multi_constraint_requires_a_constraint():
     with pytest.raises(ValueError):
         cd.multi_constraint_point(cd.scalar_multiplicative_model(0.4), [])
@@ -503,10 +529,17 @@ def test_solver_matches_grid_search_on_random_channels():
 
 
 def test_grid_search_guards():
+    # The oracle follows the solver's budget rule, one-letter channels too.
+    one_letter = cd.validate_channel([[[1.0, 0.0], [0.0, 1.0]]], [0.6, 0.4], HAMMING)
     with pytest.raises(cd.AlphabetTooLarge):
         cd.grid_search_capacity(cd.block_multiplicative_model(0.5, 2), 0.1)
-    with pytest.raises(cd.InfeasibleDistortion):
-        cd.grid_search_capacity(cd.scalar_multiplicative_model(0.4), -0.5)
+    for model in (cd.scalar_multiplicative_model(0.4), one_letter):
+        with pytest.raises(cd.InfeasibleDistortion) as exc:
+            cd.grid_search_capacity(model, -0.5)
+        assert exc.value.d_min == 0.0
+        with pytest.raises(ValueError, match="NaN"):
+            cd.grid_search_capacity(model, math.nan)
+    assert cd.grid_search_capacity(one_letter, 0.0) == 0.0
 
 
 def test_batch_mutual_information_agrees_with_scalar_version():
