@@ -29,9 +29,6 @@ from .errors import (
 # renormalized to machine precision.  Anything worse is rejected.
 PROB_TOL = 1e-9
 
-# Default cap on the size of a super-symbol alphabet (inputs or outputs).
-ALPHABET_CAP = 2**20
-
 # Cap on the entries of a dense super-symbol transition |X|^K |S| |Y|^K:
 # 2**25 float64 entries are 256 MiB.  Binary channels with one binary state
 # stay within it up to K = 12.
@@ -329,7 +326,7 @@ def average_cost(px, policy: EstimatorPolicy) -> float:
 # ---------------------------------------------------------------------------
 
 
-def block_to_super_symbol(model: ChannelModel, block_len: int, cap: int = ALPHABET_CAP) -> ChannelModel:
+def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
     """Channel for a block of uses that share one state realization.
 
     The block channel has inputs X^K, outputs Y^K and, conditional on the
@@ -338,26 +335,25 @@ def block_to_super_symbol(model: ChannelModel, block_len: int, cap: int = ALPHAB
     significant), so the all-zeros tuple is index 0.  Rates computed on the
     result are per super-symbol; divide by ``block_len`` for per-use values.
 
-    Raises ``AlphabetOverflow`` before allocating anything when |X|^K or
-    |Y|^K exceeds ``cap``, or the dense tensor |X|^K |S| |Y|^K exceeds
-    ``DENSE_ENTRY_CAP`` entries.  The tensor is the only full-size
-    allocation: each state's last Kronecker factor is written into it, and
-    its rows, products of validated rows, are renormalized in place.
+    Raises ``AlphabetOverflow`` before allocating anything when the dense
+    tensor |X|^K |S| |Y|^K exceeds ``DENSE_ENTRY_CAP`` entries.  The tensor
+    is the only full-size allocation: each state's last Kronecker factor is
+    written into it, and its rows, products of validated rows, are
+    renormalized in place.
     """
     if block_len < 1:
         raise DimensionMismatch("block_len must be >= 1")
-    if model.input_size**block_len > cap or model.output_size**block_len > cap:
-        raise AlphabetOverflow(
-            f"super-symbol alphabet exceeds cap {cap}: "
-            f"|X|^K = {model.input_size}**{block_len}, |Y|^K = {model.output_size}**{block_len}"
-        )
-    entries = model.input_size**block_len * model.state_size * model.output_size**block_len
+    nx, ns, ny = model.transition.shape
+    # With |X| |Y| >= 2 the count passes the cap by K = the cap's bit length,
+    # so a longer block is counted at that length: a lower bound that stays
+    # a small integer (the exact count of K = 10**4 has over 6,000 digits).
+    counted = min(block_len, DENSE_ENTRY_CAP.bit_length())
+    entries = ns * (nx * ny) ** counted
     if entries > DENSE_ENTRY_CAP:
         raise AlphabetOverflow(
-            f"dense super-symbol transition |X|^K |S| |Y|^K = {entries} entries "
-            f"exceeds cap {DENSE_ENTRY_CAP}"
+            f"dense super-symbol transition |X|^K |S| |Y|^K = "
+            f"{'' if counted == block_len else 'at least '}{entries} entries exceeds cap {DENSE_ENTRY_CAP}"
         )
-    nx, ns, ny = model.transition.shape
     transition = np.empty((nx**block_len, ns, ny**block_len))
     # kron(head, mat)[i nx + k, j ny + l] = head[i, j] mat[k, l]
     blocks = transition.reshape(nx ** (block_len - 1), nx, ns, ny ** (block_len - 1), ny)

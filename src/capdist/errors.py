@@ -24,7 +24,7 @@ class ZeroProbabilityConditioning(CapdistError):
 
 
 class AlphabetOverflow(CapdistError):
-    """Super-symbol alphabet would exceed the configured size cap."""
+    """Dense super-symbol transition would exceed ``DENSE_ENTRY_CAP`` entries."""
 
 
 class AlphabetTooLarge(CapdistError):

@@ -4,7 +4,7 @@ The core is a multiplicatively-updated ascent on the input distribution
 (classical alternating maximization of mutual information), and one
 pairwise Frank-Wolfe routine finishes every solve the ascent leaves
 uncertified: on the simplex when the ascent stalls short of its
-certificate or hits its iteration cap, and on the budget polytope
+certificate or has made ``BA_PREFIX`` updates, and on the budget polytope
 {p in simplex : A p <= b} when the unconstrained law breaks a budget.  A
 budget at its cheapest cost confines the law to the cheapest letters.
 The linear step is the best letter with no budget, reads a concave hull
@@ -56,8 +56,18 @@ CURVE_TOL = 1e-7
 # The inner ascent stalls once its objective increment is at most BA_TOL.
 BA_TOL = 1e-10
 
-# Iteration cap of the inner ascent and of the Frank-Wolfe finisher.
+# Iteration cap of the Frank-Wolfe finisher, and of the inner ascent where
+# it is below BA_PREFIX.
 BA_MAX_ITER = 10_000
+
+# Multiplicative updates an ascent makes before it hands an uncertified law
+# to the Frank-Wolfe finisher.  On random channels the update contracts by
+# a ratio near 0.9 from about the tenth step on, so it would crawl for a
+# thousand updates that the finisher replaces with a few dozen evaluations.
+# A much shorter prefix would also cut short block channels' ascents, which
+# end within 25 updates, and hand them to Newton steps over hundreds of
+# letters.
+BA_PREFIX = 50
 
 # A solve stops once its certificate max_x score(x) - objective (the
 # Frank-Wolfe gap on the budget polytope) is at most CERT_TOL.
@@ -214,16 +224,19 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     Runs the multiplicative update from the uniform law.  It returns once
     the certificate max_x score(x) - value is at most ``CERT_TOL``, or once
     the value increment drops to ``BA_TOL`` with a certificate of at most
-    ``STALL_CERT``.  Any other stall, and the end of ``BA_MAX_ITER``
-    updates, hand the law to ``_frank_wolfe`` on the simplex, started from
-    the letters with mass above ``MASS_FLOOR``.  An update that lowers the
-    value by more than 1e-12, or a finisher that ends below the value it
-    started from, raises ``SolverNonmonotone``.
+    ``STALL_CERT``.  Any other stall, and the end of min(``BA_PREFIX``,
+    ``BA_MAX_ITER``) updates, hand the law to ``_frank_wolfe`` on the
+    simplex, started from the letters with mass above ``MASS_FLOOR``: the
+    update converges geometrically, by a ratio near 1 where the optimum sits
+    near a face, while the finisher converges linearly on the simplex.  An
+    update that lowers the value by more than 1e-12, or a finisher that ends
+    below the value it started from, raises ``SolverNonmonotone``.
 
     Returns (maximizer, certified optimality gap, hit_iteration_cap, value,
     score), the last two being p . score and score = scores(p) at the
-    maximizer; hit_iteration_cap says the update ran to its cap before the
-    hand-off.  The gap bounds the true suboptimality from above: for any
+    maximizer; hit_iteration_cap says the update ran to ``BA_MAX_ITER``
+    before the hand-off, which only a cap of at most ``BA_PREFIX`` can
+    make true.  The gap bounds the true suboptimality from above: for any
     law q, objective(q) <= max_x score(x), while the iterate achieves
     p . score.
     """
@@ -231,7 +244,8 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     log_p = np.full(n, -math.log(n))
     prev_value = -np.inf
     hist: list[FloatArray] = []  # recent consecutive log-iterates
-    for it in range(BA_MAX_ITER + 1):
+    last = min(BA_PREFIX, BA_MAX_ITER)
+    for it in range(last + 1):
         p = np.exp(log_p)
         p /= p.sum()
         score = objective.scores(p)
@@ -245,7 +259,7 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
         stalled = value - prev_value <= BA_TOL
         if cert <= CERT_TOL or (stalled and cert <= STALL_CERT):
             return p, cert, False, value, score
-        if stalled or it == BA_MAX_ITER:
+        if stalled or it == last:
             break
         prev_value = value
         log_p = log_p + score

@@ -338,9 +338,11 @@ def test_estimator_and_row_terms_peak_memory_at_k10():
 
 def test_block_builder_overflow_guard(monkeypatch):
     base = cd.scalar_multiplicative_model(0.3)
-    with pytest.raises(cd.AlphabetOverflow):
-        cd.block_to_super_symbol(base, 3, cap=7)
-    # The dense tensor |X|^K |S| |Y|^K is capped too: 8 * 2 * 8 = 128 at K = 3.
+    # A long block is refused without building its exact count, whose
+    # decimal form would pass Python's 4,300-digit conversion limit.
+    with pytest.raises(cd.AlphabetOverflow, match="at least"):
+        cd.block_to_super_symbol(base, 10_000)
+    # The dense tensor |X|^K |S| |Y|^K is capped: 8 * 2 * 8 = 128 at K = 3.
     monkeypatch.setattr(cd.channel, "DENSE_ENTRY_CAP", 127)
     with pytest.raises(cd.AlphabetOverflow, match="128 entries"):
         cd.block_to_super_symbol(base, 3)

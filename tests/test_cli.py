@@ -117,17 +117,19 @@ def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_finisher_ending_below_its_start_raises_and_exits_4(tmp_path, monkeypatch, capsys):
-    # The unconstrained ascent on this channel stalls and hands its law to
-    # the finisher; a finisher that reports a value below that law's is a
-    # solver fault, raised rather than returned as a point.
+    # The unconstrained ascent on this channel hands its law to the
+    # finisher; a finisher that reports a value below that law's is a
+    # solver fault, raised rather than returned as a point.  The wrapper
+    # reports 1e-6 below the law it was handed, whatever the finisher gains.
     spec, model = _library_channel_0_spec(tmp_path)
     d_min, d_max = cd.feasible_range(model)
     budget = 0.5 * (d_min + d_max)
     frank_wolfe = solver._frank_wolfe
 
-    def lowered(*args, **kwargs):
-        p, value, bound, score = frank_wolfe(*args, **kwargs)
-        return p, value - 1e-6, bound, score
+    def lowered(objective, cost_rows, budgets, score, atoms, weights):
+        p, _, bound, q_score = frank_wolfe(objective, cost_rows, budgets, score, atoms, weights)
+        start = weights @ atoms / weights.sum()
+        return p, float(start @ objective.scores(start)) - 1e-6, bound, q_score
 
     monkeypatch.setattr(solver, "_frank_wolfe", lowered)
     with pytest.raises(cd.SolverNonmonotone, match="finisher returned below its start"):
