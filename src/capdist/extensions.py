@@ -258,11 +258,11 @@ def _solve_weighted(
 ) -> tuple[FloatArray, float]:
     """Maximize sum_i w_i I_i(p) subject to cost_rows @ p <= budgets.
 
-    One call of the budgeted solver of ``capacity_distortion_point``, on
-    rows and budgets returned by ``_check_budgets``.  Returns
-    (p, dual_bound): p meets every budget, and dual_bound is an upper bound
-    on the constrained optimum (by concavity, the best vertex of the budget
-    polytope for the gradient at the returned law).
+    One call of the budgeted solver of ``multi_constraint_point``, on rows
+    and budgets returned by ``_check_budgets``.  Returns (p, dual_bound): p
+    meets every budget, and dual_bound is an upper bound on the constrained
+    optimum (by concavity and weak duality, the Lagrangian bound at the
+    returned law's gradient and the budgets' multipliers).
     """
     p, _, bound, _, _ = _solve_budget(_Objective(list(zip(weights, models))), cost_rows, budgets)
     return p, bound

@@ -8,13 +8,13 @@ certificate or has made ``BA_PREFIX`` updates, and on the budget polytope
 {p in simplex : A p <= b} when the unconstrained law breaks a budget.  A
 budget at its cheapest cost confines the law to the cheapest letters.
 The linear step is the best letter with no budget, reads a concave hull
-for one and solves a small linear program for several; the Frank-Wolfe
-gap certifies the result.  Pairwise steps move weight between two atoms at
-a time, so where the optimum lies inside the hull of three or more atoms
-(tied letters) a Newton step on the atom weights follows each of them.
-``lagrangian_ba_step`` exposes the multiplicative step with a linear cost
-tilt.  A vectorized grid search over the input simplex doubles as an
-independent oracle for small alphabets.
+for one and solves a small linear program for several; each also gives the
+budgets' multipliers, from which one Lagrangian dual bound certifies the
+result.  Pairwise steps move weight between two atoms at a time, so where
+the optimum lies inside the hull of three or more atoms (tied letters) a
+Newton step on the atom weights follows each of them.  A vectorized grid
+search over the input simplex doubles as an independent oracle for small
+alphabets.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .channel import (
     ChannelModel,
     FloatArray,
     InputDistribution,
-    _as_probs,
     batch_mutual_information,
     optimal_estimator,
 )
@@ -300,25 +299,6 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     return q, bound - q_value, it == BA_MAX_ITER, q_value, q_score
 
 
-def lagrangian_ba_step(model: ChannelModel, px, lam: float, cost_vector=None) -> InputDistribution:
-    """One multiplicative update tilted by lam * cost, exposed for inspection.
-
-    With lam = 0 this is the classical capacity iteration; its fixed points
-    are exactly the unconstrained optimizers.
-    """
-    probs = _as_probs(px, model.input_size)
-    if cost_vector is None:
-        cost_vector = optimal_estimator(model).cost_vector
-    cost_vector = np.asarray(cost_vector, dtype=np.float64)
-    objective = _Objective([(1.0, model)])
-    score = objective.scores(probs) - lam * cost_vector
-    with np.errstate(divide="ignore"):
-        log_p = np.where(probs > 0, np.log(np.maximum(probs, 1e-300)), -np.inf) + score
-    log_p -= np.max(log_p)
-    updated = np.exp(log_p)
-    return InputDistribution(updated / updated.sum())
-
-
 # ---------------------------------------------------------------------------
 # budgeted solver
 # ---------------------------------------------------------------------------
@@ -343,13 +323,10 @@ def _budget_vertex(
     objective score.p, read off the upper concave hull of the points
     (cost(x), score(x)).
 
-    ``order`` sorts ``cost``.  Returns (x, y, alpha, top): the vertex puts
+    ``order`` sorts ``cost``.  Returns (x, y, alpha, lam): the vertex puts
     alpha on letter x and 1 - alpha on letter y (x == y for a single
-    letter), and top = score at the vertex is the hull at the budget, capped
-    at the hull's peak when the peak is affordable.  Since the hull's slope
-    at the budget is a multiplier lam >= 0, top = max_x [score(x) -
-    lam (cost(x) - budget)], a dual upper bound on the constrained optimum
-    when score is the gradient of a concave objective.
+    letter), and lam >= 0 is the budget's multiplier, the hull's slope at
+    the budget (0 when the hull's peak is affordable).
     """
     hull: list[int] = []  # monotone chain, left to right
     for x in order:
@@ -368,34 +345,29 @@ def _budget_vertex(
     while i + 1 < len(hull) and score[hull[i + 1]] > score[hull[i]] and cost[hull[i + 1]] <= budget:
         i += 1
     x = hull[i]
-    if i + 1 == len(hull) or score[hull[i + 1]] <= score[x] or cost[x] == budget:
-        return x, x, 1.0, float(score[x])
+    if i + 1 == len(hull) or score[hull[i + 1]] <= score[x]:
+        return x, x, 1.0, 0.0
     y = hull[i + 1]
     alpha = float((cost[y] - budget) / (cost[y] - cost[x]))
-    return x, y, alpha, float(alpha * score[x] + (1.0 - alpha) * score[y])
+    return x, y, alpha, float((score[y] - score[x]) / (cost[y] - cost[x]))
 
 
-def _lp_vertex(
-    cost_rows: FloatArray, budgets: FloatArray, score: FloatArray
-) -> tuple[FloatArray, float]:
-    """Best vertex of {p in simplex : cost_rows @ p <= budgets} for the
-    linear objective score.p, by the HiGHS dual simplex.
+def _lp_vertex(excess: FloatArray, score: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Best vertex of {p in simplex : excess @ p <= 0} for the linear
+    objective score.p, by the HiGHS dual simplex.
 
-    Returns (vertex, score at it); as in ``_budget_vertex``, that score is a
-    dual upper bound when score is the gradient of a concave objective, but
-    only to within HiGHS's optimality tolerance (about 1e-7): the vertex
-    returned may score that much below the best one.
+    ``excess`` is cost_rows - budgets[:, None]: on the simplex the budgets
+    read excess @ p <= 0.  HiGHS drops matrix entries below 1e-9, so a small
+    cost would be priced at zero, while an excess is either zero or a cost
+    difference.  Returns (vertex, multipliers): the rows' duals, clipped at 0.
     """
     from scipy.optimize import linprog
 
     n = score.size
-    # On the simplex the budgets read (cost_rows - budgets) @ p <= 0.  HiGHS
-    # drops matrix entries below 1e-9, so a small cost would be priced at
-    # zero, while an excess is either zero or a cost difference.
     res = linprog(
         -score,
-        A_ub=cost_rows - budgets[:, None],
-        b_ub=np.zeros(budgets.size),
+        A_ub=excess,
+        b_ub=np.zeros(excess.shape[0]),
         A_eq=np.ones((1, n)),
         b_eq=[1.0],
         bounds=(0, None),
@@ -403,8 +375,7 @@ def _lp_vertex(
     )
     if not res.success:
         raise InfeasibleConstraints("linear step over the budget polytope failed to solve")
-    v = np.maximum(res.x, 0.0)
-    return v, float(score @ v)
+    return np.maximum(res.x, 0.0), np.maximum(-res.ineqlin.marginals, 0.0)
 
 
 def _newton_step(
@@ -476,10 +447,11 @@ def _frank_wolfe(
     that depends on the number of rows: with none it is the best letter,
     with one it reads the best vertex off the upper concave hull of
     (cost(x), score(x)) (``_budget_vertex``), and with several it solves a
-    linear program (``_lp_vertex``).  The objective is I(p) = p . score(p)
-    with gradient score - 1, so by concavity its maximum is at most the best
-    vertex's score, a dual bound.  With several rows that bound is only as
-    exact as HiGHS's optimality tolerance (about 1e-7).
+    linear program (``_lp_vertex``).  Each also returns the rows'
+    multipliers lam >= 0.  The objective is I(p) = p . score(p) with
+    gradient score - 1, so by concavity and weak duality its maximum is at
+    most max_x [score(x) - lam . (cost_rows[:, x] - budgets)] for any such
+    lam: the dual bound.
 
     With three or more atoms each pairwise step is followed by a Newton step
     on the atom weights (``_newton_step``).  Pairwise steps alone balance an
@@ -491,27 +463,27 @@ def _frank_wolfe(
     law).
     """
     n = objective.n_inputs
+    excess = cost_rows - budgets[:, None]
     if cost_rows.shape[0] == 0:
 
-        def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
-            x = int(np.argmax(score))
-            return np.eye(1, n, x)[0], float(score[x])
+        def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
+            return np.eye(1, n, int(np.argmax(score)))[0], np.zeros(0)
 
     elif cost_rows.shape[0] == 1:
         cost, budget = cost_rows[0], float(budgets[0])
         order = np.argsort(cost, kind="stable")
 
-        def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
-            x, y, alpha, top = _budget_vertex(cost, order, score, budget)
+        def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
+            x, y, alpha, lam = _budget_vertex(cost, order, score, budget)
             v = np.zeros(n)
             v[x] += alpha
             v[y] += 1.0 - alpha
-            return v, top
+            return v, np.array([lam])
 
     else:
 
-        def best_vertex(score: FloatArray) -> tuple[FloatArray, float]:
-            return _lp_vertex(cost_rows, budgets, score)
+        def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
+            return _lp_vertex(excess, score)
 
     if atoms is None:
         atoms, weights = best_vertex(score)[0][None, :], np.ones(1)
@@ -519,8 +491,8 @@ def _frank_wolfe(
     score = objective.scores(p)
     value = float(p @ score)
     for _ in range(BA_MAX_ITER):
-        v, top = best_vertex(score)
-        if top - value <= CERT_TOL:
+        v, lam = best_vertex(score)
+        if (score - lam @ excess).max() - value <= CERT_TOL:
             break
         atom_scores = atoms @ score
         away = int(np.argmin(atom_scores))
@@ -530,7 +502,7 @@ def _frank_wolfe(
             break
         t_max = weights[away]
         step, q, q_score, q_value = _line_search(
-            objective, p, v - atoms[away], t_max, top - atom_scores[away], value
+            objective, p, v - atoms[away], t_max, score @ v - atom_scores[away], value
         )
         if step <= 0.0:
             break  # the segment is numerically flat
@@ -552,7 +524,7 @@ def _frank_wolfe(
     p = weights @ atoms / weights.sum()
     score = objective.scores(p)
     value = float(p @ score)
-    return p, value, best_vertex(score)[1], score
+    return p, value, float((score - best_vertex(score)[1] @ excess).max()), score
 
 
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -609,8 +581,6 @@ def _solve_budget(
     budget polytope, started from the best vertex for the unconstrained
     law's scores.  Either way the law comes with a certified gap, and one
     rule flags it: a gap above ``STALL_CERT`` is named in the warning.
-    With several rows the dual bound is only as exact as the linear step's
-    optimality tolerance (about 1e-7, see ``_lp_vertex``).
     """
     floor = budgets <= cost_rows.min(axis=1)
     if np.any(floor):
@@ -639,20 +609,14 @@ def _solve_budget(
 def capacity_distortion_point(model: ChannelModel, budget: float) -> CDPoint:
     """Best achievable rate (nats per use) with expected estimation cost <= budget.
 
-    ``_check_budgets`` checks the budget: NaN raises ``ValueError``, +inf
-    gives the unconstrained capacity, and a budget more than ``FACE_TOL``
-    below d_min raises ``InfeasibleDistortion``.  ``_solve_budget`` solves
-    it: within ``FACE_TOL`` of d_min on the minimum-cost letters, else
-    unconstrained if that is feasible, else by pairwise Frank-Wolfe on
-    {p in simplex : d*.p <= D}, whose linear step reads the upper concave
-    hull of (d*(x), score(x)) and gives a dual bound.  A binding point ends
-    on the budget, and one whose gap stays above ``STALL_CERT`` carries a
-    ``convergence_warning``.
+    The one-row case of ``multi_constraint_point``, with the row d*: NaN
+    raises ``ValueError``, +inf gives the unconstrained capacity, and a
+    budget more than ``FACE_TOL`` below d_min raises
+    ``InfeasibleDistortion``.  Frank-Wolfe's linear step reads the upper
+    concave hull of (d*(x), score(x)), whose slope at the budget is the
+    multiplier dC/dD.
     """
-    cost_vector = optimal_estimator(model).cost_vector
-    rows, budgets = _check_budgets(cost_vector[None, :], np.array([budget], dtype=np.float64))
-    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, budgets)
-    return CDPoint(budget, max(0.0, value), InputDistribution(p), active, warning)
+    return multi_constraint_point(model, [CostConstraint(optimal_estimator(model).cost_vector, budget)])
 
 
 def cd_curve(model: ChannelModel, grid) -> CDCurve:
@@ -727,13 +691,15 @@ def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
 
 
 def multi_constraint_point(model: ChannelModel, constraints: Sequence[CostConstraint]) -> CDPoint:
-    """Capacity under several simultaneous linear cost budgets.
+    """Capacity under one or several simultaneous linear cost budgets.
 
-    Any number of budgets takes the routine of ``capacity_distortion_point``
-    on the polytope {p in simplex : A p <= b}; with several, its linear
-    step is a small linear program.  The reported ``distortion_budget`` is
-    the first constraint's budget.  The budgets are checked by
-    ``_check_budgets``, as in ``capacity_distortion_point``.
+    ``_check_budgets`` checks the budgets and ``_solve_budget`` solves them:
+    on the cheapest letters of a budget at its row's cheapest cost, else
+    unconstrained if that is feasible, else by pairwise Frank-Wolfe on the
+    polytope {p in simplex : A p <= b}.  A binding point ends on its
+    budgets, and one whose certified gap stays above ``STALL_CERT`` carries
+    a ``convergence_warning``.  The reported ``distortion_budget`` is the
+    first constraint's budget.
     """
     if not constraints:
         raise ValueError("need at least one constraint")
@@ -793,6 +759,5 @@ __all__ = [
     "cd_curve",
     "feasible_range",
     "grid_search_capacity",
-    "lagrangian_ba_step",
     "multi_constraint_point",
 ]

@@ -109,6 +109,26 @@ def test_binding_point_lands_on_the_budget_below_its_dual_bound(model, frac):
         assert point.capacity >= cd.grid_search_capacity(model, budget) - 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(model=channels(), frac=st.floats(0.0, 1.0), data=st.data())
+def test_one_budget_multiplier_bound_is_the_best_vertex_score(model, frac, data):
+    # For one row the hull's slope lam gives max_x [score(x) - lam (d*(x) -
+    # D)], the bound the solver certifies with; it is the polytope's best
+    # vertex score, here at the scores of a random law.
+    cost = cd.optimal_estimator(model).cost_vector
+    rows, budgets = solver._check_budgets(
+        cost[None, :], np.array([cost.min() + frac * (cost.max() - cost.min())])
+    )
+    cost, budget = rows[0], float(budgets[0])
+    p = np.array(data.draw(st.lists(_weights, min_size=cost.size, max_size=cost.size)))
+    pyx = model.output_given_input
+    score = _kl_rows(pyx, (p / p.sum()) @ pyx)
+    lam = solver._budget_vertex(cost, np.argsort(cost, kind="stable"), score, budget)[3]
+    assert lam >= 0.0
+    bound = float(np.max(score - lam * (cost - budget)))
+    assert abs(bound - _vertex_bound(cost, score, budget)) <= 1e-12
+
+
 def _budget(model, frac):
     cost = cd.optimal_estimator(model).cost_vector
     return float(cost.min() + frac * (cost.max() - cost.min()))
@@ -224,9 +244,9 @@ def budgeted_channels(draw):
     return model, rows, budgets
 
 
-def _lp_dual_bound(divergence, rows, budgets):
-    """min over mu >= 0 of max_x [divergence(x) - mu . (rows[:, x] - budgets)],
-    a linear program in (mu, t) solved by scipy's HiGHS."""
+def _lp_dual_multipliers(divergence, rows, budgets):
+    """The mu >= 0 that minimizes max_x [divergence(x) - mu . (rows[:, x] -
+    budgets)], a linear program in (mu, t) solved by scipy's HiGHS."""
     from scipy.optimize import linprog
 
     m = rows.shape[0]
@@ -235,7 +255,7 @@ def _lp_dual_bound(divergence, rows, budgets):
     a_ub = np.hstack([-(rows - budgets[:, None]).T, -np.ones((rows.shape[1], 1))])
     res = linprog(c, A_ub=a_ub, b_ub=-divergence, bounds=[(0, None)] * m + [(None, None)], method="highs")
     assert res.success
-    return float(res.fun)
+    return np.maximum(res.x[:m], 0.0)
 
 
 @PROPERTY_SETTINGS
@@ -250,17 +270,35 @@ def test_several_budgets_are_met_below_an_independent_dual_bound(case):
     assert np.all(rows @ p <= budgets + 1e-12)
     assert abs(point.capacity - cd.mutual_information(model, p)) < 1e-9
 
-    # Weak duality at the returned law's output marginal, minimized over the
-    # multipliers; 1e-7 absorbs the LP solver's own tolerance.
+    # Weak duality at the returned law's output marginal, evaluated exactly
+    # at the LP's multipliers mu: I(p) = p . divergence is at most
+    # max_x [divergence(x) - mu . (A_x - b)] + mu . (A p - b), and A p - b
+    # is at most rounding.
     pyx = model.output_given_input
-    bound = _lp_dual_bound(_kl_rows(pyx, p @ pyx), rows, budgets)
-    assert point.capacity <= bound + 1e-7
+    divergence = _kl_rows(pyx, p @ pyx)
+    excess = rows - budgets[:, None]
+    mu = _lp_dual_multipliers(divergence, rows, budgets)
+    bound = float(np.max(divergence - mu @ excess))
+    assert point.capacity <= bound + mu @ np.maximum(excess @ p, 0.0) + 1e-12
     assert bound - point.capacity <= 1e-6 or point.convergence_warning is not None
     if model.input_size <= 3:
         grid = solver._simplex_grid(model.input_size, 1e-4 if model.input_size == 2 else 1e-2)
         grid = grid[np.all(grid @ rows.T <= budgets + 1e-12, axis=1)]
         if grid.size:
             assert point.capacity >= float(np.max(cd.batch_mutual_information(model, grid))) - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(case=budgeted_channels())
+def test_several_budgets_solve_below_their_own_dual_bound(case):
+    # The bound the solver returns is max_x [score(x) - lam . (A_x - b)] at
+    # the linear program's multipliers lam, an upper bound for any lam >= 0,
+    # so it holds to rounding however loosely HiGHS solves the program.
+    model, rows, budgets = case
+    assume(solver._matrix_game(rows - budgets[:, None])[0] <= 1e-12)
+    rows, budgets = solver._check_budgets(rows, budgets)
+    _, value, bound, _, _ = solver._solve_budget(solver._Objective([(1.0, model)]), rows, budgets)
+    assert bound >= value - 1e-14
 
 
 _maybe_zero = st.one_of(st.just(0.0), _weights)

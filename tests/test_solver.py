@@ -142,31 +142,38 @@ def _library_channel_0():
     return cd.validate_channel(transition, prior, 1.0 - np.eye(ns))
 
 
-def _count_scores(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
     calls = [0]
-    scores = solver._Objective.scores
+    target = getattr(owner, name)
 
-    def counting_scores(self, p):
+    def counting(*args):
         calls[0] += 1
-        return scores(self, p)
+        return target(*args)
 
-    monkeypatch.setattr(solver._Objective, "scores", counting_scores)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def _count_scores(monkeypatch):
+    return _count_calls(monkeypatch, solver._Objective, "scores")
 
 
 def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypatch):
     # 90 % of [d_min, d_max], with d_max the cost after 100 plain capacity
-    # iterations from the uniform law (the perfbench points workload's
-    # budget rule).  The optimum has 5 support letters and 4 outputs, so
-    # I(p) is flat along a null direction and multiplicative ascents at
-    # fixed multipliers crawl to their iteration cap: a multiplier bisection
-    # needed 416,012 evaluations and left a warning.  Pairwise Frank-Wolfe
-    # on the budget polytope certifies it in about 160.
+    # iterations p(x) <- p(x) exp D(P(.|x) || P(.)) from the uniform law
+    # (the perfbench points workload's budget rule).  The optimum has 5
+    # support letters and 4 outputs, so I(p) is flat along a null direction
+    # and multiplicative ascents at fixed multipliers crawl to their
+    # iteration cap: a multiplier bisection needed 416,012 evaluations and
+    # left a warning.  Pairwise Frank-Wolfe on the budget polytope certifies
+    # it in about 160.
     model = _library_channel_0()
     cost = cd.optimal_estimator(model).cost_vector
+    pyx = model.output_given_input
     p = np.full(model.input_size, 1.0 / model.input_size)
     for _ in range(100):
-        p = cd.lagrangian_ba_step(model, p, 0.0).probs
+        p = p * np.exp((pyx * np.log(pyx / (p @ pyx))).sum(axis=1))
+        p /= p.sum()
     budget = cost.min() + 0.9 * (p @ cost - cost.min())
     calls = _count_scores(monkeypatch)
     point = cd.capacity_distortion_point(model, budget)
@@ -312,22 +319,25 @@ BLOCK_TIE_R = 0.41935
 
 
 def test_tied_letters_do_not_zig_zag_along_a_block_curve(monkeypatch):
-    # The K = 3 block channel's 7 nonzero inputs tie, so each binding
-    # optimum lies inside the hull of several Frank-Wolfe atoms.  Pairwise
-    # steps alone balanced them two at a time (12,567 evaluations for the
-    # curve); a Newton step on the atom weights after each needs about 2,200.
+    # The K = 2 block channel's 3 nonzero inputs cost nothing and tie, so
+    # each binding optimum lies inside the hull of several Frank-Wolfe
+    # atoms (d_max = 0.0472, far above FACE_TOL).  Pairwise steps alone
+    # balance them two at a time (about 68,400 evaluations for the curve); a
+    # Newton step on the atom weights after each needs about 2,700.
     import warnings
 
-    model = cd.block_multiplicative_model(BLOCK_TIE_R, 3)
+    model = cd.block_multiplicative_model(BLOCK_TIE_R, 2)
     calls = _count_scores(monkeypatch)
+    newton_steps = _count_calls(monkeypatch, solver, "_newton_step")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         curve = cd.cd_curve(model, 20)
     assert calls[0] < 5_000
+    assert newton_steps[0] >= 1
     for point in curve.points:
         assert point.convergence_warning is None
-        expected, _ = cd.block_cd_closed_form(BLOCK_TIE_R, 3, point.distortion_budget)
-        assert abs(point.capacity - 3 * expected) <= 1e-9
+        expected, _ = cd.block_cd_closed_form(BLOCK_TIE_R, 2, point.distortion_budget)
+        assert abs(point.capacity - 2 * expected) <= 1e-9
 
 
 def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch):
@@ -349,26 +359,21 @@ def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch):
 
 def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
     # The same tied block channel, with the d* row given twice, so every
-    # Frank-Wolfe step is a linear program.  Pairwise steps alone needed 52
+    # Frank-Wolfe step is a linear program.  Pairwise steps alone need 345
     # of them; with the Newton step, 9.
-    model = cd.block_multiplicative_model(BLOCK_TIE_R, 3)
+    model = cd.block_multiplicative_model(BLOCK_TIE_R, 2)
     cost = cd.optimal_estimator(model).cost_vector
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.5 * (d_max - d_min)
-    calls = [0]
-    lp_vertex = solver._lp_vertex
-
-    def counting_lp_vertex(*args):
-        calls[0] += 1
-        return lp_vertex(*args)
-
-    monkeypatch.setattr(solver, "_lp_vertex", counting_lp_vertex)
+    calls = _count_calls(monkeypatch, solver, "_lp_vertex")
+    newton_steps = _count_calls(monkeypatch, solver, "_newton_step")
     point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)] * 2)
     assert calls[0] < 20
+    assert newton_steps[0] >= 1
     assert point.convergence_warning is None
     assert point.constraint_active
-    expected, _ = cd.block_cd_closed_form(BLOCK_TIE_R, 3, budget)
-    assert abs(point.capacity - 3 * expected) <= 1e-9
+    expected, _ = cd.block_cd_closed_form(BLOCK_TIE_R, 2, budget)
+    assert abs(point.capacity - 2 * expected) <= 1e-9
     assert point.optimizer.probs @ cost <= budget + 1e-12
 
 
@@ -378,14 +383,6 @@ def test_feasible_range_scalar():
     # d_max reads the cost at an argmax, so its precision is the square root
     # of the value tolerance, not the value tolerance itself.
     assert abs(d_max - R04_DMAX) < 5e-6
-
-
-def test_lagrangian_step_does_not_decrease_objective():
-    model = cd.scalar_multiplicative_model(0.4)
-    px = cd.InputDistribution(np.array([0.5, 0.5]))
-    before = cd.mutual_information(model, px)
-    stepped = cd.lagrangian_ba_step(model, px, lam=0.0)
-    assert cd.mutual_information(model, stepped) >= before - 1e-12
 
 
 # ---------------------------------------------------------------------------
