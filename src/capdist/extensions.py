@@ -71,39 +71,27 @@ class CpudResult:
     condition: str | None = None
 
 
-def _zero_cost_letters(cost_vector: FloatArray) -> np.ndarray:
-    return np.flatnonzero(cost_vector <= FACE_TOL)
+def _ratio_route(model: ChannelModel, cost_vector: FloatArray, method: str) -> CpudResult | FloatArray | None:
+    """What the free letters (cost at most ``FACE_TOL``) decide.
 
-
-def _divergence_rows(pyx: FloatArray, reference: FloatArray) -> FloatArray:
-    """D(P(.|x) || reference) per row, +inf where not absolutely continuous."""
-    out = np.empty(pyx.shape[0])
-    for x in range(pyx.shape[0]):
-        row = pyx[x]
-        support = row > 0
-        if np.any(support & (reference <= 0)):
-            out[x] = np.inf
-            continue
-        out[x] = float(np.sum(row[support] * (np.log(row[support]) - np.log(reference[support]))))
-    return out
-
-
-def _infinite_case(model: ChannelModel, cost_vector: FloatArray, method: str) -> CpudResult | None:
-    """The infinite result of either route, or None when the value is finite.
-
-    The value is infinite with two or more free letters (communicate over
-    them at vanishing cost), and with exactly one, x0, when some
-    D(P(.|x) || P(.|x0)) diverges; the witness names the trigger.
+    None without a free letter.  The infinite result with two or more
+    (communicate over them at vanishing cost), or with exactly one, x0, when
+    some P(.|x) is not absolutely continuous with respect to P(.|x0); the
+    witness names the trigger.  Otherwise the row D(P(.|x) || P(.|x0)): the
+    row terms cached on the model minus P(.|x) @ log P(.|x0) on the support
+    of x0.
     """
-    free = _zero_cost_letters(cost_vector)
+    free = np.flatnonzero(cost_vector <= FACE_TOL)
+    if free.size == 0:
+        return None
     if free.size >= 2:
         return CpudResult(math.inf, tuple(int(i) for i in free), method, "multiple zero-cost letters")
-    if free.size == 1:
-        pyx = model.output_given_input
-        divergent = np.isinf(_divergence_rows(pyx, pyx[free[0]]))
-        if np.any(divergent):
-            return CpudResult(math.inf, int(np.argmax(divergent)), method, "divergent likelihood ratio")
-    return None
+    pyx = model.output_given_input
+    support = pyx[free[0]] > 0
+    divergent = np.any(pyx[:, ~support] > 0, axis=1)
+    if np.any(divergent):
+        return CpudResult(math.inf, int(np.argmax(divergent)), method, "divergent likelihood ratio")
+    return model._row_terms - pyx[:, support] @ np.log(pyx[free[0], support])
 
 
 def cpud_ratio_formula(model: ChannelModel) -> CpudResult:
@@ -118,19 +106,16 @@ def cpud_ratio_formula(model: ChannelModel) -> CpudResult:
     infinite if some numerator diverges, and 0 with no other letter.
     """
     cost_vector = optimal_estimator(model).cost_vector
-    free = _zero_cost_letters(cost_vector)
-    if free.size == 0:
+    route = _ratio_route(model, cost_vector, "ratio-formula")
+    if route is None:
         raise NoZeroCostLetter(
             "no input letter has zero estimation cost; use the sup-definition route"
         )
-    infinite = _infinite_case(model, cost_vector, "ratio-formula")
-    if infinite is not None:
-        return infinite
-    x0 = int(free[0])
-    pyx = model.output_given_input
-    others = np.arange(model.input_size) != x0
+    if isinstance(route, CpudResult):
+        return route
+    others = cost_vector > FACE_TOL
     ratios = np.zeros(model.input_size)
-    ratios[others] = _divergence_rows(pyx, pyx[x0])[others] / cost_vector[others]
+    ratios[others] = route[others] / cost_vector[others]
     best = int(np.argmax(ratios))
     return CpudResult(float(ratios[best]), best, "ratio-formula")
 
@@ -145,9 +130,9 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     safeguard) and the best point is refined by golden-section search.
     """
     cost_vector = optimal_estimator(model).cost_vector
-    infinite = _infinite_case(model, cost_vector, "sup-definition")
-    if infinite is not None:
-        return infinite
+    route = _ratio_route(model, cost_vector, "sup-definition")
+    if isinstance(route, CpudResult):
+        return route
     d_min = float(np.min(cost_vector))
     d_max_letter = float(np.max(cost_vector))
     if model.input_size == 1:

@@ -224,12 +224,10 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     the certificate max_x score(x) - value is at most ``CERT_TOL``, or once
     the value increment drops to ``BA_TOL`` with a certificate of at most
     ``STALL_CERT``.  Any other stall, and the end of min(``BA_PREFIX``,
-    ``BA_MAX_ITER``) updates, hand the law to ``_frank_wolfe`` on the
-    simplex, started from the letters with mass above ``MASS_FLOOR``: the
-    update converges geometrically, by a ratio near 1 where the optimum sits
-    near a face, while the finisher converges linearly on the simplex.  An
-    update that lowers the value by more than 1e-12, or a finisher that ends
-    below the value it started from, raises ``SolverNonmonotone``.
+    ``BA_MAX_ITER``) updates, hand the law to ``_finish``: the update
+    converges geometrically, by a ratio near 1 where the optimum sits near a
+    face, while the finisher converges linearly on the simplex.  An update
+    that lowers the value by more than 1e-12 raises ``SolverNonmonotone``.
 
     Returns (maximizer, certified optimality gap, hit_iteration_cap, value,
     score), the last two being p . score and score = scores(p) at the
@@ -286,17 +284,28 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
                 if float(q @ objective.scores(q)) > value:
                     log_p = np.log(np.maximum(q, 1e-300))
                     hist.clear()
+    q, gap, q_value, q_score = _finish(objective, p, score)
+    return q, gap, it == BA_MAX_ITER, q_value, q_score
+
+
+def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[FloatArray, float, float, FloatArray]:
+    """Hand the uncertified law p, with scores ``score``, to ``_frank_wolfe``
+    on the simplex, started from its letters with mass above ``MASS_FLOOR``.
+    A finisher that ends below p . score raises ``SolverNonmonotone``.
+    Returns (law, certified gap, value, scores at the law).
+    """
     # A multiplicative update cannot grow a tiny coordinate whose score
     # advantage is itself tiny (the per-step log gain equals the
     # certificate); Frank-Wolfe moves weight to the best letter directly.
+    value = float(p @ score)
     held = np.flatnonzero(p > MASS_FLOOR)
-    atoms = (held[:, None] == np.arange(n)).astype(np.float64)
+    atoms = (held[:, None] == np.arange(p.size)).astype(np.float64)
     q, q_value, bound, q_score = _frank_wolfe(
-        objective, np.zeros((0, n)), np.zeros(0), score, atoms, p[held] / p[held].sum()
+        objective, np.zeros((0, p.size)), np.zeros(0), score, atoms, p[held] / p[held].sum()
     )
     if q_value < value - 1e-12:
         raise SolverNonmonotone(f"finisher returned below its start: {value!r} -> {q_value!r}")
-    return q, bound - q_value, it == BA_MAX_ITER, q_value, q_score
+    return q, bound - q_value, q_value, q_score
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +316,14 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
 def feasible_range(model: ChannelModel) -> tuple[float, float]:
     """(d_min, d_max): the smallest achievable cost and the cost at the
     unconstrained capacity achiever.  Budgets >= d_max leave the constraint
-    slack; budgets below d_min are infeasible."""
+    slack; budgets below d_min are infeasible.  The achiever is certified to
+    ``CERT_TOL``: a stalled ascent's law, accepted up to ``STALL_CERT``, can
+    keep mass of order its certificate on letters the optimum leaves empty."""
     policy = optimal_estimator(model)
     objective = _Objective([(1.0, model)])
-    p = _ascend(objective)[0]
+    p, cert, _, _, score = _ascend(objective)
+    if cert > CERT_TOL:
+        p = _finish(objective, p, score)[0]
     d_min = float(np.min(policy.cost_vector))
     d_max = float(p @ policy.cost_vector)
     return d_min, max(d_min, d_max)
@@ -352,30 +365,43 @@ def _budget_vertex(
     return x, y, alpha, float((score[y] - score[x]) / (cost[y] - cost[x]))
 
 
+def _simplex_lp(objective: FloatArray, rows: FloatArray, n_free: int = 0) -> tuple[FloatArray, FloatArray]:
+    """Minimize objective @ z subject to rows @ z <= 0, by the HiGHS dual
+    simplex, where z is a law on the simplex followed by ``n_free`` free
+    entries.  Returns (z, multipliers): z with its law clipped at 0, and the
+    rows' duals, clipped at 0.  A failed solve raises
+    ``InfeasibleConstraints`` with HiGHS's message.
+    """
+    from scipy.optimize import linprog
+
+    n = objective.size - n_free
+    a_eq = np.zeros((1, objective.size))
+    a_eq[0, :n] = 1.0
+    res = linprog(
+        objective,
+        A_ub=rows,
+        b_ub=np.zeros(rows.shape[0]),
+        A_eq=a_eq,
+        b_eq=[1.0],
+        bounds=[(0, None)] * n + [(None, None)] * n_free,
+        method="highs-ds",
+    )
+    if not res.success:
+        raise InfeasibleConstraints(f"linear program failed to solve: {res.message}")
+    np.maximum(res.x[:n], 0.0, out=res.x[:n])
+    return res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+
+
 def _lp_vertex(excess: FloatArray, score: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Best vertex of {p in simplex : excess @ p <= 0} for the linear
-    objective score.p, by the HiGHS dual simplex.
+    objective score.p.
 
     ``excess`` is cost_rows - budgets[:, None]: on the simplex the budgets
     read excess @ p <= 0.  HiGHS drops matrix entries below 1e-9, so a small
     cost would be priced at zero, while an excess is either zero or a cost
     difference.  Returns (vertex, multipliers): the rows' duals, clipped at 0.
     """
-    from scipy.optimize import linprog
-
-    n = score.size
-    res = linprog(
-        -score,
-        A_ub=excess,
-        b_ub=np.zeros(excess.shape[0]),
-        A_eq=np.ones((1, n)),
-        b_eq=[1.0],
-        bounds=(0, None),
-        method="highs-ds",
-    )
-    if not res.success:
-        raise InfeasibleConstraints("linear step over the budget polytope failed to solve")
-    return np.maximum(res.x, 0.0), np.maximum(-res.ineqlin.marginals, 0.0)
+    return _simplex_lp(-score, excess)
 
 
 def _newton_step(
@@ -663,31 +689,15 @@ def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
 
     The column player picks a law q to minimize max_j (payoff @ q)_j and the
     row player a law a to maximize min_i (a @ payoff)_i; both reach the
-    value.  Solved as min t s.t. payoff @ q <= t over the simplex by the
-    HiGHS dual simplex, whose constraint duals are the row law.  Returns
-    (value, column law, row law).
+    value.  Solved as min t s.t. payoff @ q <= t over the simplex, whose
+    constraint duals are the row law.  Returns (value, column law, row law).
     """
-    from scipy.optimize import linprog
-
     n_rows, n_cols = payoff.shape
     c = np.zeros(n_cols + 1)
     c[-1] = 1.0
-    a_eq = np.ones((1, n_cols + 1))
-    a_eq[0, -1] = 0.0
-    res = linprog(
-        c,
-        A_ub=np.hstack([payoff, -np.ones((n_rows, 1))]),
-        b_ub=np.zeros(n_rows),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n_cols + [(None, None)],
-        method="highs-ds",
-    )
-    if not res.success:
-        raise InfeasibleConstraints("matrix game failed to solve")
-    column = np.maximum(res.x[:-1], 0.0)
-    row = np.maximum(-res.ineqlin.marginals, 0.0)
-    return float(res.x[-1]), column / column.sum(), row / row.sum()
+    z, row = _simplex_lp(c, np.hstack([payoff, -np.ones((n_rows, 1))]), n_free=1)
+    column = z[:-1]
+    return float(z[-1]), column / column.sum(), row / row.sum()
 
 
 def multi_constraint_point(model: ChannelModel, constraints: Sequence[CostConstraint]) -> CDPoint:

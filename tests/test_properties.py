@@ -1,4 +1,5 @@
-"""Property tests of the solver and the sampler on random channels (Hypothesis).
+"""Property tests of the solver, its linear programs, the rate per unit cost and the
+sampler on random channels (Hypothesis).
 
 Examples are derandomized, so every run checks the same channels and a
 failure reproduces; the database is off, so a run writes no files.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import capdist as cd
 from capdist import solver
@@ -301,6 +303,38 @@ def test_several_budgets_solve_below_their_own_dual_bound(case):
     assert bound >= value - 1e-14
 
 
+@PROPERTY_SETTINGS
+@given(payoff=st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))))
+def test_matrix_game_value_is_reached_by_both_players(payoff):
+    # HiGHS stops at feasibility tolerances of 1e-7, so a near tie closer
+    # than that can miss 1e-9 here and in the next test (ROADMAP item 2).
+    value, column, row = solver._matrix_game(payoff)
+    assert np.all(column >= 0.0) and abs(column.sum() - 1.0) <= 1e-12
+    assert np.all(row >= 0.0) and abs(row.sum() - 1.0) <= 1e-12
+    assert abs(float(np.max(payoff @ column)) - value) <= 1e-9
+    assert abs(float(np.min(row @ payoff)) - value) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(case=st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(lambda shape: st.tuples(
+    arrays(np.float64, shape, elements=st.floats(0.0, 1.0)),
+    arrays(np.float64, shape[:1], elements=st.floats(0.0, 0.5)),
+    arrays(np.float64, shape[1:], elements=st.floats(0.0, 5.0)),
+    st.integers(0, shape[1] - 1))))
+def test_lp_vertex_multipliers_close_the_duality_gap(case):
+    # Each budget is letter x's cost plus a slack, so x meets them all.  At
+    # the program's multipliers lam the Lagrangian bound
+    # max_x [score(x) - lam . excess_x] equals the vertex's score.
+    costs, slack, score, x = case
+    excess = costs - (costs[:, x] + slack)[:, None]
+    v, lam = solver._lp_vertex(excess, score)
+    assert np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-12
+    assert np.all(excess @ v <= 1e-9)
+    assert np.all(lam >= 0.0)
+    assert abs(float(np.max(score - lam @ excess)) - float(score @ v)) <= 1e-9
+
+
 _maybe_zero = st.one_of(st.just(0.0), _weights)
 
 
@@ -339,3 +373,44 @@ def test_simulate_is_reproducible_and_stays_on_the_support(case, n, seed):
     # absorbs the rounding of that mean.
     d = model.distortion
     assert d.min() - 1e-12 <= report.empirical_distortion <= d.max() * (1 + 1e-12)
+
+
+@st.composite
+def free_letter_channels(draw):
+    """A channel with |X| 2-6, |S| 2-3, |Y| |S|-5, some transition entries
+    zeroed and Hamming distortion, whose letter 0 reveals the state and so
+    costs nothing: output y < |S| is owned by state y and each later output
+    by one state or none, and letter 0 emits only outputs of its state."""
+    nx = draw(st.integers(2, 6))
+    ns = draw(st.integers(2, 3))
+    ny = draw(st.integers(ns, 5))
+    transition = np.array(draw(st.lists(_maybe_zero, min_size=nx * ns * ny, max_size=nx * ns * ny)))
+    transition = transition.reshape(nx, ns, ny)
+    owner = np.r_[np.arange(ns), draw(st.lists(st.integers(0, ns), min_size=ny - ns, max_size=ny - ns))]
+    transition[0] = np.where(owner == np.arange(ns)[:, None], transition[0] + 0.01, 0.0)
+    transition[..., 0] += transition.sum(axis=2) == 0  # every row keeps some mass
+    transition /= transition.sum(axis=2, keepdims=True)
+    prior = np.array(draw(st.lists(_weights, min_size=ns, max_size=ns)))
+    return cd.validate_channel(transition, prior / prior.sum(), 1.0 - np.eye(ns))
+
+
+@PROPERTY_SETTINGS
+@given(model=free_letter_channels())
+def test_ratio_formula_matches_the_divergences_against_the_free_letter(model):
+    cost = cd.optimal_estimator(model).cost_vector
+    free = np.flatnonzero(cost <= solver.FACE_TOL)
+    assume(free.size == 1)
+    pyx = model.output_given_input
+    divergence = _kl_rows(pyx, pyx[free[0]])
+    result = cd.cpud_ratio_formula(model)
+    if np.any(np.isinf(divergence)):
+        witness = int(np.argmax(np.isinf(divergence)))
+        for route in (result, cd.cpud_sup_definition(model)):
+            assert np.isinf(route.value)
+            assert route.condition == "divergent likelihood ratio"
+            assert route.witness == witness
+    else:
+        others = np.arange(model.input_size) != free[0]
+        expected = float(np.max(divergence[others] / cost[others]))
+        assert result.condition is None
+        assert abs(result.value - expected) <= 1e-12 * max(1.0, expected)

@@ -340,12 +340,16 @@ def test_tied_letters_do_not_zig_zag_along_a_block_curve(monkeypatch):
         assert abs(point.capacity - 2 * expected) <= 1e-9
 
 
-def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch):
-    # At r = 0.3 the K = 3 block curve is flat and d_max is about 1e-110, so
-    # every budget lies within FACE_TOL of d_min = 0 and counts as on the
-    # cheapest face.  Running Frank-Wolfe inside that band took 2,125
-    # evaluations for the same capacities; the face solves take 38.
-    model = cd.block_multiplicative_model(0.3, 3)
+@pytest.mark.parametrize("r, k", [(0.3, 3), (0.25, 5)])
+def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch, r, k):
+    # These block curves are flat: at r = 0.3 the K = 3 curve's d_max is
+    # about 1e-110, so every budget lies within FACE_TOL of d_min = 0 and
+    # counts as on the cheapest face.  Running Frank-Wolfe inside that band
+    # took 2,125 evaluations for the same capacities; the face solves take
+    # 38.  At r = 0.25 the K = 5 ascent stalls with about 1e-10 of mass on
+    # the all-zeros letter, and an achiever left uncertified read d_max =
+    # 5.2e-11 and solved 18 binding points in 8,245 evaluations.
+    model = cd.block_multiplicative_model(r, k)
     calls = _count_scores(monkeypatch)
     curve = cd.cd_curve(model, 20)
     assert curve.d_max - curve.d_min <= solver.FACE_TOL
@@ -353,8 +357,8 @@ def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch):
     for point in curve.points:
         assert point.constraint_active
         assert point.convergence_warning is None
-        expected, _ = cd.block_cd_closed_form(0.3, 3, point.distortion_budget)
-        assert abs(point.capacity - 3 * expected) <= 1e-12
+        expected, _ = cd.block_cd_closed_form(r, k, point.distortion_budget)
+        assert abs(point.capacity - k * expected) <= 1e-12
 
 
 def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
