@@ -146,6 +146,9 @@ def test_optimal_estimator_matches_einsum_reference():
     models += [cd.additive_mod2_model(0.3), cd.block_multiplicative_model(0.5, 3)]
     models += [_random_channel(rng, *rng.integers(1, 6, size=3)) for _ in range(40)]
     models += [_tied_channel(rng) for _ in range(40)]
+    # Rows spanning several row blocks, and rows longer than a block (one
+    # row per block).
+    models += [_random_channel(rng, 300, 2, 1_000), _random_channel(rng, 3, 2, 2**17 + 3)]
     ties = 0
     for model in models:
         policy = cd.optimal_estimator(model)

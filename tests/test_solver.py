@@ -86,6 +86,18 @@ def test_point_matches_closed_form_across_budgets():
             assert abs(point.optimizer.probs[1] - p1) < 1e-5, (r, budget)
 
 
+def test_block_point_at_k11_matches_closed_form():
+    # The benchmark's largest block channel: 2,048 letters, solved on the
+    # support of P(y|x); b = 0 confines the law to the nonzero blocks.
+    for r in (0.2, 0.45):
+        model = cd.block_multiplicative_model(r, 11)
+        for budget in (0.0, r / 3, 2 * r / 3):
+            expected, _ = cd.block_cd_closed_form(r, 11, budget)
+            point = cd.capacity_distortion_point(model, budget)
+            assert abs(point.capacity / 11 - expected) < 1e-6, (r, budget)
+            assert point.convergence_warning is None
+
+
 def test_point_is_deterministic():
     model = cd.scalar_multiplicative_model(0.3)
     a = cd.capacity_distortion_point(model, 0.07)
@@ -561,3 +573,103 @@ def test_batch_mutual_information_agrees_with_scalar_version():
     values = cd.batch_mutual_information(model, batch)
     for row, value in zip(batch, values):
         assert abs(value - cd.mutual_information(model, row)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sparse P(y|x): the support path against the dense path
+# ---------------------------------------------------------------------------
+
+
+def _sparse_channel(rng, nx, ns, ny):
+    """Letter x reaches only its own max(1, ny // 4) outputs under every
+    state, so at least 3/4 of P(y|x) is zero and every row keeps a nonzero."""
+    transition = np.zeros((nx, ns, ny))
+    for x in range(nx):
+        cols = rng.choice(ny, size=max(1, ny // 4), replace=False)
+        transition[x][:, cols] = rng.random((ns, cols.size)) + 1e-3
+    transition /= transition.sum(axis=2, keepdims=True)
+    prior = rng.random(ns) + 1e-3
+    return cd.validate_channel(transition, prior / prior.sum(), rng.random((ns, ns)))
+
+
+def _sparse_and_dense(monkeypatch, model):
+    """The model twice, as fresh instances: one forced onto its support, one
+    forced onto the dense path, whatever ``SUPPORT_DENSITY`` picks for it."""
+    copies = []
+    for density in (1.0, 0.0):
+        with monkeypatch.context() as patch:
+            patch.setattr(cd.channel, "SUPPORT_DENSITY", density)
+            copy = cd.channel.ChannelModel(model.transition, model.state_prior, model.distortion)
+            copies.append(copy)
+            assert (copy._support is None) == (density == 0.0)
+    return copies
+
+
+def _close(a, b):
+    """Within 1e-13 relative to b's largest magnitude, or to 1 nat where
+    that is smaller: a one-letter restriction scores 0 to rounding."""
+    return np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+
+
+def _support_cases():
+    rng = np.random.default_rng(1919)
+    models = [_sparse_channel(rng, int(rng.integers(2, 13)), int(rng.integers(1, 4)), int(rng.integers(4, 17)))
+              for _ in range(20)]
+    models += [cd.block_multiplicative_model(r, k) for r, k in ((0.3, 3), (0.45, 4), (0.2, 5), (0.3, 6), (0.1, 7), (0.4, 8))]
+    return rng, models
+
+
+def test_support_path_matches_dense_path(monkeypatch):
+    rng, models = _support_cases()
+    for model in models:
+        sparse, dense = _sparse_and_dense(monkeypatch, model)
+        fast, slow = solver._Objective([(1.0, sparse)]), solver._Objective([(1.0, dense)])
+        n = model.input_size
+        for _ in range(3):
+            p = rng.dirichlet(np.full(n, 0.5))
+            assert _close(fast.scores(p), slow.scores(p))
+            k = int(rng.integers(1, min(n, 6) + 1))
+            atoms = rng.dirichlet(np.full(n, 0.3), size=k)
+            atoms[0] = np.eye(1, n, int(rng.integers(n)))[0]  # a one-letter atom
+            weights = rng.dirichlet(np.ones(k))
+            assert _close(fast.curvature(atoms, weights), slow.curvature(atoms, weights))
+            keep = rng.random(n) < 0.6
+            keep[int(rng.integers(n))] = True
+            q = rng.dirichlet(np.ones(int(keep.sum())))
+            assert _close(fast.restrict(keep).scores(q), slow.restrict(keep).scores(q))
+
+
+def test_support_path_matches_dense_path_under_several_budgets(monkeypatch):
+    rng, models = _support_cases()
+    for model in models[::3]:
+        sparse, dense = _sparse_and_dense(monkeypatch, model)
+        cost = cd.optimal_estimator(model).cost_vector
+        energy = rng.random(model.input_size)
+        constraints = [
+            cd.CostConstraint(cost, float(cost.min() + 0.5 * (cost.max() - cost.min()))),
+            cd.CostConstraint(energy, float(np.median(energy))),
+        ]
+        fast = cd.multi_constraint_point(sparse, constraints)
+        slow = cd.multi_constraint_point(dense, constraints)
+        assert abs(fast.capacity - slow.capacity) <= 1e-13 * slow.capacity
+        assert fast.constraint_active == slow.constraint_active
+        assert fast.convergence_warning is None and slow.convergence_warning is None
+
+
+def test_dirichlet_random_channel_has_no_support():
+    # Dirichlet rows have no zeros, so the random channels of the benchmark's
+    # points and outer workloads, like the scalar and mod-2 ones and the
+    # small blocks, stay on the dense path; from K = 7 on a block channel
+    # has at most 1/64 of P(y|x) nonzero and is scored on its support.
+    rng = np.random.default_rng(5)
+    transition = rng.dirichlet(np.ones(5), size=(6, 3))
+    model = cd.validate_channel(transition, rng.dirichlet(np.ones(3)), 1.0 - np.eye(3))
+    assert model._support is None
+    for dense in (model, cd.scalar_multiplicative_model(0.3), cd.additive_mod2_model(0.3),
+                  cd.block_multiplicative_model(0.3, 6)):
+        assert solver._Objective([(1.0, dense)]).parts[0][3] is None
+    block = cd.block_multiplicative_model(0.3, 7)
+    rows, cols, values = solver._Objective([(1.0, block)]).parts[0][3]
+    pyx = block.output_given_input
+    assert rows.size == 2**8 - 1 and np.array_equal(values, pyx[pyx > 0])
+    assert np.array_equal(pyx[rows, cols], values)
