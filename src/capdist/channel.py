@@ -35,8 +35,10 @@ PROB_TOL = 1e-9
 DENSE_ENTRY_CAP = 2**25
 
 # A channel whose P(y | x) has at most this share of nonzero entries keeps
-# them as a support (``ChannelModel._support``), on which the solver's
-# scores cost O(nonzeros) instead of O(|X| |Y|).  A score on the support
+# them as a support (``ChannelModel._support``), found from the nonzeros of
+# the transition.  Its estimator, row terms and the solver's scores are then
+# derived at O(nonzeros), and the dense P(y | x) is computed only for a
+# caller that reads it.  A score on the support
 # costs about 11 ns per nonzero plus 9 us; a dense one about 0.5 ns per entry
 # plus 5 us (one core of a 2-vCPU x86-64 VM), so at a share of 1/4 the
 # support was 4-6 times slower, and the share pays from about 1/20 on large
@@ -95,7 +97,9 @@ class ChannelModel:
 
     @cached_property
     def output_given_input(self) -> FloatArray:
-        """P(y | x) with the state averaged out, shape (|X|, |Y|)."""
+        """P(y | x) with the state averaged out, shape (|X|, |Y|), computed on
+        first read.  A channel with a support (``_support``) derives its
+        estimator, row terms and scores without it."""
         pyx = np.einsum("xsy,s->xy", self.transition, self.state_prior)
         pyx.setflags(write=False)
         return pyx
@@ -103,16 +107,22 @@ class ChannelModel:
     @cached_property
     def _row_terms(self) -> FloatArray:
         """Per-row sum_y P(y|x) log P(y|x), with 0 log 0 = 0, computed on
-        first use.  The log is taken at the positive entries only, so a
-        sparse P(y|x) costs one log per nonzero; the sums run over whole
-        rows, zeros included, as ``scipy.special.xlogy`` rows would."""
-        pyx = self.output_given_input
-        # One float temporary, logged in place; the rest stay 0 and weigh in
-        # as 0 * 0.
-        terms = np.zeros_like(pyx)
-        np.log(pyx, out=terms, where=pyx > 0)
-        terms *= pyx
-        terms = terms.sum(axis=1)
+        first use.  On a support it is a bincount of v log v over the
+        nonzeros v.  Otherwise the log is taken at the positive entries of
+        the dense P(y|x) only, and the sums run over whole rows, zeros
+        included, as ``scipy.special.xlogy`` rows would."""
+        support = self._support
+        if support is not None:
+            rows, _, values = support
+            terms = np.bincount(rows, weights=values * np.log(values), minlength=self.input_size)
+        else:
+            pyx = self.output_given_input
+            # One float temporary, logged in place; the rest stay 0 and weigh
+            # in as 0 * 0.
+            terms = np.zeros_like(pyx)
+            np.log(pyx, out=terms, where=pyx > 0)
+            terms *= pyx
+            terms = terms.sum(axis=1)
         terms.setflags(write=False)
         return terms
 
@@ -120,38 +130,68 @@ class ChannelModel:
     def _support(self) -> tuple[NDArray[np.intp], NDArray[np.intp], FloatArray] | None:
         """(rows, cols, values) of the nonzero entries of P(y|x) in row-major
         order, or None when more than ``SUPPORT_DENSITY`` of them are
-        nonzero; computed on first use."""
-        pyx = self.output_given_input
+        nonzero; computed on first use from the transition, without
+        building P(y|x)."""
+        n_x, n_y = self.input_size, self.output_size
         # Every row sums to 1, so it has a nonzero: |X| is a lower bound on
         # the count, and it rules out small channels without a pass.
-        if pyx.shape[0] > SUPPORT_DENSITY * pyx.size:
+        if n_x > SUPPORT_DENSITY * n_x * n_y:
             return None
-        # A flat index search on a boolean mask: np.nonzero on the float
-        # matrix itself takes about 9 times as long.
-        mask = pyx > 0
-        if np.count_nonzero(mask) > SUPPORT_DENSITY * pyx.size:
+        # P(y|x) can be nonzero only where a state of positive prior has a
+        # nonzero transition.  A flat index search on a boolean mask: np.nonzero
+        # on a float matrix takes about 9 times as long.
+        mask = np.zeros((n_x, n_y), dtype=bool)
+        for s in np.flatnonzero(self.state_prior > 0):
+            mask |= self.transition[:, s, :] != 0
+        if np.count_nonzero(mask) > SUPPORT_DENSITY * mask.size:
             return None
-        rows, cols = np.divmod(np.flatnonzero(mask), pyx.shape[1])
-        support = (rows, cols, pyx[rows, cols])
+        rows, cols = np.divmod(np.flatnonzero(mask), n_y)
+        # The same state-major einsum as ``output_given_input``, so the values
+        # are its entries bit for bit.  A product that underflows leaves a
+        # zero, which is not on the support.
+        per_state = np.ascontiguousarray(self.transition[rows, :, cols].T)
+        values = np.einsum("sn,s->n", per_state, self.state_prior)
+        on = values > 0
+        support = (rows[on], cols[on], values[on])
         for arr in support:
             arr.setflags(write=False)
         return support
 
     @cached_property
     def _estimator(self) -> EstimatorPolicy:
-        """The policy ``optimal_estimator`` returns, computed on first use."""
-        # risk[x, y] for estimate t is sum_s P(y | x, s) P(s) d(s, t): the
-        # unnormalized posterior risk.  Using it directly folds the P(y | x)
-        # factor of the cost into the minimization, so zero-probability
-        # outputs never divide by zero.  The sum runs in s order.  Estimate
-        # 0's risk is written straight into the running best, and a later
-        # estimate takes a table entry only on a strict decrease, so ties go
-        # to the smallest state index.  The rows are taken a block at a time,
-        # so the temporaries hold about 2**15 entries (one row, if rows are
-        # longer) however large the channel is: four such buffers stay in a
-        # 2 MiB L2 cache, where blocks of 2**17 entries took 35 % longer.
+        """The policy ``optimal_estimator`` returns, computed on first use.
+
+        risk[x, y] for estimate t is sum_s P(y | x, s) P(s) d(s, t): the
+        unnormalized posterior risk.  Using it directly folds the P(y | x)
+        factor of the cost into the minimization, so zero-probability
+        outputs never divide by zero.  The sum runs in s order, and ties go
+        to the smallest state index.  On a support the risks are taken at
+        its nonzeros only, as an (nonzeros, |S|) array, the cost is their
+        bincount per row, and ``table`` and ``reachable`` are filled by
+        scatter into zeroed arrays; the risks are the dense path's bit for
+        bit, so both give the same table.
+        """
+        support = self._support  # found before the table is allocated
         n_x, n_y = self.input_size, self.output_size
         table = np.zeros((n_x, n_y), dtype=np.int64)
+        if support is not None:
+            rows, cols, _ = support
+            weighted = self.transition[rows, :, cols] * self.state_prior
+            risk = weighted[:, :1] * self.distortion[0]
+            for s in range(1, self.state_size):
+                risk += weighted[:, s : s + 1] * self.distortion[s]
+            # argmin takes the first minimum: the smallest state index.
+            table[rows, cols] = np.argmin(risk, axis=1)
+            cost = np.bincount(rows, weights=risk.min(axis=1), minlength=n_x)
+            reachable = np.zeros((n_x, n_y), dtype=bool)
+            reachable[rows, cols] = True
+            return EstimatorPolicy(table, cost, reachable)
+        # Estimate 0's risk is written straight into the running best, and a
+        # later estimate takes a table entry only on a strict decrease.  The
+        # rows are taken a block at a time, so the temporaries hold about
+        # 2**15 entries (one row, if rows are longer) however large the
+        # channel is: four such buffers stay in a 2 MiB L2 cache, where
+        # blocks of 2**17 entries took 35 % longer.
         cost = np.empty(n_x)
         step = max(1, (1 << 15) // n_y)
         for lo in range(0, n_x, step):

@@ -130,19 +130,24 @@ class _Objective:
     A support is (rows, cols, values) of the nonzeros of a sparse P_i(y|x)
     (``ChannelModel._support``), or None for a dense one.  On a support the
     scores and the curvature add up its nonzeros with ``np.bincount``, at
-    O(nonzeros) instead of O(|X| |Y|) per call; a dense P_i(y|x) goes
-    through matrix products.
+    O(nonzeros) instead of O(|X| |Y|) per call, and the part never reads the
+    dense P_i(y|x): its place holds a zero-stride array of that shape.  A
+    dense P_i(y|x) goes through matrix products.
     """
 
     def __init__(self, weighted_models: Sequence[tuple[float, ChannelModel]]):
-        self.parts = [(float(weight), model.output_given_input, model._row_terms, model._support)
-                      for weight, model in weighted_models if weight > 0.0]
+        self.parts = [
+            (float(weight), model.output_given_input if model._support is None
+             else np.broadcast_to(0.0, (model.input_size, model.output_size)), model._row_terms, model._support)
+            for weight, model in weighted_models if weight > 0.0
+        ]
         self.n_inputs = weighted_models[0][1].input_size
 
     @property
     def terms(self) -> list[tuple[float, FloatArray, FloatArray]]:
-        """(w_i, P_i(y|x), row terms) per part: the layout perfbench's
-        tracer unpacks to count the bytes a ``scores`` call reads."""
+        """(w_i, P_i(y|x) or its zero-stride stand-in, row terms) per part:
+        the layout perfbench's tracer unpacks to count the bytes a
+        ``scores`` call reads."""
         return [part[:3] for part in self.parts]
 
     def scores(self, p: FloatArray) -> FloatArray:
@@ -182,12 +187,15 @@ class _Objective:
 
     def restrict(self, keep: FloatArray) -> _Objective:
         """The objective on the letters where ``keep`` is true."""
+        n_kept = int(np.count_nonzero(keep))
         restricted = copy.copy(self)
+        # A slice of a zero-stride stand-in is one too: nothing is copied.
         restricted.parts = [
-            (weight, pyx[keep], row_self[keep], None if support is None else _restrict_support(support, keep))
+            (weight, pyx[keep], row_self[keep], None) if support is None
+            else (weight, pyx[:n_kept], row_self[keep], _restrict_support(support, keep))
             for weight, pyx, row_self, support in self.parts
         ]
-        restricted.n_inputs = int(np.count_nonzero(keep))
+        restricted.n_inputs = n_kept
         return restricted
 
 

@@ -592,9 +592,36 @@ def _sparse_channel(rng, nx, ns, ny):
     return cd.validate_channel(transition, prior / prior.sum(), rng.random((ns, ns)))
 
 
+def _zero_prior_channel(rng, nx, ns, ny):
+    """A sparse channel whose last state has prior 0 and sends every letter
+    to an output that no state of positive prior reaches from it: those
+    entries of the transition are nonzero, and P(y|x) is 0 there."""
+    transition = np.zeros((nx, ns, ny))
+    for x in range(nx):
+        cols = rng.choice(ny, size=max(2, ny // 4), replace=False)
+        transition[x, :-1, cols[1:]] = rng.random((cols.size - 1, ns - 1)) + 1e-3
+        transition[x, -1, cols[0]] = 1.0
+    transition /= transition.sum(axis=2, keepdims=True)
+    prior = np.append(rng.random(ns - 1) + 1e-3, 0.0)
+    return cd.validate_channel(transition, prior / prior.sum(), rng.random((ns, ns)))
+
+
+def _tied_sparse_channel(rng, nx, ns, ny):
+    """Transitions on a 0.25 grid, mostly zero, a prior of small integers and
+    integer distortions make equal posterior risks common."""
+    transition = rng.integers(0, 4, size=(nx, ns, ny)) * (rng.random((nx, ns, ny)) < 0.3)
+    transition[..., 0] += 1
+    prior = rng.integers(1, 4, size=ns).astype(float)
+    return cd.validate_channel(transition / transition.sum(axis=2, keepdims=True), prior / prior.sum(),
+                               rng.integers(0, 3, size=(ns, ns)).astype(float))
+
+
 def _sparse_and_dense(monkeypatch, model):
     """The model twice, as fresh instances: one forced onto its support, one
-    forced onto the dense path, whatever ``SUPPORT_DENSITY`` picks for it."""
+    forced onto the dense path, whatever ``SUPPORT_DENSITY`` picks for it.
+    The estimator and row terms derived on the support match the dense
+    ones: the table and reachable set exactly, the costs and terms to
+    rounding."""
     copies = []
     for density in (1.0, 0.0):
         with monkeypatch.context() as patch:
@@ -602,6 +629,13 @@ def _sparse_and_dense(monkeypatch, model):
             copy = cd.channel.ChannelModel(model.transition, model.state_prior, model.distortion)
             copies.append(copy)
             assert (copy._support is None) == (density == 0.0)
+    sparse, dense = copies
+    fast, slow = cd.optimal_estimator(sparse), cd.optimal_estimator(dense)
+    assert fast.table.dtype == np.int64
+    assert np.array_equal(fast.table, slow.table)
+    assert np.array_equal(fast.reachable, slow.reachable)
+    assert _close(fast.cost_vector, slow.cost_vector)
+    assert _close(sparse._row_terms, dense._row_terms)
     return copies
 
 
@@ -639,6 +673,27 @@ def test_support_path_matches_dense_path(monkeypatch):
             assert _close(fast.restrict(keep).scores(q), slow.restrict(keep).scores(q))
 
 
+def test_support_path_estimator_skips_zero_prior_states_and_breaks_ties_low(monkeypatch):
+    rng = np.random.default_rng(2020)
+    for _ in range(10):
+        nx, ns, ny = int(rng.integers(2, 9)), int(rng.integers(2, 4)), int(rng.integers(4, 13))
+        model = _zero_prior_channel(rng, nx, ns, ny)
+        sparse, _ = _sparse_and_dense(monkeypatch, model)
+        reached = np.any(model.transition > 0, axis=1)
+        # The dead state's outputs are in the transition, not in P(y|x).
+        assert np.count_nonzero(reached) - np.count_nonzero(sparse._estimator.reachable) == nx
+    ties = 0
+    for _ in range(40):
+        model = _tied_sparse_channel(rng, *(int(n) for n in rng.integers(2, 7, size=3)))
+        sparse, _ = _sparse_and_dense(monkeypatch, model)
+        risk = np.einsum("xsy,st->xyt", model.transition * model.state_prior[:, None], model.distortion)
+        tied = np.sum(risk == risk.min(axis=2, keepdims=True), axis=2) > 1
+        ties += int(np.count_nonzero(tied & sparse._estimator.reachable))
+        # Ties go to the smallest state index.
+        assert np.array_equal(sparse._estimator.table, np.argmin(risk, axis=2))
+    assert ties > 0
+
+
 def test_support_path_matches_dense_path_under_several_budgets(monkeypatch):
     rng, models = _support_cases()
     for model in models[::3]:
@@ -673,3 +728,43 @@ def test_dirichlet_random_channel_has_no_support():
     pyx = block.output_given_input
     assert rows.size == 2**8 - 1 and np.array_equal(values, pyx[pyx > 0])
     assert np.array_equal(pyx[rows, cols], values)
+
+
+def test_support_solve_never_builds_dense_output_given_input():
+    # On a fresh K = 10 block the first point finds the support from the
+    # transition and derives the estimator and row terms on it.  Its peak is
+    # the estimator's int64 table plus its reachable mask, 1.15 times
+    # P(y|x), against 3.25 times when P(y|x) was built to find the support.
+    import tracemalloc
+
+    model = cd.block_multiplicative_model(0.3, 10)
+    pyx_bytes = model.input_size * model.output_size * 8
+    tracemalloc.start()
+    try:
+        cd.capacity_distortion_point(model, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model._support is not None
+    assert "output_given_input" not in model.__dict__
+    assert peak <= 1.5 * pyx_bytes
+
+
+def test_d_min_point_on_a_support_copies_no_dense_rows():
+    # At d_min the objective is restricted to the cheapest letters; on a
+    # support that keeps the support's entries and a zero-stride stand-in,
+    # 0.02 times P(y|x), where copying P(y|x)'s kept rows took 1.02 times.
+    import tracemalloc
+
+    model = cd.block_multiplicative_model(0.3, 10)
+    cd.capacity_distortion_point(model, 0.1)  # warm: support, estimator, row terms
+    pyx_bytes = model.input_size * model.output_size * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        point = cd.capacity_distortion_point(model, 0.0)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert point.constraint_active and point.optimizer.probs[0] == 0.0
+    assert extra <= 0.1 * pyx_bytes
