@@ -159,63 +159,17 @@ class ChannelModel:
 
     @cached_property
     def _estimator(self) -> EstimatorPolicy:
-        """The policy ``optimal_estimator`` returns, computed on first use.
-
-        risk[x, y] for estimate t is sum_s P(y | x, s) P(s) d(s, t): the
-        unnormalized posterior risk.  Using it directly folds the P(y | x)
-        factor of the cost into the minimization, so zero-probability
-        outputs never divide by zero.  The sum runs in s order, and ties go
-        to the smallest state index.  On a support the risks are taken at
-        its nonzeros only, as an (nonzeros, |S|) array, the cost is their
-        bincount per row, and ``table`` and ``reachable`` are filled by
-        scatter into zeroed arrays; the risks are the dense path's bit for
-        bit, so both give the same table.
-        """
-        support = self._support  # found before the table is allocated
-        n_x, n_y = self.input_size, self.output_size
-        table = np.zeros((n_x, n_y), dtype=np.int64)
-        if support is not None:
-            rows, cols, _ = support
-            weighted = self.transition[rows, :, cols] * self.state_prior
-            risk = weighted[:, :1] * self.distortion[0]
-            for s in range(1, self.state_size):
-                risk += weighted[:, s : s + 1] * self.distortion[s]
-            # argmin takes the first minimum: the smallest state index.
-            table[rows, cols] = np.argmin(risk, axis=1)
-            cost = np.bincount(rows, weights=risk.min(axis=1), minlength=n_x)
-            reachable = np.zeros((n_x, n_y), dtype=bool)
-            reachable[rows, cols] = True
-            return EstimatorPolicy(table, cost, reachable)
-        # Estimate 0's risk is written straight into the running best, and a
-        # later estimate takes a table entry only on a strict decrease.  The
-        # rows are taken a block at a time, so the temporaries hold about
-        # 2**15 entries (one row, if rows are longer) however large the
-        # channel is: four such buffers stay in a 2 MiB L2 cache, where
-        # blocks of 2**17 entries took 35 % longer.
-        cost = np.empty(n_x)
-        step = max(1, (1 << 15) // n_y)
-        for lo in range(0, n_x, step):
-            rows = slice(lo, lo + step)
-            shape = table[rows].shape
-            term, risk, best = np.empty(shape), np.empty(shape), np.empty(shape)
-            better = np.empty(shape, dtype=bool)
-            for t in range(self.state_size):
-                out = best if t == 0 else risk
-                # 0 + a is a for a >= 0, so the first state's term starts
-                # the sum in place of a zero fill.
-                np.multiply(self.transition[rows, 0, :], self.state_prior[0], out=out)
-                out *= self.distortion[0, t]
-                for s in range(1, self.state_size):
-                    np.multiply(self.transition[rows, s, :], self.state_prior[s], out=term)
-                    term *= self.distortion[s, t]
-                    out += term
-                if t > 0:
-                    np.less(risk, best, out=better)
-                    np.copyto(table[rows], t, where=better)
-                    np.minimum(best, risk, out=best)
-            cost[rows] = best.sum(axis=1)
-        reachable = self.output_given_input > 0.0
-        return EstimatorPolicy(table, cost, reachable)
+        """The policy ``optimal_estimator`` returns, computed on first use:
+        only its cost vector, the least posterior risks (``_risk``) summed
+        over y, per row block or by a bincount per row on a support."""
+        channel = (self.transition, self.state_prior, self.distortion, self._support)
+        if channel[3] is None:
+            cost = np.concatenate([risk.min(axis=1).sum(axis=1) for _, risk in _risk_blocks(*channel)])
+        else:
+            [((rows, _), risk)] = _risk_blocks(*channel)
+            cost = np.bincount(rows, weights=risk.min(axis=1), minlength=self.input_size)
+        cost.setflags(write=False)
+        return EstimatorPolicy(cost, channel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,21 +195,59 @@ class InputDistribution:
 class EstimatorPolicy:
     """Optimal one-shot state estimator for a channel.
 
-    table       : array (|X|, |Y|) of state indices, the estimate for (x, y)
     cost_vector : array (|X|,), per-letter expected distortion d*(x)
+    table       : array (|X|, |Y|) of state indices, the estimate for (x, y)
     reachable   : bool array (|X|, |Y|), False where P(y | x) = 0; those table
                   entries are fixed to 0 and contribute nothing to the cost
+
+    A solve reads only ``cost_vector``.  ``table`` and ``reachable`` are
+    derived on first read from ``_channel``, the model's arrays and support:
+    not the model, which caches its policy, so a reference back to it would
+    keep a dropped model alive until the cycle collector ran.
     """
 
-    table: NDArray[np.int64]
     cost_vector: FloatArray
-    reachable: NDArray[np.bool_]
+    _channel: tuple
 
-    def __post_init__(self):
-        for name in ("table", "cost_vector", "reachable"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    @cached_property
+    def table(self) -> NDArray[np.int64]:
+        table = np.zeros(self._channel[0].shape[::2], dtype=np.int64)  # (|X|, |Y|)
+        for cells, risk in _risk_blocks(*self._channel):
+            table[cells] = risk.argmin(axis=1)  # the first minimum: ties go to the smallest state
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def reachable(self) -> NDArray[np.bool_]:
+        # P(y | x) > 0, by the einsum of ``ChannelModel.output_given_input``.
+        reachable = np.einsum("xsy,s->xy", *self._channel[:2]) > 0.0
+        reachable.setflags(write=False)
+        return reachable
+
+
+def _risk(state_prior: FloatArray, distortion: FloatArray, per_state: FloatArray) -> FloatArray:
+    """Posterior risks sum_s P(y | x, s) P(s) d(s, t), unnormalized so that a
+    zero-probability output never divides by zero, and summed in s order so a
+    cell's risks are the same bits wherever it is taken.  P(y | x, s) has the
+    state on axis 1, (n, |S|) cells or (rows, |S|, |Y|); t takes that axis."""
+    tail = (1,) * (per_state.ndim - 2)
+    weighted = per_state * state_prior.reshape(-1, *tail)
+    risk = weighted[:, :1] * distortion[0].reshape(-1, *tail)
+    for s in range(1, state_prior.size):
+        risk += weighted[:, s : s + 1] * distortion[s].reshape(-1, *tail)
+    return risk
+
+
+def _risk_blocks(transition, state_prior, distortion, support):
+    """(cells, risks) pairs covering a channel: a support's (rows, cols) at
+    once, or slices of rows in blocks of about 2**15 risks (at least a row)."""
+    if support is not None:
+        rows, cols, _ = support
+        yield (rows, cols), _risk(state_prior, distortion, transition[rows, :, cols])
+        return
+    step = max(1, (1 << 15) // transition[0].size)  # a row has |S| |Y| risks
+    for lo in range(0, len(transition), step):
+        yield slice(lo, lo + step), _risk(state_prior, distortion, transition[lo : lo + step])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +364,8 @@ def optimal_estimator(model: ChannelModel) -> EstimatorPolicy:
     P(y | x) = 0 are flagged unreachable and contribute nothing.
 
     The policy is computed once per model and cached on it, so every caller
-    shares the same (read-only) arrays.  Working memory is O(|X| |Y|).
+    shares the same (read-only) arrays.  Computing it takes O(|X|) memory
+    beyond blocks of 2**15 risks; ``table`` and ``reachable`` wait for a read.
     """
     return model._estimator
 

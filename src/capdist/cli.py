@@ -96,6 +96,13 @@ def _parse_preset(text: str) -> ChannelModel:
     return model
 
 
+def _floats(value, field: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field '{field}' must be an array of numbers: {exc}") from None
+
+
 def load_spec(path_or_preset: str) -> tuple[ChannelModel, list | None]:
     """Load a channel description file (or inline preset string).
 
@@ -114,9 +121,9 @@ def load_spec(path_or_preset: str) -> tuple[ChannelModel, list | None]:
     compound = None
     if "compound" in doc:
         block = doc["compound"]
-        if not isinstance(block, dict) or "priors" not in block:
+        if not isinstance(block, dict) or not isinstance(block.get("priors"), list):
             raise ValueError("field 'compound' must be an object with a 'priors' list")
-        compound = block["priors"]
+        compound = [_floats(prior, f"compound.priors[{i}]") for i, prior in enumerate(block["priors"])]
 
     if "preset" in doc:
         model = _parse_preset(str(doc["preset"]))
@@ -126,10 +133,10 @@ def load_spec(path_or_preset: str) -> tuple[ChannelModel, list | None]:
         if field not in doc:
             raise ValueError(f"missing required field '{field}'")
     sizes = doc.get("sizes", {})
+    if not isinstance(sizes, dict):
+        raise ValueError("field 'sizes' must be an object such as {\"x\": 2, \"y\": 2, \"s\": 2}")
     model = validate_channel(
-        doc["transition"],
-        doc["state_prior"],
-        doc["distortion"],
+        *(_floats(doc[field], field) for field in ("transition", "state_prior", "distortion")),
         input_size=sizes.get("x"),
         output_size=sizes.get("y"),
         state_size=sizes.get("s"),
@@ -275,7 +282,7 @@ def _cmd_compound(args) -> int:
     model, priors = load_spec(args.spec)
     if priors is None:
         priors = [model.state_prior]
-    family = CompoundFamily(model.transition, tuple(np.asarray(p) for p in priors), model.distortion)
+    family = CompoundFamily(model.transition, tuple(priors), model.distortion)
     result = compound_cd(family, args.distortion)
     print(f"D = {_sig(args.distortion)}")
     print(f"worst-case capacity = {_sig(result.value)} nats")

@@ -29,6 +29,7 @@ from .channel import (
     ChannelModel,
     FloatArray,
     _as_probs,
+    _risk,
     optimal_estimator,
     state_posterior,
 )
@@ -91,10 +92,10 @@ def simulate(model: ChannelModel, px, n: int, seed: int) -> SimulationReport:
     """Sample the channel n times and score the optimal one-shot estimator.
 
     Draws the counts N(x, s, y) of n triples; cell (x, s, y) costs
-    d(s, table[x, y]).  ``joint_counts`` sums them over s, and the empirical
-    mutual information is their plug-in estimate, in nats.  Only the drawn
-    (x, s) rows are read: time and memory are O(min(n, |X||S|) |Y|) plus the
-    (|X|, |Y|) count table.
+    d(s, table[x, y]), the estimate taken from the cell's own risks.
+    ``joint_counts`` sums them over s, and the empirical mutual information
+    is their plug-in estimate, in nats.  Only the drawn (x, s) rows are read:
+    time and memory are O(min(n, |X||S|) |Y|) plus the (|X|, |Y|) count table.
     """
     if not 1 <= n <= np.iinfo(np.int64).max:
         raise ValueError(f"need between 1 and 2**63 - 1 samples, got {n}")
@@ -111,10 +112,11 @@ def simulate(model: ChannelModel, px, n: int, seed: int) -> SimulationReport:
     xs, ss = np.divmod(rows[row], model.state_size)
     counts = np.zeros((model.input_size, model.output_size), dtype=np.int64)
     np.add.at(counts, (xs, ys), hits)
+    estimates = _risk(model.state_prior, model.distortion, model.transition[xs, :, ys]).argmin(axis=1)
 
     return SimulationReport(
         samples=n,
-        empirical_distortion=float(hits @ model.distortion[ss, policy.table[xs, ys]]) / n,
+        empirical_distortion=float(hits @ model.distortion[ss, estimates]) / n,
         analytic_distortion=float(probs @ policy.cost_vector),
         empirical_mi=plugin_mi(counts),
         seed=seed,

@@ -317,10 +317,11 @@ def test_block_builder_peak_memory_is_within_twice_the_tensor():
 
 
 def test_estimator_and_row_terms_peak_memory_at_k10():
-    # The estimator takes the rows a block at a time with buffers reused
-    # across estimates, and the row terms take their log in place: peaks of
-    # 2.52 and 1.13 times P(y|x), against 5.25 and 2.13 with a fresh
-    # full-size risk per estimate and masked-log temporaries.
+    # A K = 10 block has 2**11 - 1 nonzeros in P(y|x), so it takes the
+    # support path: the estimator's peak is the boolean mask that finds the
+    # support, 0.26 times P(y|x) (1.14 when the estimator also built its
+    # table and reachable mask), and the row terms' is 0.005 times.  The
+    # dense path is bounded by the test below.
     import tracemalloc
 
     model = cd.block_to_super_symbol(cd.scalar_multiplicative_model(0.3), 10)
@@ -335,8 +336,32 @@ def test_estimator_and_row_terms_peak_memory_at_k10():
         row_terms_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert estimator_peak <= 3.0 * pyx_bytes
-    assert row_terms_peak <= 1.5 * pyx_bytes
+    assert model._support is not None
+    assert estimator_peak <= 0.5 * pyx_bytes
+    assert row_terms_peak <= 0.1 * pyx_bytes
+
+
+def test_dense_estimator_peak_memory_at_scale():
+    # Dirichlet rows have no zeros, so a 1024 x 2 x 1024 channel takes the
+    # dense path: its risks come a block of about 2**15 at a time and only
+    # the cost vector is kept.  The peak is the support search's boolean
+    # mask, 0.26 times P(y|x), against 2.22 times when the estimator filled
+    # an int64 table and built P(y|x) for the reachable mask.
+    import tracemalloc
+
+    rng = np.random.default_rng(1024)
+    model = cd.validate_channel(rng.dirichlet(np.ones(1024), size=(1024, 2)), [0.4, 0.6], HAMMING2)
+    pyx_bytes = model.input_size * model.output_size * 8
+    tracemalloc.start()
+    try:
+        policy = cd.optimal_estimator(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model._support is None
+    assert "output_given_input" not in vars(model)
+    assert "table" not in vars(policy) and "reachable" not in vars(policy)
+    assert peak <= 0.5 * pyx_bytes
 
 
 def test_block_builder_overflow_guard(monkeypatch):

@@ -362,6 +362,38 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
+    # Each of these once ended in a traceback with exit 1 (an AttributeError
+    # or TypeError in load_spec or the compound family); a null priors list
+    # once meant the model's own prior.
+    shapes = [
+        ("sizes", "2", "'sizes'"),
+        ("sizes", [2, 2, 2], "'sizes'"),
+        ("transition", [[{"a": 1}]], "'transition'"),
+        ("compound", {"priors": [[0.7, {"a": 1}]]}, "'compound.priors[0]'"),
+        ("compound", {"priors": 5}, "'compound'"),
+        ("compound", {"priors": None}, "'compound'"),
+    ]
+    for i, (key, value, field) in enumerate(shapes):
+        doc = _scalar_doc()
+        doc[key] = value
+        spec = tmp_path / f"spec{i}.json"
+        spec.write_text(json.dumps(doc))
+        for argv in (
+            ["point", str(spec), "--distortion", "0.1"],
+            ["curve", str(spec), "--grid", "3", "--out", str(tmp_path / "c.csv")],
+            ["cpud", str(spec)],
+            ["compound", str(spec), "--distortion", "0.1"],
+            ["dstar", str(spec)],
+            ["simulate", str(spec), "--px", "0.5,0.5", "--samples", "10", "--seed", "1"],
+        ):
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, (key, value, argv[0])
+            assert err.startswith("error: ") and err.count("\n") == 1, (key, value, argv[0], err)
+            assert field in err, err
+
+
 def test_oversized_block_exits_2(monkeypatch, capsys):
     # Binary K = 3 has 8 * 2 * 8 = 128 dense entries; a cap one below it
     # stands in for a block length whose dense tensor would not fit.
