@@ -35,16 +35,15 @@ PROB_TOL = 1e-9
 DENSE_ENTRY_CAP = 2**25
 
 # A channel whose P(y | x) has at most this share of nonzero entries keeps
-# them as a support (``ChannelModel._support``), found from the nonzeros of
-# the transition.  Its estimator, row terms and the solver's scores are then
-# derived at O(nonzeros), and the dense P(y | x) is computed only for a
-# caller that reads it.  A score on the support
-# costs about 11 ns per nonzero plus 9 us; a dense one about 0.5 ns per entry
-# plus 5 us (one core of a 2-vCPU x86-64 VM), so at a share of 1/4 the
-# support was 4-6 times slower, and the share pays from about 1/20 on large
-# matrices and lower on small ones.  Block channels of the scalar family
-# have 2**(K+1) - 1 nonzeros of 4**K and take the support from K = 7 on;
-# Dirichlet rows have no zeros.
+# them as a ``_Support`` (``ChannelModel._support``), found from the nonzeros
+# of the transition; nothing else picks the format.  Its estimator, row
+# terms, mutual information and the solver's scores are then derived at
+# O(nonzeros).  A score on the support costs about 11 ns per nonzero plus
+# 9 us; a dense one about 0.5 ns per entry plus 5 us (one core of a 2-vCPU
+# x86-64 VM), so at a share of 1/4 the support was 4-6 times slower, and the
+# share pays from about 1/20 on large matrices and lower on small ones.
+# Block channels of the scalar family have 2**(K+1) - 1 nonzeros of 4**K and
+# take the support from K = 7 on; Dirichlet rows have no zeros.
 SUPPORT_DENSITY = 1 / 64
 
 FloatArray = NDArray[np.float64]
@@ -98,8 +97,8 @@ class ChannelModel:
     @cached_property
     def output_given_input(self) -> FloatArray:
         """P(y | x) with the state averaged out, shape (|X|, |Y|), computed on
-        first read.  A channel with a support (``_support``) derives its
-        estimator, row terms and scores without it."""
+        first read.  On a channel with a support (``_support``) only
+        ``output_marginal``, the rate per unit cost and ``reachable`` read it."""
         pyx = np.einsum("xsy,s->xy", self.transition, self.state_prior)
         pyx.setflags(write=False)
         return pyx
@@ -113,8 +112,8 @@ class ChannelModel:
         included, as ``scipy.special.xlogy`` rows would."""
         support = self._support
         if support is not None:
-            rows, _, values = support
-            terms = np.bincount(rows, weights=values * np.log(values), minlength=self.input_size)
+            values = support.values
+            terms = np.bincount(support.rows, weights=values * np.log(values), minlength=self.input_size)
         else:
             pyx = self.output_given_input
             # One float temporary, logged in place; the rest stay 0 and weigh
@@ -126,12 +125,16 @@ class ChannelModel:
         terms.setflags(write=False)
         return terms
 
+    @property
+    def _pyx(self) -> FloatArray | _Support:
+        """P(y|x) as the solver and mutual information read it: the support, if any, else dense."""
+        return self.output_given_input if self._support is None else self._support
+
     @cached_property
-    def _support(self) -> tuple[NDArray[np.intp], NDArray[np.intp], FloatArray] | None:
-        """(rows, cols, values) of the nonzero entries of P(y|x) in row-major
-        order, or None when more than ``SUPPORT_DENSITY`` of them are
-        nonzero; computed on first use from the transition, without
-        building P(y|x)."""
+    def _support(self) -> _Support | None:
+        """The nonzero entries of P(y|x) in row-major order, or None when
+        more than ``SUPPORT_DENSITY`` of them are nonzero; computed on first
+        use from the transition, without building P(y|x)."""
         n_x, n_y = self.input_size, self.output_size
         # Every row sums to 1, so it has a nonzero: |X| is a lower bound on
         # the count, and it rules out small channels without a pass.
@@ -152,10 +155,7 @@ class ChannelModel:
         per_state = np.ascontiguousarray(self.transition[rows, :, cols].T)
         values = np.einsum("sn,s->n", per_state, self.state_prior)
         on = values > 0
-        support = (rows[on], cols[on], values[on])
-        for arr in support:
-            arr.setflags(write=False)
-        return support
+        return _Support(rows[on], cols[on], values[on], (n_x, n_y))
 
     @cached_property
     def _estimator(self) -> EstimatorPolicy:
@@ -225,6 +225,48 @@ class EstimatorPolicy:
         return reachable
 
 
+@dataclass(frozen=True, eq=False)
+class _Support:
+    """The nonzeros of a sparse P(y|x): read-only ``rows``, ``cols`` and
+    ``values``, the matrix's ``shape``, and ``size``, the nonzero count.
+    Its products are bincounts over the nonzeros, summed in entry order:
+    ``law @ S`` for a law or a (k, |X|) stack of them, ``S @ v``, and
+    ``S[keep]``, the rows where ``keep`` is true, renumbered in order."""
+
+    rows: NDArray[np.intp]
+    cols: NDArray[np.intp]
+    values: FloatArray
+    shape: tuple[int, int]
+
+    __array_ufunc__ = None  # ndarray @ support defers to __rmatmul__ (NEP 13)
+
+    def __post_init__(self):
+        for arr in (self.rows, self.cols, self.values):
+            arr.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def __matmul__(self, v: FloatArray) -> FloatArray:
+        return np.bincount(self.rows, weights=self.values * v[self.cols], minlength=self.shape[0])
+
+    def __rmatmul__(self, laws: FloatArray) -> FloatArray:
+        n_y = self.shape[1]
+        if laws.ndim == 1:
+            return np.bincount(self.cols, weights=laws[self.rows] * self.values, minlength=n_y)
+        # One bincount for the stack: law a's entries are binned at a |Y| + y.
+        k = len(laws)
+        bins = (np.arange(k)[:, None] * n_y + self.cols).ravel()
+        out = np.bincount(bins, weights=(laws[:, self.rows] * self.values).ravel(), minlength=k * n_y)
+        return out.reshape(k, n_y)
+
+    def __getitem__(self, keep: NDArray[np.bool_]) -> _Support:
+        on = keep[self.rows]
+        rows = np.cumsum(keep)[self.rows[on]] - 1
+        return _Support(rows, self.cols[on], self.values[on], (int(np.count_nonzero(keep)), self.shape[1]))
+
+
 def _risk(state_prior: FloatArray, distortion: FloatArray, per_state: FloatArray) -> FloatArray:
     """Posterior risks sum_s P(y | x, s) P(s) d(s, t), unnormalized so that a
     zero-probability output never divides by zero, and summed in s order so a
@@ -242,7 +284,7 @@ def _risk_blocks(transition, state_prior, distortion, support):
     """(cells, risks) pairs covering a channel: a support's (rows, cols) at
     once, or slices of rows in blocks of about 2**15 risks (at least a row)."""
     if support is not None:
-        rows, cols, _ = support
+        rows, cols = support.rows, support.cols
         yield (rows, cols), _risk(state_prior, distortion, transition[rows, :, cols])
         return
     step = max(1, (1 << 15) // transition[0].size)  # a row has |S| |Y| risks
@@ -373,11 +415,11 @@ def optimal_estimator(model: ChannelModel) -> EstimatorPolicy:
 def batch_mutual_information(model: ChannelModel, batch: FloatArray) -> FloatArray:
     """I(X; Y) in nats for every row of a (T, |X|) batch of input laws.
 
-    I = H(Y) + sum_x p(x) sum_y P(y|x) log P(y|x), with 0 log 0 = 0; the
-    per-letter terms are cached on the model.  Values are clipped at 0
-    against -1e-17 style rounding noise.
+    I = H(Y) + sum_x p(x) sum_y P(y|x) log P(y|x), with 0 log 0 = 0, read on
+    the support of P(y|x) where the model has one; the per-letter terms are
+    cached on the model.  Values are clipped at 0 against -1e-17 rounding.
     """
-    py = batch @ model.output_given_input
+    py = batch @ model._pyx
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(py > 0, -py * np.log(py), 0.0).sum(axis=1)
     return np.maximum(0.0, ent + batch @ model._row_terms)

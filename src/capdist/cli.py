@@ -103,10 +103,10 @@ def _floats(value, field: str) -> np.ndarray:
         raise ValueError(f"field '{field}' must be an array of numbers: {exc}") from None
 
 
-def load_spec(path_or_preset: str) -> tuple[ChannelModel, list | None]:
+def load_spec(path_or_preset: str) -> tuple[ChannelModel, np.ndarray | None]:
     """Load a channel description file (or inline preset string).
 
-    Returns (model, compound_priors_or_None).
+    Returns (model, compound_priors_or_None), the priors a (k, |S|) array.
     """
     if os.path.exists(path_or_preset):
         with open(path_or_preset, "r", encoding="utf-8") as fh:
@@ -127,20 +127,23 @@ def load_spec(path_or_preset: str) -> tuple[ChannelModel, list | None]:
 
     if "preset" in doc:
         model = _parse_preset(str(doc["preset"]))
-        return model, compound
-
-    for field in ("transition", "state_prior", "distortion"):
-        if field not in doc:
-            raise ValueError(f"missing required field '{field}'")
-    sizes = doc.get("sizes", {})
-    if not isinstance(sizes, dict):
-        raise ValueError("field 'sizes' must be an object such as {\"x\": 2, \"y\": 2, \"s\": 2}")
-    model = validate_channel(
-        *(_floats(doc[field], field) for field in ("transition", "state_prior", "distortion")),
-        input_size=sizes.get("x"),
-        output_size=sizes.get("y"),
-        state_size=sizes.get("s"),
-    )
+    else:
+        for field in ("transition", "state_prior", "distortion"):
+            if field not in doc:
+                raise ValueError(f"missing required field '{field}'")
+        sizes = doc.get("sizes", {})
+        if not isinstance(sizes, dict):
+            raise ValueError("field 'sizes' must be an object such as {\"x\": 2, \"y\": 2, \"s\": 2}")
+        model = validate_channel(
+            *(_floats(doc[field], field) for field in ("transition", "state_prior", "distortion")),
+            input_size=sizes.get("x"),
+            output_size=sizes.get("y"),
+            state_size=sizes.get("s"),
+        )
+    if compound is not None:
+        if not compound or any(prior.shape != (model.state_size,) for prior in compound):
+            raise ValueError(f"field 'compound.priors' must list vectors of {model.state_size} state probabilities")
+        compound = np.stack(compound)
     return model, compound
 
 

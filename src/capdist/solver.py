@@ -123,46 +123,23 @@ class CostConstraint:
 
 class _Objective:
     """Weighted mutual-information objective sum_i w_i I_i(p) over channel
-    models; ``parts`` holds (w_i, P_i(y|x), row terms, support), each cached
-    on the model, for every positive weight, and ``terms`` the same without
-    the supports.
-
-    A support is (rows, cols, values) of the nonzeros of a sparse P_i(y|x)
-    (``ChannelModel._support``), or None for a dense one.  On a support the
-    scores and the curvature add up its nonzeros with ``np.bincount``, at
-    O(nonzeros) instead of O(|X| |Y|) per call, and the part never reads the
-    dense P_i(y|x): its place holds a zero-stride array of that shape.  A
-    dense P_i(y|x) goes through matrix products.
+    models; ``terms`` holds (w_i, P_i(y|x), row terms), each cached on the
+    model, for every positive weight.  P_i(y|x) is the model's dense matrix
+    or its support (``ChannelModel._pyx``); both take the same products.
+    perfbench's tracer unpacks this layout and reads the ``size`` of P_i.
     """
 
     def __init__(self, weighted_models: Sequence[tuple[float, ChannelModel]]):
-        self.parts = [
-            (float(weight), model.output_given_input if model._support is None
-             else np.broadcast_to(0.0, (model.input_size, model.output_size)), model._row_terms, model._support)
-            for weight, model in weighted_models if weight > 0.0
-        ]
+        self.terms = [(float(weight), model._pyx, model._row_terms)
+                      for weight, model in weighted_models if weight > 0.0]
         self.n_inputs = weighted_models[0][1].input_size
-
-    @property
-    def terms(self) -> list[tuple[float, FloatArray, FloatArray]]:
-        """(w_i, P_i(y|x) or its zero-stride stand-in, row terms) per part:
-        the layout perfbench's tracer unpacks to count the bytes a
-        ``scores`` call reads."""
-        return [part[:3] for part in self.parts]
 
     def scores(self, p: FloatArray) -> FloatArray:
         """sum_i w_i * D(P_i(.|x) || P_i(.)) per input letter, at input law p."""
         total = np.zeros(self.n_inputs)
-        for weight, pyx, row_self, support in self.parts:
-            if support is None:
-                log_py = np.log(np.maximum(p @ pyx, 1e-300))
-                cross = pyx @ log_py
-            else:
-                rows, cols, values = support
-                py = np.bincount(cols, weights=p[rows] * values, minlength=pyx.shape[1])
-                log_py = np.log(np.maximum(py, 1e-300))
-                cross = np.bincount(rows, weights=values * log_py[cols], minlength=self.n_inputs)
-            total += weight * (row_self - cross)
+        for weight, pyx, row_self in self.terms:
+            log_py = np.log(np.maximum(p @ pyx, 1e-300))
+            total += weight * (row_self - pyx @ log_py)
         return total
 
     def curvature(self, atoms: FloatArray, weights: FloatArray) -> FloatArray:
@@ -171,40 +148,17 @@ class _Objective:
         atoms @ P_i(y|x).  Only H(Y) curves; the conditional-entropy part of
         I is linear in p."""
         total = np.zeros((weights.size, weights.size))
-        for weight, pyx, _, support in self.parts:
-            if support is None:
-                q = atoms @ pyx
-            else:
-                # Q_i[a, y] summed over the support, one bincount for all
-                # atoms: atom a's entries are binned at a |Y| + y.
-                rows, cols, values = support
-                n_y = pyx.shape[1]
-                bins = (np.arange(weights.size)[:, None] * n_y + cols).ravel()
-                q = np.bincount(bins, weights=(atoms[:, rows] * values).ravel(), minlength=weights.size * n_y)
-                q = q.reshape(weights.size, n_y)
+        for weight, pyx, _ in self.terms:
+            q = atoms @ pyx
             total += weight * (q / np.maximum(weights @ q, 1e-300)) @ q.T
         return total
 
     def restrict(self, keep: FloatArray) -> _Objective:
         """The objective on the letters where ``keep`` is true."""
-        n_kept = int(np.count_nonzero(keep))
         restricted = copy.copy(self)
-        # A slice of a zero-stride stand-in is one too: nothing is copied.
-        restricted.parts = [
-            (weight, pyx[keep], row_self[keep], None) if support is None
-            else (weight, pyx[:n_kept], row_self[keep], _restrict_support(support, keep))
-            for weight, pyx, row_self, support in self.parts
-        ]
-        restricted.n_inputs = n_kept
+        restricted.terms = [(weight, pyx[keep], row_self[keep]) for weight, pyx, row_self in self.terms]
+        restricted.n_inputs = int(np.count_nonzero(keep))
         return restricted
-
-
-def _restrict_support(support: tuple[np.ndarray, np.ndarray, FloatArray], keep: np.ndarray) -> tuple:
-    """The support's entries on the rows where ``keep`` is true, with those
-    rows renumbered in order."""
-    rows, cols, values = support
-    on = keep[rows]
-    return np.cumsum(keep)[rows[on]] - 1, cols[on], values[on]
 
 
 def _line_search(

@@ -108,6 +108,9 @@ def test_criterion_03_training_gap_substance():
     assert all(a > b for a, b in zip(ratios, ratios[1:])), "ratio must decay toward 1"
     # Frozen value of the K = 10 ratio: log(2^10 - 1) / (9 log 2).
     assert abs(ratios[-1] - 1.1109544921939254) < 1e-12
+    # The README's large-K ratios, near K / (K - 1).
+    for block_len, frozen in ((300, 1.0033444816), (1001, 1.0010000000)):
+        assert abs(_advantage_ratio(block_len) - frozen) < 1e-9, block_len
     elapsed = time.perf_counter() - t0
     _report("03 (substance)", elapsed < 5.0,
             f"joint beats training for K=2..10, ratio decays {ratios[0]:.4f} -> {ratios[-1]:.4f}, "

@@ -365,7 +365,8 @@ def test_bad_specs_exit_2(tmp_path, capsys):
 def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
     # Each of these once ended in a traceback with exit 1 (an AttributeError
     # or TypeError in load_spec or the compound family); a null priors list
-    # once meant the model's own prior.
+    # once meant the model's own prior, and a ragged or wrong-length one
+    # exited 0 outside `compound`.
     shapes = [
         ("sizes", "2", "'sizes'"),
         ("sizes", [2, 2, 2], "'sizes'"),
@@ -373,6 +374,8 @@ def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
         ("compound", {"priors": [[0.7, {"a": 1}]]}, "'compound.priors[0]'"),
         ("compound", {"priors": 5}, "'compound'"),
         ("compound", {"priors": None}, "'compound'"),
+        ("compound", {"priors": [[0.5, 0.5], [1.0]]}, "'compound.priors'"),
+        ("compound", {"priors": [[0.2, 0.3, 0.5]]}, "'compound.priors'"),
     ]
     for i, (key, value, field) in enumerate(shapes):
         doc = _scalar_doc()

@@ -671,6 +671,11 @@ def test_support_path_matches_dense_path(monkeypatch):
             keep[int(rng.integers(n))] = True
             q = rng.dirichlet(np.ones(int(keep.sum())))
             assert _close(fast.restrict(keep).scores(q), slow.restrict(keep).scores(q))
+            kept_atoms = rng.dirichlet(np.full(int(keep.sum()), 0.3), size=k)
+            assert _close(fast.restrict(keep).curvature(kept_atoms, weights),
+                          slow.restrict(keep).curvature(kept_atoms, weights))
+            laws = rng.dirichlet(np.full(n, 0.5), size=4)
+            assert _close(cd.batch_mutual_information(sparse, laws), cd.batch_mutual_information(dense, laws))
 
 
 def test_support_path_estimator_skips_zero_prior_states_and_breaks_ties_low(monkeypatch):
@@ -722,32 +727,37 @@ def test_dirichlet_random_channel_has_no_support():
     assert model._support is None
     for dense in (model, cd.scalar_multiplicative_model(0.3), cd.additive_mod2_model(0.3),
                   cd.block_multiplicative_model(0.3, 6)):
-        assert solver._Objective([(1.0, dense)]).parts[0][3] is None
+        assert type(solver._Objective([(1.0, dense)]).terms[0][1]) is np.ndarray
     block = cd.block_multiplicative_model(0.3, 7)
-    rows, cols, values = solver._Objective([(1.0, block)]).parts[0][3]
+    support = solver._Objective([(1.0, block)]).terms[0][1]
+    assert isinstance(support, cd.channel._Support)
+    rows, cols, values = support.rows, support.cols, support.values
     pyx = block.output_given_input
-    assert rows.size == 2**8 - 1 and np.array_equal(values, pyx[pyx > 0])
+    assert rows.size == support.size == 2**8 - 1 and np.array_equal(values, pyx[pyx > 0])
     assert np.array_equal(pyx[rows, cols], values)
 
 
 def test_support_solve_never_builds_dense_output_given_input():
     # On a fresh K = 10 block the first point finds the support from the
     # transition and derives the estimator's cost vector and the row terms
-    # on it; the estimator's table and reachable mask are left unbuilt.  Its
-    # peak is the boolean mask that finds the support, 0.26 times P(y|x),
-    # against 1.15 times with the table and mask and 3.25 times when P(y|x)
-    # was built to find the support.
+    # on it, and so does the mutual information of its law; the estimator's
+    # table and reachable mask are left unbuilt.  The point's peak is the
+    # boolean mask that finds the support, 0.26 times P(y|x), against 1.15
+    # times with the table and mask and 3.25 times when P(y|x) was built to
+    # find the support.
     import tracemalloc
 
     model = cd.block_multiplicative_model(0.3, 10)
     pyx_bytes = model.input_size * model.output_size * 8
     tracemalloc.start()
     try:
-        cd.capacity_distortion_point(model, 0.1)
+        point = cd.capacity_distortion_point(model, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert model._support is not None
+    assert "output_given_input" not in model.__dict__
+    assert abs(cd.mutual_information(model, point.optimizer) - point.capacity) <= 1e-9
     assert "output_given_input" not in model.__dict__
     policy = cd.optimal_estimator(model)
     assert "table" not in vars(policy) and "reachable" not in vars(policy)
@@ -756,8 +766,8 @@ def test_support_solve_never_builds_dense_output_given_input():
 
 def test_d_min_point_on_a_support_copies_no_dense_rows():
     # At d_min the objective is restricted to the cheapest letters; on a
-    # support that keeps the support's entries and a zero-stride stand-in,
-    # 0.02 times P(y|x), where copying P(y|x)'s kept rows took 1.02 times.
+    # support that keeps the support's entries on the kept rows, 0.02 times
+    # P(y|x), where copying P(y|x)'s kept rows took 1.02 times.
     import tracemalloc
 
     model = cd.block_multiplicative_model(0.3, 10)
