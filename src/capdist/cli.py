@@ -99,7 +99,7 @@ def _parse_preset(text: str) -> ChannelModel:
 def _floats(value, field: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field '{field}' must be an array of numbers: {exc}") from None
 
 

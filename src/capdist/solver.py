@@ -127,12 +127,20 @@ class _Objective:
     model, for every positive weight.  P_i(y|x) is the model's dense matrix
     or its support (``ChannelModel._pyx``); both take the same products.
     perfbench's tracer unpacks this layout and reads the ``size`` of P_i.
+    Budgets solved on one objective (a ``cd_curve``) share its one ascent.
     """
 
     def __init__(self, weighted_models: Sequence[tuple[float, ChannelModel]]):
         self.terms = [(float(weight), model._pyx, model._row_terms)
                       for weight, model in weighted_models if weight > 0.0]
         self.n_inputs = weighted_models[0][1].input_size
+        self._ascent = None
+
+    def unconstrained(self) -> tuple[FloatArray, float, bool, float, FloatArray]:
+        """``_ascend``'s return on this objective, computed on first call."""
+        if self._ascent is None:
+            self._ascent = _ascend(self)
+        return self._ascent
 
     def scores(self, p: FloatArray) -> FloatArray:
         """sum_i w_i * D(P_i(.|x) || P_i(.)) per input letter, at input law p."""
@@ -158,6 +166,7 @@ class _Objective:
         restricted = copy.copy(self)
         restricted.terms = [(weight, pyx[keep], row_self[keep]) for weight, pyx, row_self in self.terms]
         restricted.n_inputs = int(np.count_nonzero(keep))
+        restricted._ascent = None  # the parent's law is not a law on the face
         return restricted
 
 
@@ -320,14 +329,19 @@ def feasible_range(model: ChannelModel) -> tuple[float, float]:
     unconstrained capacity achiever.  Budgets >= d_max leave the constraint
     slack; budgets below d_min are infeasible.  The achiever is certified to
     ``CERT_TOL``: a stalled ascent's law, accepted up to ``STALL_CERT``, can
-    keep mass of order its certificate on letters the optimum leaves empty."""
-    policy = optimal_estimator(model)
-    objective = _Objective([(1.0, model)])
-    p, cert, _, _, score = _ascend(objective)
+    keep mass of order its certificate on letters the optimum leaves empty.
+    Called alone it runs its own ascent; ``cd_curve`` reads the one its
+    budgets share."""
+    return _feasible_range(_Objective([(1.0, model)]), optimal_estimator(model).cost_vector)
+
+
+def _feasible_range(objective: _Objective, cost: FloatArray) -> tuple[float, float]:
+    """``feasible_range`` on the objective's ascent, finishing a copy of its law."""
+    p, cert, _, _, score = objective.unconstrained()
     if cert > CERT_TOL:
         p = _finish(objective, p, score)[0]
-    d_min = float(np.min(policy.cost_vector))
-    d_max = float(p @ policy.cost_vector)
+    d_min = float(np.min(cost))
+    d_max = float(p @ cost)
     return d_min, max(d_min, d_max)
 
 
@@ -604,11 +618,12 @@ def _solve_budget(
     Returns (law, value, dual bound, constraint_active, warning).  A budget
     on its row's cheapest cost (where the snap puts costs within FACE_TOL)
     confines the law to the letters on it, on which the other rows are
-    solved.  Otherwise the unconstrained law (``_ascend``) is returned if
-    it meets every budget.  If not, pairwise Frank-Wolfe solves on the
-    budget polytope, started from the best vertex for the unconstrained
-    law's scores.  Either way the law comes with a certified gap, and one
-    rule flags it: a gap above ``STALL_CERT`` is named in the warning.
+    solved.  Otherwise the objective's unconstrained law (its one
+    ``_ascend``) is returned if it meets every budget.  If not, pairwise
+    Frank-Wolfe solves on the budget polytope, started from the best vertex
+    for the unconstrained law's scores.  Either way the law comes with a
+    certified gap, and one rule flags it: a gap above ``STALL_CERT`` is
+    named in the warning.
     """
     floor = budgets <= cost_rows.min(axis=1)
     if np.any(floor):
@@ -623,7 +638,7 @@ def _solve_budget(
         p[face] = q
         return p, value, bound, True, warning
 
-    p, cert, _, value, score = _ascend(objective)
+    p, cert, _, value, score = objective.unconstrained()
     bound = value + cert
     active = bool(np.any(cost_rows @ p > budgets))
     if active:
@@ -652,11 +667,16 @@ def cd_curve(model: ChannelModel, grid) -> CDCurve:
 
     ``grid`` is either a point count n (n budgets spanning [d_min, d_max];
     n = 1 evaluates the single point d_max) or an explicit sequence of
-    budgets, which is sorted.  The computed curve is checked to be
-    nondecreasing and concave within 1e-7; violations raise
-    ``SolverNonmonotone`` rather than returning a silently bad curve.
+    budgets, which is sorted.  Each point equals ``capacity_distortion_point``
+    at its budget, but one objective serves the range and every budget, so
+    the curve runs one unconstrained ascent, plus one on the cheapest letters
+    per budget at d_min.  The computed curve is checked to be nondecreasing
+    and concave within 1e-7; violations raise ``SolverNonmonotone`` rather
+    than returning a silently bad curve.
     """
-    d_min, d_max = feasible_range(model)
+    objective = _Objective([(1.0, model)])
+    cost = optimal_estimator(model).cost_vector
+    d_min, d_max = _feasible_range(objective, cost)
     if isinstance(grid, (int, np.integer)):
         n = int(grid)
         if n < 1:
@@ -666,7 +686,7 @@ def cd_curve(model: ChannelModel, grid) -> CDCurve:
         budgets = np.sort(np.asarray(list(grid), dtype=np.float64))
         if budgets.size == 0:
             raise ValueError("empty budget grid")
-    points = tuple(capacity_distortion_point(model, float(b)) for b in budgets)
+    points = tuple(_point(objective, cost[None, :], budgets[i:i + 1]) for i in range(budgets.size))
 
     caps = np.array([pt.capacity for pt in points])
     if np.any(np.diff(caps) < -CURVE_TOL):
@@ -721,8 +741,13 @@ def multi_constraint_point(model: ChannelModel, constraints: Sequence[CostConstr
         raise DimensionMismatch(
             f"cost vectors have length {cost_rows.shape[1]}, expected {model.input_size}"
         )
+    return _point(_Objective([(1.0, model)]), cost_rows, budgets)
+
+
+def _point(objective: _Objective, cost_rows: FloatArray, budgets: FloatArray) -> CDPoint:
+    """The point under cost_rows @ p <= budgets, solved on this objective."""
     rows, kept = _check_budgets(cost_rows, budgets)
-    p, value, _, active, warning = _solve_budget(_Objective([(1.0, model)]), rows, kept)
+    p, value, _, active, warning = _solve_budget(objective, rows, kept)
     return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
 
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import capdist as cd
 from capdist import cli, solver
@@ -420,3 +426,104 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
 def test_no_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+# Numbers as a spec may hold them: probabilities, any float, integers beyond
+# the float range, and strings numpy parses as NaN, inf or nothing.
+_NUMBER = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.floats(),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.sampled_from([10**400, -(10**400)]),
+    st.sampled_from(["NaN", "nan", "inf", "-Infinity", "1e999", "0.5", ""]),
+)
+_TREE = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=4)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=10,
+)
+
+
+def _ragged(depth):
+    """Nested lists of numbers, each list of its own length (empty included)."""
+    arrays = st.lists(_NUMBER, max_size=3)
+    for _ in range(depth - 1):
+        arrays = st.lists(arrays, max_size=3)
+    return arrays
+
+
+_PRESET = st.builds(
+    "{} r={} K={}".format,
+    st.sampled_from(["scalar_multiplicative", "block_multiplicative", "additive_mod2", "bogus"]),
+    st.sampled_from(["0.3", "0", "1", "-1", "2", "nan", "inf", "x"]),
+    st.sampled_from(["-1", "0", "1", "3", "13", "64", "1000000", "9" * 5000, "1.5", "x"]),
+)
+_FIELDS = {
+    "sizes": st.one_of(_TREE, st.fixed_dictionaries({}, optional={k: _TREE for k in "xys"})),
+    "transition": st.one_of(_ragged(3), _ragged(2), _TREE),
+    "state_prior": st.one_of(_ragged(1), _TREE),
+    "distortion": st.one_of(_ragged(2), _TREE),
+    "compound": st.one_of(_TREE, st.fixed_dictionaries({"priors": st.one_of(_ragged(2), _TREE)})),
+    "preset": st.one_of(_PRESET, _TREE),
+}
+
+
+@st.composite
+def _degenerate_channel(draw):
+    """A valid spec of at most 3 letters, states and outputs whose rows are
+    point masses or uniform: tied letters, silent letters, one state."""
+    nx, ns, ny = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def law(n):
+        k = draw(st.integers(0, n))
+        return [1.0 / n] * n if k == n else [float(i == k) for i in range(n)]
+
+    return {
+        "sizes": {"x": nx, "y": ny, "s": ns},
+        "transition": [[law(ny) for _ in range(ns)] for _ in range(nx)],
+        "state_prior": law(ns),
+        "distortion": [[draw(st.sampled_from([0.0, 0.5, 1.0, 1e300])) for _ in range(ns)] for _ in range(ns)],
+    }
+
+
+# A valid spec with some fields replaced or dropped, or any JSON at all.
+_SPEC = st.one_of(
+    st.builds(
+        lambda doc, changed, dropped: {k: v for k, v in {**doc, **changed}.items() if k not in dropped},
+        st.one_of(st.builds(_scalar_doc), _degenerate_channel()),
+        st.lists(st.sampled_from(sorted(_FIELDS)), max_size=2, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({k: _FIELDS[k] for k in keys})),
+        st.sets(st.sampled_from(sorted(_FIELDS)), max_size=1),
+    ),
+    _TREE,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=_SPEC, budget=st.sampled_from(["0.1", "0", "-1", "nan", "inf"]))
+@example(doc={**_scalar_doc(), "state_prior": [0.5, 10**400]}, budget="0.1")
+def test_hostile_specs_exit_with_a_documented_code(doc, budget):
+    # Every spec, however malformed, ends in exit 0, 2, 3 or 4; a failure
+    # prints one `error:` line (or, for a flagged point, `warning:` lines),
+    # never a traceback.  The pinned example, an integer beyond the float
+    # range, once raised OverflowError out of load_spec (exit 1).
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["point", spec, "--distortion", budget],
+            ["dstar", spec],
+            ["curve", spec, "--grid", "3", "--out", os.path.join(tmp, "c.csv")],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            lines = err.getvalue().splitlines()
+            case = (argv[0], doc, lines)
+            assert code in (0, 2, 3, 4), case
+            if lines[:1] and lines[0].startswith("error: "):
+                assert code != 0 and len(lines) == 1, case
+            elif code != 0:
+                assert code == 4 and lines and all(line.startswith("warning") for line in lines), case

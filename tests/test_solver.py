@@ -444,6 +444,61 @@ def test_curve_rejects_bad_grids():
         cd.cd_curve(model, [])
 
 
+def _dirichlet_channel(seed):
+    rng = np.random.default_rng(seed)
+    nx, ns, ny = int(rng.integers(3, 7)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    transition = rng.dirichlet(np.ones(ny), size=(nx, ns))
+    return cd.validate_channel(transition, rng.dirichlet(np.ones(ns)), 1.0 - np.eye(ns))
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: cd.scalar_multiplicative_model(0.3),
+    lambda: cd.additive_mod2_model(0.2),
+    lambda: cd.block_multiplicative_model(0.3, 3),
+    lambda: cd.block_multiplicative_model(0.3, 7),  # scored on its support
+    lambda: _dirichlet_channel(0),
+    lambda: _dirichlet_channel(1),
+    lambda: _dirichlet_channel(4),
+], ids=["scalar", "mod2", "block3", "block7", "dirichlet0", "dirichlet1", "dirichlet4"])
+def test_curve_points_are_bit_identical_to_single_points(make_model):
+    # A curve solves every budget on one shared objective; each point must be
+    # the one an independent capacity_distortion_point returns.  The explicit
+    # grid holds d_min (the face solve on a restricted objective), an
+    # interior budget and a slack budget above d_max.
+    model = make_model()
+    d_min, d_max = cd.feasible_range(model)
+    for grid in (8, [d_min, 0.5 * (d_min + d_max), d_max + 0.1]):
+        curve = cd.cd_curve(model, grid)
+        assert (curve.d_min, curve.d_max) == (d_min, d_max)
+        for point in curve.points:
+            alone = cd.capacity_distortion_point(model, point.distortion_budget)
+            assert point.capacity == alone.capacity
+            assert np.array_equal(point.optimizer.probs, alone.optimizer.probs)
+            assert point.constraint_active == alone.constraint_active
+            assert point.convergence_warning == alone.convergence_warning
+
+
+def test_curve_runs_one_unconstrained_ascent(monkeypatch):
+    # feasible_range and all 20 budgets read one ascent on the full
+    # objective.  The budget at d_min solves on the cheapest letters, a
+    # restricted objective that runs its own ascent: it must not inherit the
+    # full objective's law.
+    model = cd.scalar_multiplicative_model(0.3)
+    cost = cd.optimal_estimator(model).cost_vector
+    ascend = solver._ascend
+    law_sizes = []
+
+    def recording(objective):
+        result = ascend(objective)
+        law_sizes.append(result[0].size)
+        return result
+
+    monkeypatch.setattr(solver, "_ascend", recording)
+    curve = cd.cd_curve(model, 20)
+    assert curve.points[0].distortion_budget == curve.d_min
+    assert law_sizes == [model.input_size, int(np.count_nonzero(cost == curve.d_min))]
+
+
 # ---------------------------------------------------------------------------
 # several simultaneous budgets
 # ---------------------------------------------------------------------------
