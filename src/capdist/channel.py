@@ -36,15 +36,24 @@ DENSE_ENTRY_CAP = 2**25
 
 # A channel whose P(y | x) has at most this share of nonzero entries keeps
 # them as a ``_Support`` (``ChannelModel._support``), found from the nonzeros
-# of the transition; nothing else picks the format.  Its estimator, row
-# terms, mutual information and the solver's scores are then derived at
-# O(nonzeros).  A score on the support costs about 11 ns per nonzero plus
-# 9 us; a dense one about 0.5 ns per entry plus 5 us (one core of a 2-vCPU
-# x86-64 VM), so at a share of 1/4 the support was 4-6 times slower, and the
-# share pays from about 1/20 on large matrices and lower on small ones.
-# Block channels of the scalar family have 2**(K+1) - 1 nonzeros of 4**K and
-# take the support from K = 7 on; Dirichlet rows have no zeros.
+# of the transition; nothing else picks the format.  A block whose Kronecker
+# factors give at most this share of candidate cells gets the same support,
+# bit for bit, from the factors' nonzeros when it is built, and its tensor
+# is never scanned.  Its estimator, row terms, mutual information and the
+# solver's scores are then derived at O(nonzeros).  A score on the support
+# costs about 11 ns per nonzero plus 9 us; a dense one about 0.5 ns per
+# entry plus 5 us (one core of a 2-vCPU x86-64 VM), so at a share of 1/4 the
+# support was 4-6 times slower, and the share pays from about 1/20 on large
+# matrices and lower on small ones.  Block channels of the scalar family
+# have 2**(K+1) - 1 nonzeros of 4**K, from 2**K candidates per state, and
+# take the support from K = 7 on, from their factors; a K = 11 scan of the
+# 64 MiB tensor took 13-14 ms.  Dirichlet rows have no zeros.
 SUPPORT_DENSITY = 1 / 64
+
+# Entries of a state's slice that ``block_to_super_symbol`` writes, sums and
+# divides as one run: 256 KiB, so that the run is still in a core's cache
+# when its row sums read it.
+_RUN_ENTRIES = 2**15
 
 FloatArray = NDArray[np.float64]
 
@@ -134,7 +143,8 @@ class ChannelModel:
     def _support(self) -> _Support | None:
         """The nonzero entries of P(y|x) in row-major order, or None when
         more than ``SUPPORT_DENSITY`` of them are nonzero; computed on first
-        use from the transition, without building P(y|x)."""
+        use from the transition, without building P(y|x), unless
+        ``block_to_super_symbol`` found it from its factors."""
         n_x, n_y = self.input_size, self.output_size
         # Every row sums to 1, so it has a nonzero: |X| is a lower bound on
         # the count, and it rules out small channels without a pass.
@@ -148,14 +158,7 @@ class ChannelModel:
             mask |= self.transition[:, s, :] != 0
         if np.count_nonzero(mask) > SUPPORT_DENSITY * mask.size:
             return None
-        rows, cols = np.divmod(np.flatnonzero(mask), n_y)
-        # The same state-major einsum as ``output_given_input``, so the values
-        # are its entries bit for bit.  A product that underflows leaves a
-        # zero, which is not on the support.
-        per_state = np.ascontiguousarray(self.transition[rows, :, cols].T)
-        values = np.einsum("sn,s->n", per_state, self.state_prior)
-        on = values > 0
-        return _Support(rows[on], cols[on], values[on], (n_x, n_y))
+        return _support_among(self.transition, self.state_prior, *np.divmod(np.flatnonzero(mask), n_y))
 
     @cached_property
     def _estimator(self) -> EstimatorPolicy:
@@ -265,6 +268,23 @@ class _Support:
         on = keep[self.rows]
         rows = np.cumsum(keep)[self.rows[on]] - 1
         return _Support(rows, self.cols[on], self.values[on], (int(np.count_nonzero(keep)), self.shape[1]))
+
+
+def _support_among(transition: FloatArray, state_prior: FloatArray, rows, cols) -> _Support:
+    """The support of P(y|x) among candidate cells (rows, cols) in row-major
+    order that hold every nonzero of P(y|x): the cells nonzero in some state
+    of positive prior, valued by the same state-major einsum as
+    ``ChannelModel.output_given_input``, so the values are its entries bit
+    for bit.  A product that underflows leaves a zero, which is not on the
+    support."""
+    per_state = np.ascontiguousarray(transition[rows, :, cols].T)
+    # Drop the other cells before the einsum, so that it reads the arrays a
+    # scan of the transition gives it.
+    nonzero = np.any(per_state[state_prior > 0] != 0, axis=0)
+    rows, cols, per_state = rows[nonzero], cols[nonzero], np.ascontiguousarray(per_state[:, nonzero])
+    values = np.einsum("sn,s->n", per_state, state_prior)
+    on = values > 0
+    return _Support(rows[on], cols[on], values[on], (transition.shape[0], transition.shape[2]))
 
 
 def _risk(state_prior: FloatArray, distortion: FloatArray, per_state: FloatArray) -> FloatArray:
@@ -456,10 +476,19 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
     tensor |X|^K |S| |Y|^K exceeds ``DENSE_ENTRY_CAP`` entries.  The tensor
     is the only full-size allocation.  Each state's Kronecker power is built
     one level at a time, each level written as |X| |Y| strided multiplies of
-    the level below by one entry of P(. | ., s), and the last level straight
-    into the tensor; the largest temporary is level K - 1, 1 / (|X| |Y|) of
-    a state's slice.  The tensor's rows, products of validated rows, are
-    then renormalized in place.
+    the level below by one entry of P(. | ., s); the largest temporary is
+    level K - 1, 1 / (|X| |Y|) of a state's slice.  The last level goes
+    straight into the tensor in runs of about ``_RUN_ENTRIES`` entries, and
+    each run's rows, products of validated rows, are summed while the run is
+    in cache and divided by their sums unless every sum is exactly 1 (as in
+    the built-in families, whose P(y | x, s) are 0 or 1): x / 1.0 is x, so
+    the skip changes no bit.
+
+    When the state powers have at most ``SUPPORT_DENSITY`` of P(y | x)'s
+    cells as candidates, the product cells of each factor's nonzeros, the
+    result arrives with its support (``ChannelModel._support``) taken from
+    them, the same support a scan of the tensor finds; otherwise the scan
+    runs on first use.
     """
     if block_len < 1:
         raise DimensionMismatch("block_len must be >= 1")
@@ -475,16 +504,42 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
             f"{'' if counted == block_len else 'at least '}{entries} entries exceeds cap {DENSE_ENTRY_CAP}"
         )
     transition = np.empty((nx**block_len, ns, ny**block_len))
+    step = max(1, _RUN_ENTRIES // (nx * ny**block_len))  # rows of level K - 1 per run
     for s in range(ns):
         mat = model.transition[:, s, :]
         power = np.ones((1, 1))  # the Kronecker power of mat built so far
-        for level in range(1, block_len + 1):
-            # kron(power, mat)[i nx + k, j ny + l] = power[i, j] mat[k, l]:
-            # one strided run per entry of mat, as long as power itself.
-            out = transition[:, s, :] if level == block_len else np.empty((nx**level, ny**level))
-            for k in range(nx):
-                for l in range(ny):
-                    np.multiply(power, mat[k, l], out=out[k::nx, l::ny])
-            power = out
-    transition /= transition.sum(axis=-1, keepdims=True)
-    return ChannelModel(transition, model.state_prior, model.distortion)
+        for level in range(1, block_len):
+            power = _kron_into(np.empty((nx**level, ny**level)), power, mat)
+        for lo in range(0, len(power), step):
+            run = _kron_into(transition[lo * nx : (lo + step) * nx, s, :], power[lo : lo + step], mat)
+            sums = run.sum(axis=-1, keepdims=True)
+            if np.any(sums != 1.0):
+                run /= sums
+    built = ChannelModel(transition, model.state_prior, model.distortion)
+    # A state's power is nonzero only at products of its factor's nonzero
+    # cells.  Their union over the states of positive prior holds every
+    # nonzero of P(y|x); when their count fits under the density, so does the
+    # scan's count, and both give the same support.
+    cells = [np.nonzero(model.transition[:, s, :]) for s in np.flatnonzero(model.state_prior > 0)]
+    if sum(rows.size**block_len for rows, _ in cells) <= SUPPORT_DENSITY * (nx * ny) ** block_len:
+        flat = []
+        for rows, cols in cells:
+            block_rows, block_cols = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+            for _ in range(block_len):
+                block_rows = (block_rows[:, None] * nx + rows).ravel()
+                block_cols = (block_cols[:, None] * ny + cols).ravel()
+            flat.append(block_rows * ny**block_len + block_cols)
+        rows, cols = np.divmod(np.unique(np.concatenate(flat)), ny**block_len)
+        vars(built)["_support"] = _support_among(transition, model.state_prior, rows, cols)
+    return built
+
+
+def _kron_into(out: FloatArray, power: FloatArray, mat: FloatArray) -> FloatArray:
+    """kron(power, mat) written into ``out`` and returned:
+    kron[i nx + k, j ny + l] = power[i, j] mat[k, l], one strided run per
+    entry of mat, as long as power itself."""
+    nx, ny = mat.shape
+    for k in range(nx):
+        for l in range(ny):
+            np.multiply(power, mat[k, l], out=out[k::nx, l::ny])
+    return out

@@ -127,7 +127,8 @@ class _Objective:
     model, for every positive weight.  P_i(y|x) is the model's dense matrix
     or its support (``ChannelModel._pyx``); both take the same products.
     perfbench's tracer unpacks this layout and reads the ``size`` of P_i.
-    Budgets solved on one objective (a ``cd_curve``) share its one ascent.
+    Budgets solved on one objective (a ``cd_curve``) share its one ascent,
+    and those on one face share the face's.
     """
 
     def __init__(self, weighted_models: Sequence[tuple[float, ChannelModel]]):
@@ -135,6 +136,7 @@ class _Objective:
                       for weight, model in weighted_models if weight > 0.0]
         self.n_inputs = weighted_models[0][1].input_size
         self._ascent = None
+        self._faces = {}
 
     def unconstrained(self) -> tuple[FloatArray, float, bool, float, FloatArray]:
         """``_ascend``'s return on this objective, computed on first call."""
@@ -162,12 +164,17 @@ class _Objective:
         return total
 
     def restrict(self, keep: FloatArray) -> _Objective:
-        """The objective on the letters where ``keep`` is true."""
-        restricted = copy.copy(self)
-        restricted.terms = [(weight, pyx[keep], row_self[keep]) for weight, pyx, row_self in self.terms]
-        restricted.n_inputs = int(np.count_nonzero(keep))
-        restricted._ascent = None  # the parent's law is not a law on the face
-        return restricted
+        """The objective on the letters where ``keep`` is true, built once
+        per face, so that budgets solved on one face share its ascent."""
+        key = keep.tobytes()
+        if key not in self._faces:
+            restricted = copy.copy(self)
+            restricted.terms = [(weight, pyx[keep], row_self[keep]) for weight, pyx, row_self in self.terms]
+            restricted.n_inputs = int(np.count_nonzero(keep))
+            restricted._ascent = None  # the parent's law is not a law on the face
+            restricted._faces = {}
+            self._faces[key] = restricted
+        return self._faces[key]
 
 
 def _line_search(
@@ -670,9 +677,9 @@ def cd_curve(model: ChannelModel, grid) -> CDCurve:
     budgets, which is sorted.  Each point equals ``capacity_distortion_point``
     at its budget, but one objective serves the range and every budget, so
     the curve runs one unconstrained ascent, plus one on the cheapest letters
-    per budget at d_min.  The computed curve is checked to be nondecreasing
-    and concave within 1e-7; violations raise ``SolverNonmonotone`` rather
-    than returning a silently bad curve.
+    that every budget at d_min shares.  The computed curve is checked to be
+    nondecreasing and concave within 1e-7; violations raise
+    ``SolverNonmonotone`` rather than returning a silently bad curve.
     """
     objective = _Objective([(1.0, model)])
     cost = optimal_estimator(model).cost_vector

@@ -303,6 +303,77 @@ def test_block_builder_is_bit_identical_to_the_stacked_construction():
             assert not built.transition.flags.writeable
 
 
+def _sparse_channel(rng, nx, ns, ny, prior):
+    """Rows with about 85 % zeros, each keeping at least one nonzero."""
+    transition = rng.random((nx, ns, ny)) * (rng.random((nx, ns, ny)) < 0.15)
+    transition[np.arange(nx), :, rng.integers(ny, size=nx)] += 0.5
+    return cd.validate_channel(transition / transition.sum(axis=2, keepdims=True), prior, rng.random((ns, ns)))
+
+
+def _assert_support_is_the_scans(built):
+    """The support ``block_to_super_symbol`` leaves on the block, or the one
+    found on first use, is the one a scan of a fresh copy's tensor finds,
+    bit for bit."""
+    given = built._support
+    scanned = cd.channel.ChannelModel(built.transition, built.state_prior, built.distortion)._support
+    if scanned is None:
+        assert given is None
+        return
+    assert given.shape == scanned.shape
+    for field in ("rows", "cols", "values"):
+        assert getattr(given, field).tobytes() == getattr(scanned, field).tobytes(), field
+
+
+def test_block_support_from_the_factors_is_the_scans():
+    rng = np.random.default_rng(24)
+    from_factors = 0
+    for _ in range(30):
+        nx, ns, ny = rng.integers(2, 5), rng.integers(2, 4), rng.integers(2, 5)
+        base = _sparse_channel(rng, nx, ns, ny, rng.dirichlet(np.ones(ns)))
+        for K in range(1, 9):
+            if ns * (nx * ny) ** K > 2**21:
+                break
+            built = cd.block_to_super_symbol(base, K)
+            from_factors += "_support" in vars(built)
+            _assert_support_is_the_scans(built)
+    assert from_factors >= 10
+
+    # A state of zero prior whose factor is dense adds no candidate: the
+    # block still arrives with the support of the other two states.
+    transition = np.zeros((3, 3, 4))
+    transition[0, 0, :2] = [0.3, 0.7]
+    transition[[1, 2], 0, [1, 3]] = transition[[0, 1, 2], 1, [2, 2, 0]] = 1.0
+    transition[:, 2, :] = rng.dirichlet(np.ones(4), size=3)
+    base = cd.validate_channel(transition, [0.5, 0.5, 0.0], rng.random((3, 3)))
+    built = cd.block_to_super_symbol(base, 5)
+    assert "_support" in vars(built)
+    _assert_support_is_the_scans(built)
+
+    # 1e-200 squared underflows: one of the K = 2 block's 13 candidates is
+    # zero, so it is not on the support, nor in the scan's.
+    transition = np.zeros((2, 2, 16))
+    transition[0, 0, :2] = [1.0, 1e-200]
+    transition[1, 0, 5] = transition[0, 1, 2] = transition[1, 1, 3] = 1.0
+    base = cd.validate_channel(transition, [0.6, 0.4], HAMMING2)
+    built = cd.block_to_super_symbol(base, 2)
+    assert "_support" in vars(built)
+    assert built.transition[1, 0, 17] == 0.0 and built._support.size == 12
+    _assert_support_is_the_scans(built)
+
+    # Four deterministic states put 126 nonzeros in the K = 5 block's 7,776
+    # cells, just over SUPPORT_DENSITY's 121.5: the block arrives without a
+    # support, and the scan finds none either.
+    outputs = [(0, 0), (1, 1), (2, 2), (0, 1)]
+    transition = np.zeros((2, 4, 3))
+    for s, ys in enumerate(outputs):
+        transition[[0, 1], s, ys] = 1.0
+    base = cd.validate_channel(transition, [0.25] * 4, np.ones((4, 4)) - np.eye(4))
+    built = cd.block_to_super_symbol(base, 5)
+    assert "_support" not in vars(built)
+    assert np.count_nonzero(built.output_given_input) == 126 > cd.channel.SUPPORT_DENSITY * 7776
+    _assert_support_is_the_scans(built)
+
+
 def test_block_builder_peak_memory_is_within_twice_the_tensor():
     import tracemalloc
 
@@ -318,13 +389,17 @@ def test_block_builder_peak_memory_is_within_twice_the_tensor():
 
 def test_estimator_and_row_terms_peak_memory_at_k10():
     # A K = 10 block has 2**11 - 1 nonzeros in P(y|x), so it takes the
-    # support path: the estimator's peak is the boolean mask that finds the
-    # support, 0.26 times P(y|x) (1.14 when the estimator also built its
-    # table and reachable mask), and the row terms' is 0.005 times.  The
-    # dense path is bounded by the test below.
+    # support path.  The block arrives with its support, taken from the
+    # Kronecker factors; a plain ChannelModel of the same tensor finds it by
+    # a scan, whose boolean mask is then the estimator's peak, 0.26 times
+    # P(y|x) (1.14 when the estimator also built its table and reachable
+    # mask).  The row terms' peak is 0.005 times.  The dense path is bounded
+    # by the test below.
     import tracemalloc
 
-    model = cd.block_to_super_symbol(cd.scalar_multiplicative_model(0.3), 10)
+    block = cd.block_to_super_symbol(cd.scalar_multiplicative_model(0.3), 10)
+    assert "_support" in vars(block)
+    model = cd.channel.ChannelModel(block.transition, block.state_prior, block.distortion)
     tracemalloc.start()
     try:
         cd.optimal_estimator(model)

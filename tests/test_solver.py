@@ -482,9 +482,9 @@ def test_curve_runs_one_unconstrained_ascent(monkeypatch):
     # feasible_range and all 20 budgets read one ascent on the full
     # objective.  The budget at d_min solves on the cheapest letters, a
     # restricted objective that runs its own ascent: it must not inherit the
-    # full objective's law.
-    model = cd.scalar_multiplicative_model(0.3)
-    cost = cd.optimal_estimator(model).cost_vector
+    # full objective's law.  On a flat curve (mod-2, and the r = 0.25, K = 5
+    # block) d_max = d_min, so every budget lies on that face and all of
+    # them share its one ascent.
     ascend = solver._ascend
     law_sizes = []
 
@@ -494,9 +494,13 @@ def test_curve_runs_one_unconstrained_ascent(monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "_ascend", recording)
-    curve = cd.cd_curve(model, 20)
-    assert curve.points[0].distortion_budget == curve.d_min
-    assert law_sizes == [model.input_size, int(np.count_nonzero(cost == curve.d_min))]
+    for model in (cd.scalar_multiplicative_model(0.3), cd.additive_mod2_model(0.2),
+                  cd.block_multiplicative_model(0.25, 5)):
+        cost = cd.optimal_estimator(model).cost_vector
+        law_sizes.clear()
+        curve = cd.cd_curve(model, 20)
+        assert curve.points[0].distortion_budget == curve.d_min
+        assert law_sizes == [model.input_size, int(np.count_nonzero(cost == curve.d_min))]
 
 
 # ---------------------------------------------------------------------------
