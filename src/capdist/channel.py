@@ -84,12 +84,7 @@ class ChannelModel:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.transition.ndim != 3:
-            raise DimensionMismatch("transition must have shape (|X|, |S|, |Y|)")
-        if self.state_prior.shape != (self.transition.shape[1],):
-            raise DimensionMismatch("state_prior length must match the state axis of transition")
-        if self.distortion.shape != (self.state_prior.size, self.state_prior.size):
-            raise DimensionMismatch("distortion must be square over the state alphabet")
+        _check_shapes(self.transition, self.state_prior, self.distortion)
 
     @property
     def input_size(self) -> int:
@@ -328,6 +323,18 @@ def _check_prob_rows(rows: FloatArray, field: str) -> None:
         raise NotAProbability(f"{field}: row sum off by {worst:.3e} (tolerance {PROB_TOL:.0e})")
 
 
+def _check_shapes(transition: FloatArray, state_prior: FloatArray, distortion: FloatArray) -> None:
+    """The shape rule of a channel: transition is [x][s][y], and the prior
+    and the distortion run over its states; else ``DimensionMismatch``."""
+    if transition.ndim != 3:
+        raise DimensionMismatch(f"transition must be a rank-3 array [x][s][y], got rank {transition.ndim}")
+    ns = transition.shape[1]
+    if state_prior.shape != (ns,):
+        raise DimensionMismatch(f"state_prior has length {state_prior.size}, transition expects {ns} states")
+    if distortion.shape != (ns, ns):
+        raise DimensionMismatch(f"distortion has shape {distortion.shape}, expected ({ns}, {ns})")
+
+
 def validate_channel(
     transition,
     state_prior,
@@ -345,21 +352,11 @@ def validate_channel(
     """
     transition = np.asarray(transition, dtype=np.float64)
     state_prior = np.asarray(state_prior, dtype=np.float64)
-    distortion = np.asarray(distortion, dtype=np.float64)
+    # A copy: the model freezes its arrays, and this one may be the caller's.
+    distortion = np.array(distortion, dtype=np.float64)
 
-    if transition.ndim != 3:
-        raise DimensionMismatch(
-            f"transition must be a rank-3 array [x][s][y], got rank {transition.ndim}"
-        )
+    _check_shapes(transition, state_prior, distortion)
     nx, ns, ny = transition.shape
-    if state_prior.shape != (ns,):
-        raise DimensionMismatch(
-            f"state_prior has length {state_prior.size}, transition expects {ns} states"
-        )
-    if distortion.shape != (ns, ns):
-        raise DimensionMismatch(
-            f"distortion has shape {distortion.shape}, expected ({ns}, {ns})"
-        )
     declared = {"x": (input_size, nx), "y": (output_size, ny), "s": (state_size, ns)}
     for axis, (given, actual) in declared.items():
         if given is not None and given != actual:

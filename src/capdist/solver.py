@@ -7,11 +7,12 @@ uncertified: on the simplex when the ascent stalls short of its
 certificate or has made ``BA_PREFIX`` updates, and on the budget polytope
 {p in simplex : A p <= b} when the unconstrained law breaks a budget.  A
 budget at its cheapest cost confines the law to the cheapest letters.
-The linear step is the best letter with no budget, reads a concave hull
-for one and solves a small linear program for several; each also gives the
-budgets' multipliers, from which one Lagrangian dual bound certifies the
-result.  Pairwise steps move weight between two atoms at a time, so where
-the optimum lies inside the hull of three or more atoms (tied letters) a
+The linear step reads a concave hull for one budget (the simplex is one
+zero cost row at budget 0, where the hull's vertex is the best letter) and
+solves a small linear program for several; each also gives the budgets'
+multipliers, from which one Lagrangian dual bound certifies the result.
+Pairwise steps move weight between two atoms at a time, so where the
+optimum lies inside the hull of three or more atoms (tied letters) a
 Newton step on the atom weights follows each of them.  A vectorized grid
 search over the input simplex doubles as an independent oracle for small
 alphabets.
@@ -111,7 +112,7 @@ class CostConstraint:
     budget: float
 
     def __post_init__(self):
-        vec = np.asarray(self.cost_vector, dtype=np.float64)
+        vec = np.array(self.cost_vector, dtype=np.float64)  # not the caller's array
         vec.setflags(write=False)
         object.__setattr__(self, "cost_vector", vec)
 
@@ -318,8 +319,10 @@ def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[Fl
     value = float(p @ score)
     held = np.flatnonzero(p > MASS_FLOOR)
     atoms = (held[:, None] == np.arange(p.size)).astype(np.float64)
+    # A zero cost row at budget 0 puts every letter on its budget, so the
+    # hull's best vertex is the first best letter, with multiplier 0.
     q, q_value, bound, q_score = _frank_wolfe(
-        objective, np.zeros((0, p.size)), np.zeros(0), score, atoms, p[held] / p[held].sum()
+        objective, np.zeros((1, p.size)), np.zeros(1), score, atoms, p[held] / p[held].sum()
     )
     if q_value < value - 1e-12:
         raise SolverNonmonotone(f"finisher returned below its start: {value!r} -> {q_value!r}")
@@ -364,8 +367,12 @@ def _budget_vertex(
     letter), and lam >= 0 is the budget's multiplier, the hull's slope at
     the budget (0 when the hull's peak is affordable).
     """
+    # The chain visits every letter (all |X| of them at the finisher's zero
+    # row); Python floats index about 3x faster than numpy scalars, with
+    # the same double arithmetic.
+    cost, score = cost.tolist(), score.tolist()
     hull: list[int] = []  # monotone chain, left to right
-    for x in order:
+    for x in order.tolist():
         c, s = cost[x], score[x]
         if hull and cost[hull[-1]] == c:
             if score[hull[-1]] >= s:
@@ -413,18 +420,6 @@ def _simplex_lp(objective: FloatArray, rows: FloatArray, n_free: int = 0) -> tup
         raise InfeasibleConstraints(f"linear program failed to solve: {res.message}")
     np.maximum(res.x[:n], 0.0, out=res.x[:n])
     return res.x, np.maximum(-res.ineqlin.marginals, 0.0)
-
-
-def _lp_vertex(excess: FloatArray, score: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Best vertex of {p in simplex : excess @ p <= 0} for the linear
-    objective score.p.
-
-    ``excess`` is cost_rows - budgets[:, None]: on the simplex the budgets
-    read excess @ p <= 0.  HiGHS drops matrix entries below 1e-9, so a small
-    cost would be priced at zero, while an excess is either zero or a cost
-    difference.  Returns (vertex, multipliers): the rows' duals, clipped at 0.
-    """
-    return _simplex_lp(-score, excess)
 
 
 def _newton_step(
@@ -487,16 +482,17 @@ def _frank_wolfe(
 ) -> tuple[FloatArray, float, float, FloatArray]:
     """Maximize objective(p) over {p in simplex : cost_rows @ p <= budgets}
     by pairwise Frank-Wolfe, from the given atoms and weights, or else from
-    the best vertex for the linear objective ``score``.  Rows, if any, come
-    from ``_check_budgets``: no cost is off its budget by ``FACE_TOL`` or less.
+    the best vertex for the linear objective ``score``.  The rows come from
+    ``_check_budgets`` (no cost is off its budget by ``FACE_TOL`` or less), or
+    are ``_finish``'s one zero row at budget 0, whose polytope is the simplex.
 
     The law is kept as a convex combination of polytope vertices (atoms).
     Each step moves weight from the atom of least score to the best vertex,
     as far as the line search puts it.  The linear step is the only part
-    that depends on the number of rows: with none it is the best letter,
-    with one it reads the best vertex off the upper concave hull of
-    (cost(x), score(x)) (``_budget_vertex``), and with several it solves a
-    linear program (``_lp_vertex``).  Each also returns the rows'
+    that depends on the number of rows: with one it reads the best vertex
+    off the upper concave hull of (cost(x), score(x)) (``_budget_vertex``;
+    at a zero row that is the first best letter), and with several it solves
+    a linear program (``_simplex_lp``).  Each also returns the rows'
     multipliers lam >= 0.  The objective is I(p) = p . score(p) with
     gradient score - 1, so by concavity and weak duality its maximum is at
     most max_x [score(x) - lam . (cost_rows[:, x] - budgets)] for any such
@@ -513,12 +509,7 @@ def _frank_wolfe(
     """
     n = objective.n_inputs
     excess = cost_rows - budgets[:, None]
-    if cost_rows.shape[0] == 0:
-
-        def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
-            return np.eye(1, n, int(np.argmax(score)))[0], np.zeros(0)
-
-    elif cost_rows.shape[0] == 1:
+    if cost_rows.shape[0] == 1:
         cost, budget = cost_rows[0], float(budgets[0])
         order = np.argsort(cost, kind="stable")
 
@@ -532,7 +523,10 @@ def _frank_wolfe(
     else:
 
         def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
-            return _lp_vertex(excess, score)
+            # The rows are the excess, not the costs: HiGHS drops matrix
+            # entries below 1e-9, so a small cost would be priced at zero,
+            # while an excess is either zero or a cost difference.
+            return _simplex_lp(-score, excess)
 
     if atoms is None:
         atoms, weights = best_vertex(score)[0][None, :], np.ones(1)

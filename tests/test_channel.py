@@ -72,6 +72,25 @@ def test_validate_channel_rejects_bad_distortion():
         cd.validate_channel(model.transition, model.state_prior, [[0.0, math.inf], [1.0, 0.0]])
 
 
+def test_constructors_copy_the_callers_distortion_and_costs():
+    # The models and the constraint freeze their arrays; the caller's stay
+    # writable, and writing to them leaves the frozen copies as they were.
+    model = cd.scalar_multiplicative_model(0.4)
+    distortion = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cost = np.array([0.4, 0.0])
+    validated = cd.validate_channel(model.transition, model.state_prior, distortion)
+    family = cd.CompoundFamily(model.transition, (model.state_prior,), distortion)
+    constraint = cd.CostConstraint(cost, 0.1)
+    assert distortion.flags.writeable and cost.flags.writeable
+    distortion[0, 1] = 7.0
+    cost[0] = 7.0
+    for frozen in (validated.distortion, family.distortion, family.models[0].distortion):
+        assert not frozen.flags.writeable
+        assert frozen[0, 1] == 1.0
+    assert not constraint.cost_vector.flags.writeable
+    assert constraint.cost_vector[0] == 0.4
+
+
 def test_input_distribution_validates():
     px = cd.InputDistribution([0.25, 0.75])
     assert np.allclose(px.probs, [0.25, 0.75])

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and a solve with at
+most one budget never imports scipy.
 
 ``__init__.py`` is left out: its imports are the public re-exports.  An
 import statement carrying ``# noqa: F401`` is exempt, as for flake8.
@@ -7,6 +8,9 @@ import statement carrying ``# noqa: F401`` is exempt, as for flake8.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,26 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+SCALAR_CALLS = """
+import sys
+import capdist as cd
+scalar = cd.scalar_multiplicative_model(0.3)
+point = cd.capacity_distortion_point(scalar, 0.05)
+cd.cd_curve(scalar, 20)
+cd.cpud_sup_definition(scalar)
+cd.simulate(scalar, point.optimizer.probs, 10_000, 7)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_one_budget_solves_never_import_scipy():
+    # Only the several-budget linear step and the matrix game load scipy
+    # (``solver._simplex_lp``'s lazy import); importing scipy.optimize costs
+    # about three times the package's own import.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", SCALAR_CALLS], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -131,6 +131,18 @@ def test_one_budget_multiplier_bound_is_the_best_vertex_score(model, frac, data)
     assert abs(bound - _vertex_bound(cost, score, budget)) <= 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(score=arrays(np.float64, st.integers(1, 8),
+                    elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-5.0, 5.0))))
+def test_zero_cost_row_vertex_is_the_first_best_letter(score):
+    # The finisher solves on the simplex as one zero cost row at budget 0:
+    # every letter is on its budget, so the hull's vertex is the letter
+    # np.argmax picks, the first of tied ones, with multiplier 0.
+    cost = np.zeros(score.size)
+    x = int(np.argmax(score))
+    assert solver._budget_vertex(cost, np.argsort(cost, kind="stable"), score, 0.0) == (x, x, 1.0, 0.0)
+
+
 def _budget(model, frac):
     cost = cd.optimal_estimator(model).cost_vector
     return float(cost.min() + frac * (cost.max() - cost.min()))
@@ -328,7 +340,7 @@ def test_lp_vertex_multipliers_close_the_duality_gap(case):
     # max_x [score(x) - lam . excess_x] equals the vertex's score.
     costs, slack, score, x = case
     excess = costs - (costs[:, x] + slack)[:, None]
-    v, lam = solver._lp_vertex(excess, score)
+    v, lam = solver._simplex_lp(-score, excess)
     assert np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-12
     assert np.all(excess @ v <= 1e-9)
     assert np.all(lam >= 0.0)

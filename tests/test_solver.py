@@ -158,9 +158,9 @@ def _count_calls(monkeypatch, owner, name):
     calls = [0]
     target = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return target(*args)
+        return target(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -376,12 +376,13 @@ def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch, 
 def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
     # The same tied block channel, with the d* row given twice, so every
     # Frank-Wolfe step is a linear program.  Pairwise steps alone need 345
-    # of them; with the Newton step, 9.
+    # of them; with the Newton step, 9.  The count also holds the budget
+    # rule's one feasibility game.
     model = cd.block_multiplicative_model(BLOCK_TIE_R, 2)
     cost = cd.optimal_estimator(model).cost_vector
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.5 * (d_max - d_min)
-    calls = _count_calls(monkeypatch, solver, "_lp_vertex")
+    calls = _count_calls(monkeypatch, solver, "_simplex_lp")
     newton_steps = _count_calls(monkeypatch, solver, "_newton_step")
     point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)] * 2)
     assert calls[0] < 20

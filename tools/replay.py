@@ -1,0 +1,171 @@
+"""Replay a benchmark op list and record every result bit for bit.
+
+Runs the first N ops of ``perfbench/workloads.build_ops(workload, seed)``
+in order (cycling, as the benchmark worker does), with no deadline and no
+timing, and writes one JSON line per op to stdout:
+
+    {"op": i, "label": ..., "fields": {field: hash}, "check": None or why,
+     "counts": {"scores": n, "_frank_wolfe": n, "_ascend": n}}
+
+``fields`` hashes each field of the result (a dataclass; anything else is
+one field, ``value``): arrays by dtype, shape and bytes, floats by their
+hex form, containers item by item.  An op that raises has ``"error"`` in
+place of ``fields``.  ``counts`` are the op's calls of
+``solver._Objective.scores``, ``solver._frank_wolfe`` and
+``solver._ascend``.  The totals and the replay's CPU time go to stderr.
+Exit status 1 when an op raised or failed its check.
+
+    python tools/replay.py points --seed 5 --ops 128 > change.jsonl
+    python tools/replay.py --diff parent.jsonl change.jsonl
+
+``--diff`` prints each op whose label, fields, check or error changed and
+the count deltas, and exits 1 if anything differs.  Compare two checkouts
+by running each one's copy of this script; it imports the ``src`` and
+``perfbench`` next to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+COUNTED = ("scores", "_frank_wolfe", "_ascend")
+
+
+def _feed(h, obj) -> None:
+    if dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode())
+            _feed(h, getattr(obj, f.name))
+    elif isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(float(obj).hex().encode())
+    elif isinstance(obj, (tuple, list)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    else:
+        h.update(f"{type(obj).__name__}:{obj!r}".encode())
+
+
+def _hash(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()[:16]
+
+
+def field_hashes(result) -> dict[str, str]:
+    if dataclasses.is_dataclass(result):
+        return {f.name: _hash(getattr(result, f.name)) for f in dataclasses.fields(result)}
+    return {"value": _hash(result)}
+
+
+def _install_counters(counts: dict[str, int]) -> None:
+    from capdist import solver
+
+    def counting(owner, name):
+        target = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return target(*args, **kwargs)
+
+        setattr(owner, name, wrapper)
+
+    counting(solver._Objective, "scores")
+    counting(solver, "_frank_wolfe")
+    counting(solver, "_ascend")
+
+
+def record(workload: str, seed: int, n_ops: int) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    ops = workloads.build_ops(workload, seed)
+    counts = dict.fromkeys(COUNTED, 0)
+    _install_counters(counts)
+    totals = dict.fromkeys(COUNTED, 0)
+    failed = 0
+    start = time.process_time()
+    for i in range(n_ops):
+        op = ops[i % len(ops)]
+        counts.update(dict.fromkeys(COUNTED, 0))
+        line = {"op": i, "label": op.label}
+        try:
+            result = op.call()
+        except Exception as exc:  # noqa: BLE001 - a raise is a recorded outcome
+            line["error"] = f"{type(exc).__name__}: {exc}"
+            failed += 1
+        else:
+            line["fields"] = field_hashes(result)
+            line["check"] = op.check(result)
+            failed += line["check"] is not None
+            del result
+        line["counts"] = dict(counts)
+        for name in COUNTED:
+            totals[name] += counts[name]
+        print(json.dumps(line), flush=True)
+    cpu = time.process_time() - start
+    print(f"{workload} seed {seed}: {n_ops} ops, {failed} failed, counts {totals}, {cpu:.2f} s CPU",
+          file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _load(path: str) -> list[dict]:
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
+def diff(path_a: str, path_b: str) -> int:
+    a, b = _load(path_a), _load(path_b)
+    changed = 0
+    if len(a) != len(b):
+        print(f"op count: {len(a)} -> {len(b)}")
+        changed += 1
+    for old, new in zip(a, b):
+        keys = [k for k in ("label", "fields", "check", "error") if old.get(k) != new.get(k)]
+        if keys:
+            changed += 1
+            fields = [f for f in {**old.get("fields", {}), **new.get("fields", {})}
+                      if old.get("fields", {}).get(f) != new.get("fields", {}).get(f)]
+            print(f"op {old['op']} {old['label']}: {', '.join(keys)} changed"
+                  + (f" (fields: {', '.join(fields)})" if fields else ""))
+            for k in ("check", "error"):
+                if old.get(k) != new.get(k):
+                    print(f"    {k}: {old.get(k)!r} -> {new.get(k)!r}")
+    for name in COUNTED:
+        before = sum(line["counts"][name] for line in a)
+        after = sum(line["counts"][name] for line in b)
+        changed += before != after
+        print(f"{name}: {before} -> {after} ({after - before:+d})")
+    print(f"{changed} difference(s) over {min(len(a), len(b))} ops")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", nargs="?", choices=("points", "outer", "large"))
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--ops", type=int, default=8, help="number of ops to replay")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two replay files")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    if args.workload is None:
+        parser.error("a workload or --diff is required")
+    return record(args.workload, args.seed, args.ops)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
