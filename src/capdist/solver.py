@@ -365,18 +365,18 @@ def _budget_vertex(
     ``order`` sorts ``cost``.  Returns (x, y, alpha, lam): the vertex puts
     alpha on letter x and 1 - alpha on letter y (x == y for a single
     letter), and lam >= 0 is the budget's multiplier, the hull's slope at
-    the budget (0 when the hull's peak is affordable).
+    the budget (0 when the hull's peak is affordable).  The chain keeps only
+    letters that outscore every cheaper-or-equal one, so its scores rise.
     """
-    # The chain visits every letter (all |X| of them at the finisher's zero
-    # row); Python floats index about 3x faster than numpy scalars, with
-    # the same double arithmetic.
+    # Every letter is visited, as Python floats (3x faster to index than
+    # numpy scalars, same doubles); only one that beats the best so far joins.
     cost, score = cost.tolist(), score.tolist()
     hull: list[int] = []  # monotone chain, left to right
     for x in order.tolist():
         c, s = cost[x], score[x]
+        if hull and score[hull[-1]] >= s:
+            continue
         if hull and cost[hull[-1]] == c:
-            if score[hull[-1]] >= s:
-                continue
             hull.pop()
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
@@ -385,10 +385,10 @@ def _budget_vertex(
             hull.pop()  # b lies on or below the chord from a to x
         hull.append(x)
     i = 0
-    while i + 1 < len(hull) and score[hull[i + 1]] > score[hull[i]] and cost[hull[i + 1]] <= budget:
+    while i + 1 < len(hull) and cost[hull[i + 1]] <= budget:
         i += 1
     x = hull[i]
-    if i + 1 == len(hull) or score[hull[i + 1]] <= score[x]:
+    if i + 1 == len(hull):
         return x, x, 1.0, 0.0
     y = hull[i + 1]
     alpha = float((cost[y] - budget) / (cost[y] - cost[x]))

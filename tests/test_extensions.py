@@ -147,6 +147,20 @@ def test_sup_definition_without_free_letter_is_finite():
     assert result.value <= cap / d_min + 1e-9
 
 
+def test_sup_definition_on_uniform_cost_is_the_capacity_over_that_cost():
+    # The output ignores the state, so every letter's estimate is the prior's
+    # mode and costs 0.3 (to an ulp): every input law spends 0.3, where the
+    # sup sits.
+    rows = [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
+    model = cd.validate_channel([[row, row] for row in rows], [0.7, 0.3], HAMMING2)
+    assert np.max(np.abs(cd.optimal_estimator(model).cost_vector - 0.3)) <= 1e-15
+    result = cd.cpud_sup_definition(model)
+    assert result.value == cd.capacity_distortion_point(model, 0.3).capacity / 0.3
+    assert result.condition is None
+    with pytest.raises(cd.NoZeroCostLetter):
+        cd.cpud_ratio_formula(model)
+
+
 # ---------------------------------------------------------------------------
 # worst-case prior
 # ---------------------------------------------------------------------------

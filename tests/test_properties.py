@@ -143,6 +143,54 @@ def test_zero_cost_row_vertex_is_the_first_best_letter(score):
     assert solver._budget_vertex(cost, np.argsort(cost, kind="stable"), score, 0.0) == (x, x, 1.0, 0.0)
 
 
+def _reference_budget_vertex(cost, order, score, budget):
+    # The hull as it was before the chain kept only record-breaking letters:
+    # it settles ties with three score tests, where the solver's uses one.
+    cost, score = cost.tolist(), score.tolist()
+    hull: list[int] = []  # monotone chain, left to right
+    for x in order.tolist():
+        c, s = cost[x], score[x]
+        if hull and cost[hull[-1]] == c:
+            if score[hull[-1]] >= s:
+                continue
+            hull.pop()
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (cost[b] - cost[a]) * (s - score[a]) < (score[b] - score[a]) * (c - cost[a]):
+                break
+            hull.pop()  # b lies on or below the chord from a to x
+        hull.append(x)
+    i = 0
+    while i + 1 < len(hull) and score[hull[i + 1]] > score[hull[i]] and cost[hull[i + 1]] <= budget:
+        i += 1
+    x = hull[i]
+    if i + 1 == len(hull) or score[hull[i + 1]] <= score[x]:
+        return x, x, 1.0, 0.0
+    y = hull[i + 1]
+    alpha = float((cost[y] - budget) / (cost[y] - cost[x]))
+    return x, y, alpha, float((score[y] - score[x]) / (cost[y] - cost[x]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_budget_vertex_matches_the_three_test_hull_bit_for_bit(n, data):
+    # Costs and scores tie often (a three-point grid, -0.0 and steps of 1e-7
+    # and 1e-300); budgets sit at costs, between two of them, below the
+    # cheapest and above the dearest.
+    grid = st.sampled_from([0.0, 0.5, 1.0])
+    cost = data.draw(arrays(np.float64, n, elements=st.one_of(grid, st.floats(0.0, 2.0))))
+    score = data.draw(arrays(np.float64, n, elements=st.one_of(
+        grid, st.sampled_from([-0.0, 1e-300, 1e-7, 0.5 + 1e-7]), st.floats(-5.0, 5.0))))
+    order = np.argsort(cost, kind="stable")
+    lo, hi = data.draw(st.sampled_from(cost)), data.draw(st.sampled_from(cost))
+    budget = data.draw(st.one_of(st.just(float(lo)), st.floats(min(lo, hi), max(lo, hi)),
+                                 st.floats(-1.0, 3.0)))
+    got = solver._budget_vertex(cost, order, score, budget)
+    want = _reference_budget_vertex(cost, order, score, budget)
+    assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
 def _budget(model, frac):
     cost = cd.optimal_estimator(model).cost_vector
     return float(cost.min() + frac * (cost.max() - cost.min()))

@@ -1,14 +1,24 @@
 """Smoke test of ``tools/replay.py``: it records the benchmark's first ops
-with their checks and counts, and ``--diff`` reports a changed result."""
+with their checks and counts, and ``--diff`` reports a changed result; the
+wide corpus's dual bound is the exact one."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 REPLAY = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+_spec = importlib.util.spec_from_file_location("replay", REPLAY)
+replay = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(replay)
 
 
 def _replay(*args: str) -> subprocess.CompletedProcess:
@@ -32,3 +42,23 @@ def test_replay_records_ops_and_diff_reports_changes(tmp_path):
     diff = _replay("--diff", str(same), str(changed))
     assert diff.returncode == 1
     assert "op 1 " in diff.stdout and "fields: capacity" in diff.stdout and "(+3)" in diff.stdout
+
+
+_slopes = st.one_of(st.just(0.0), st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=st.integers(1, 8).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(-5.0, 5.0)), arrays(np.float64, n, elements=_slopes))))
+def test_wide_dual_bound_is_the_exact_min_max_of_the_lines(case):
+    # The wide corpus's O(|X|)-per-step bound against the minimum over every
+    # crossing of a rising and a falling line.
+    a, b = case
+    got = replay.dual_bound(a, b)
+    if np.all(b > 0.0):
+        assert got == float("inf")
+        return
+    lams = [0.0] + [(a[i] - a[j]) / (b[i] - b[j]) for i in range(a.size) for j in range(a.size)
+                    if b[i] > 0.0 >= b[j] and a[i] > a[j]]
+    exact = min(float(np.max(a - lam * b)) for lam in lams)
+    assert exact - 1e-12 <= got <= exact + 1e-9

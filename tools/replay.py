@@ -18,6 +18,10 @@ Exit status 1 when an op raised or failed its check.
     python tools/replay.py points --seed 5 --ops 128 > change.jsonl
     python tools/replay.py --diff parent.jsonl change.jsonl
 
+Besides the benchmark's workloads, ``wide`` is a corpus of alphabets wider
+than any of theirs, built here from ``--seed`` and kept out of the
+benchmark (``wide_ops``).
+
 ``--diff`` prints each op whose label, fields, check or error changed and
 the count deltas, and exits 1 if anything differs.  Compare two checkouts
 by running each one's copy of this script; it imports the ``src`` and
@@ -28,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -38,6 +44,13 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("scores", "_frank_wolfe", "_ascend")
+WORKLOADS = ("points", "outer", "large", "wide")
+# wide: budgeted points on Dirichlet(0.3) channels with |S| = 3 and |Y| = 8,
+# at these fractions of [d_min, d_max]; then simulate on a |X| = 4, |S| = 2,
+# |Y| = 2,000 channel, where draws are per row, at these sample counts.
+WIDE_INPUTS = (1024, 4096)
+WIDE_FRACTIONS = (0.2, 0.5, 0.8)
+WIDE_SIM_SAMPLES = (100, 10_000)
 
 
 def _feed(h, obj) -> None:
@@ -88,11 +101,94 @@ def _install_counters(counts: dict[str, int]) -> None:
     counting(solver, "_ascend")
 
 
+def dual_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """min over lam >= 0 of max_x (a_x - lam * b_x), in O(|X|) per step.
+
+    The objective is convex in lam and -b at its maximizing letter is a
+    subgradient, so lam is found by 100 halvings of a bracket on that sign;
+    any lam gives a valid upper bound, so the bracket's better end is
+    returned.  +inf when
+    every b_x > 0 (no law meets the budget).
+    """
+    def at(lam):
+        line = a - lam * b
+        x = int(np.argmax(line))
+        return float(line[x]), -float(b[x])
+
+    value, slope = at(0.0)
+    if slope >= 0.0:
+        return value
+    if np.all(b > 0.0):
+        return math.inf
+    lo, hi = 0.0, 1.0
+    while at(hi)[1] < 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if at(mid)[1] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return min(at(lo)[0], at(hi)[0])
+
+
+def check_wide_point(model, point) -> str | None:
+    """``checks.point_validity`` (budget met, capacity = I(law)) and a dual
+    gap <= ``checks.POINT_TOL`` from ``dual_bound``: O(|X| |Y|) where
+    ``checks.check_point_dual`` tries every crossing of two letters' lines."""
+    import checks
+
+    import capdist as cd
+
+    probs, budget = point.optimizer.probs, point.distortion_budget
+    cost = cd.optimal_estimator(model).cost_vector
+    mi = cd.mutual_information(model, probs)
+    bad = checks.point_validity(point, budget, cost, mi)
+    if bad:
+        return bad
+    a = checks._kl_rows(model.output_given_input, cd.output_marginal(model, probs))
+    gap = dual_bound(a, checks._excess(cost, budget)) - mi
+    if not gap <= checks.POINT_TOL:
+        return f"dual gap {gap:.3e} > {checks.POINT_TOL:.0e}"
+    return None
+
+
+def wide_ops(seed: int) -> list:
+    """Three budgets per ``WIDE_INPUTS`` channel, then simulate at each of
+    ``WIDE_SIM_SAMPLES``.  A channel's feasible range is solved by the
+    first of its ops that runs and shared by the others."""
+    import checks
+    from workloads import Op
+
+    import capdist as cd
+
+    rng = np.random.default_rng(seed)
+    ops = []
+    for nx in WIDE_INPUTS:
+        model = cd.validate_channel(rng.dirichlet(np.full(8, 0.3), size=(nx, 3)),
+                                    rng.dirichlet(np.ones(3)), 1.0 - np.eye(3))
+        span = functools.cache(lambda m=model: cd.feasible_range(m))
+        for frac in WIDE_FRACTIONS:
+            ops.append(Op(f"capacity_distortion_point/dirichlet |X|={nx}",
+                          lambda m=model, s=span, f=frac: cd.capacity_distortion_point(
+                              m, s()[0] + f * (s()[1] - s()[0])),
+                          lambda pt, m=model: check_wide_point(m, pt)))
+    model = cd.validate_channel(rng.dirichlet(np.ones(2000), size=(4, 2)),
+                                rng.dirichlet(np.ones(2)), 1.0 - np.eye(2))
+    probs, cost = np.full(4, 0.25), cd.optimal_estimator(model).cost_vector
+    for n in WIDE_SIM_SAMPLES:
+        sim_seed = int(rng.integers(2**31))
+        ops.append(Op(f"simulate/dirichlet |Y|=2000 n={n}",
+                      lambda m=model, n=n, s=sim_seed: cd.simulate(m, probs, n, s),
+                      lambda rep, m=model, n=n: checks.check_simulation(m, probs, cost, n, rep)))
+    return ops
+
+
 def record(workload: str, seed: int, n_ops: int) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
-    ops = workloads.build_ops(workload, seed)
+    ops = wide_ops(seed) if workload == "wide" else workloads.build_ops(workload, seed)
     counts = dict.fromkeys(COUNTED, 0)
     _install_counters(counts)
     totals = dict.fromkeys(COUNTED, 0)
@@ -155,7 +251,7 @@ def diff(path_a: str, path_b: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", nargs="?", choices=("points", "outer", "large"))
+    parser.add_argument("workload", nargs="?", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--ops", type=int, default=8, help="number of ops to replay")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two replay files")
