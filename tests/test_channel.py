@@ -296,8 +296,8 @@ def test_block_builder_matches_kron_of_rows():
 
 
 def _stacked_block(model, block_len):
-    """The block channel built by stacking each state's Kronecker power and
-    validating the stack."""
+    """The block channel as a plain stack of each state's ``np.kron`` power,
+    neither validated nor renormalized."""
     stacked = []
     for s in range(model.state_size):
         mat = model.transition[:, s, :]
@@ -305,12 +305,17 @@ def _stacked_block(model, block_len):
         for _ in range(block_len - 1):
             power = np.kron(power, mat)
         stacked.append(power)
-    return cd.validate_channel(np.stack(stacked, axis=1), model.state_prior, model.distortion)
+    return cd.ChannelModel(np.stack(stacked, axis=1), model.state_prior, model.distortion)
 
 
 def test_block_builder_is_bit_identical_to_the_stacked_construction():
     rng = np.random.default_rng(11)
-    bases = [cd.scalar_multiplicative_model(0.3), _random_channel(rng, 2, 3, 2), _random_channel(rng, 3, 2, 2)]
+    bases = [
+        cd.scalar_multiplicative_model(0.3),
+        _random_channel(rng, 2, 3, 2),
+        _random_channel(rng, 3, 2, 2),
+        _sparse_channel(rng, 3, 2, 4, [0.4, 0.6]),
+    ]
     for base in bases:
         for K in range(1, 9):
             if base.input_size**K * base.state_size * base.output_size**K > 2**21:
@@ -320,6 +325,28 @@ def test_block_builder_is_bit_identical_to_the_stacked_construction():
             assert np.array_equal(built.state_prior, stacked.state_prior)
             assert np.array_equal(built.distortion, stacked.distortion)
             assert not built.transition.flags.writeable
+
+
+def test_block_rows_of_validated_random_bases_sum_to_one():
+    # The rows are products of validated rows, not renormalized: each sums
+    # to 1 within 4 K eps (K eps at most, as measured).
+    rng = np.random.default_rng(27)
+    eps = np.finfo(np.float64).eps
+    for _ in range(6):
+        nx, ns, ny = rng.integers(2, 4), rng.integers(2, 4), rng.integers(2, 4)
+        prior = rng.dirichlet(np.ones(ns))
+        dirichlet = cd.validate_channel(rng.dirichlet(np.ones(ny), size=(nx, ns)), prior, rng.random((ns, ns)))
+        for base in (dirichlet, _sparse_channel(rng, nx, ns, ny, prior)):
+            for K in range(1, 9):
+                if ns * (nx * ny) ** K > 2**21:
+                    break
+                sums = cd.block_to_super_symbol(base, K).transition.sum(axis=2)
+                assert np.max(np.abs(sums - 1.0)) <= 4 * K * eps, K
+    # numpy's multinomial rejects rows whose pvals[:-1] sum above 1 + 1e-12.
+    base = cd.validate_channel(rng.dirichlet(np.ones(2), size=(2, 2)), [0.3, 0.7], HAMMING2)
+    block = cd.block_to_super_symbol(base, 6)
+    report = cd.simulate(block, np.full(64, 1 / 64), 10_000, 5)
+    assert report.samples == 10_000
 
 
 def _sparse_channel(rng, nx, ns, ny, prior):

@@ -61,6 +61,14 @@ def test_point_json_file_matches_preset(tmp_path, capsys):
     assert abs(float(_grab(out, "C(D) =").split()[0]) - R04_CAP_AT_01) < 1e-9
 
 
+def test_point_additive_mod2_preset(capsys):
+    # y = x + s mod 2 reveals the state, so C(0) = log 2 - H(0.2).
+    code = cli.main(["point", "additive_mod2 r=0.2", "--distortion", "0"])
+    assert code == 0
+    assert _grab(capsys.readouterr().out, "C(D) =") == "0.192744757022 nats"
+    assert abs(0.192744757022 - (math.log(2.0) + 0.2 * math.log(0.2) + 0.8 * math.log(0.8))) < 1e-12
+
+
 def test_point_infeasible_budget_exits_3(capsys):
     code = cli.main(["point", "scalar_multiplicative r=0.4", "--distortion", "-0.1"])
     captured = capsys.readouterr()
@@ -185,6 +193,31 @@ def test_curve_d_list_skips_infeasible_budgets(tmp_path, capsys):
     assert rows[0][0] == 0.45
 
 
+def test_curve_with_every_budget_below_d_min_writes_only_the_header(tmp_path, capsys):
+    # The = form: argparse reads a separate "-0.1,-0.2" as an option.
+    out_file = tmp_path / "curve.csv"
+    code = cli.main(["curve", "scalar_multiplicative r=0.3", "--d-list=-0.1,-0.2", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "skipping infeasible budgets" in captured.err
+    assert out_file.read_text() == cli.CSV_HEADER + "\n"
+
+
+def test_curve_convergence_warnings_exit_4(tmp_path, monkeypatch, capsys):
+    def fake_curve(model, budgets):
+        law = cd.InputDistribution([0.5, 0.5])
+        points = [cd.CDPoint(b, 0.1, law, True, None if b == 0.05 else f"gap at {b}") for b in budgets]
+        return cd.CDCurve(tuple(points), 0.0, 0.3)
+
+    monkeypatch.setattr(cli, "cd_curve", fake_curve)
+    out_file = tmp_path / "curve.csv"
+    code = cli.main(["curve", "scalar_multiplicative r=0.3", "--d-list", "0.02,0.05,0.1", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.splitlines() == ["warning at D=0.02: gap at 0.02", "warning at D=0.1: gap at 0.1"]
+    assert len(cli.read_curve_csv(str(out_file))) == 3
+
+
 def test_curve_requires_exactly_one_grid_flavor(tmp_path, capsys):
     out_file = str(tmp_path / "c.csv")
     both = cli.main(["curve", "scalar_multiplicative r=0.3", "--grid", "5",
@@ -223,6 +256,19 @@ def test_cpud_scalar_reports_both_routes(capsys):
     assert abs(float(ratio_line.split()[1]) - slope) < 1e-9
     sup_line = [l for l in out.splitlines() if l.startswith("sup-definition:")][0]
     assert abs(float(sup_line.split()[1]) - slope) / slope < 1e-3
+
+
+def test_cpud_without_a_zero_cost_letter_reports_the_sup_only(tmp_path, capsys):
+    doc = _scalar_doc()
+    doc["transition"] = [[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]
+    spec = tmp_path / "noisy.json"
+    spec.write_text(json.dumps(doc))
+    code = cli.main(["cpud", str(spec)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 2
+    assert lines[0].startswith("ratio-formula: not applicable (") and lines[0].endswith(")")
+    assert lines[1].startswith("sup-definition:") and float(lines[1].split()[1]) > 0
 
 
 def test_cpud_block_is_infinite(capsys):
@@ -366,6 +412,25 @@ def test_bad_specs_exit_2(tmp_path, capsys):
     missing.write_text(json.dumps(doc))
     assert cli.main(["point", str(missing), "--distortion", "0.1"]) == 2
     capsys.readouterr()
+
+
+def test_preset_errors_exit_2_naming_the_problem(tmp_path, capsys):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"preset": "bogus r=0.2"}))
+    cases = [
+        ("scalar_multiplicative r", "'r' is not key=value"),
+        ("scalar_multiplicative", "requires r="),
+        ("block_multiplicative r=0.3", "requires K="),
+        ("additive_mod2 r=0.2 K=3", "unexpected parameters ['K']"),
+        (str(bogus), "unknown preset 'bogus r=0.2'"),
+    ]
+    for spec, problem in cases:
+        code = cli.main(["point", spec, "--distortion", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2, spec
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and problem in line, line
 
 
 def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
