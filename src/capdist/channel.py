@@ -47,12 +47,19 @@ DENSE_ENTRY_CAP = 2**25
 # matrices and lower on small ones.  Block channels of the scalar family
 # have 2**(K+1) - 1 nonzeros of 4**K, from 2**K candidates per state, and
 # take the support from K = 7 on, from their factors; a K = 11 scan of the
-# 64 MiB tensor took 13-14 ms.  Dirichlet rows have no zeros.
+# 64 MiB tensor took 13-14 ms.  Dirichlet rows have no zeros.  The same
+# share decides how ``block_to_super_symbol`` writes a state: it scatters
+# the products of the factor's nonzeros into a zeroed tensor when they fill
+# at most this share of the state's slice (the scalar family from K = 6 on),
+# and writes every entry by strided runs otherwise.  A K = 11 block of the
+# scalar family then builds and is read once in about 19 ms of CPU, against
+# 42 ms strided; K = 9 and 10 take 1.1 and 3.1 ms, against 2.3 and 7.3.
 SUPPORT_DENSITY = 1 / 64
 
 # Entries of a state's slice that ``block_to_super_symbol`` writes as one
-# run, 256 KiB, so that its |X| |Y| strided writes stay in cache: r = 0.3
-# tensors took 23.2 ms at K = 11 and 122 ms at K = 12 in runs, 26.6 and 146 ms
+# run when it strides the state (a state it scatters takes no runs), 256 KiB,
+# so that its |X| |Y| strided writes stay in cache: strided r = 0.3 tensors
+# took 23.2 ms at K = 11 and 122 ms at K = 12 in runs, 26.6 and 146 ms
 # without (process CPU, median of 21 interleaved runs, 2-vCPU x86-64 VM).
 _RUN_ENTRIES = 2**15
 
@@ -473,21 +480,37 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
 
     Raises ``AlphabetOverflow`` before allocating anything when the dense
     tensor |X|^K |S| |Y|^K exceeds ``DENSE_ENTRY_CAP`` entries.  The tensor
-    is the only full-size allocation.  Each state's Kronecker power is built
-    one level at a time, each level written as |X| |Y| strided multiplies of
-    the level below by one entry of P(. | ., s); the largest temporary is
-    level K - 1, 1 / (|X| |Y|) of a state's slice.  The last level goes
-    straight into the tensor in runs of about ``_RUN_ENTRIES`` entries.
-    Entries are the products 1.0 P(y_1 | x_1, s) ... P(y_K | x_K, s) taken
-    left to right, as in a stack of ``np.kron`` powers.  Rows are no longer
-    renormalized: a raw ``ChannelModel`` whose rows miss 1 gives a block
-    whose rows miss it too.
+    is built in full and is the only full-size allocation.  A state is
+    written one of two ways:
+
+    - scattered, when its factor's nnz_s nonzeros give nnz_s^K <=
+      ``SUPPORT_DENSITY`` (|X| |Y|)^K product cells: their indices and values
+      are formed by K outer products over the nonzeros and assigned into a
+      zeroed tensor, O(nnz_s^K) work and memory.  A factor with a negative,
+      -0.0 or non-finite entry is strided instead, since a product with it
+      need not be +0.0 at the other cells;
+    - strided, otherwise (Dirichlet-type dense factors): the Kronecker power
+      is built one level at a time, each level written as |X| |Y| strided
+      multiplies of the level below by one entry of P(. | ., s); the largest
+      temporary is level K - 1, 1 / (|X| |Y|) of a state's slice, and the
+      last level goes straight into the tensor in runs of about
+      ``_RUN_ENTRIES`` entries.
+
+    Both write the products 1.0 P(y_1 | x_1, s) ... P(y_K | x_K, s) taken
+    left to right, as in a stack of ``np.kron`` powers, so the tensor is the
+    same bits either way.  The tensor is zeroed only when some state is
+    scattered.  Build plus one full read of the scalar family (r = 0.3) took
+    1.1, 3.1 and 18.9 ms at K = 9, 10 and 11 scattered, against 2.3, 7.3 and
+    41.9 ms strided (process CPU, median of 15 alternated runs, 2-vCPU
+    x86-64 VM); what is left at K = 11 is mostly first touch of the fresh
+    64 MiB tensor.  Rows are not renormalized: a raw ``ChannelModel`` whose
+    rows miss 1 gives a block whose rows miss it too.
 
     When the state powers have at most ``SUPPORT_DENSITY`` of P(y | x)'s
     cells as candidates, the product cells of each factor's nonzeros, the
     result arrives with its support (``ChannelModel._support``) taken from
-    them, the same support a scan of the tensor finds; otherwise the scan
-    runs on first use.
+    those cells, the same support a scan of the tensor finds;
+    otherwise the scan runs on first use.
     """
     if block_len < 1:
         raise DimensionMismatch("block_len must be >= 1")
@@ -502,30 +525,41 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
             f"dense super-symbol transition |X|^K |S| |Y|^K = "
             f"{'' if counted == block_len else 'at least '}{entries} entries exceeds cap {DENSE_ENTRY_CAP}"
         )
-    transition = np.empty((nx**block_len, ns, ny**block_len))
-    step = max(1, _RUN_ENTRIES // (nx * ny**block_len))  # rows of level K - 1 per run
+    n_cols, sparse_cells = ny**block_len, SUPPORT_DENSITY * (nx * ny) ** block_len
+    # A state's power is nonzero only at the products of its factor's nonzero
+    # cells, nnz_s^K of them.  Their union over the states of positive prior
+    # holds every nonzero of P(y|x); when their count fits under the density,
+    # so does the scan's count, and both give the same support.
+    candidates = np.count_nonzero(model.transition, axis=(0, 2)) ** block_len
+    sparse = candidates <= sparse_cells
+    # Only a scattered state needs the cells it leaves to be zero.
+    transition = (np.zeros if sparse.any() else np.empty)((nx**block_len, ns, n_cols))
+    step = max(1, _RUN_ENTRIES // (nx * n_cols))  # rows of level K - 1 per run
+    flat = []
     for s in range(ns):
         mat = model.transition[:, s, :]
+        if sparse[s]:
+            rows, cols = np.nonzero(mat)
+            block_rows, block_cols, values = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
+            for _ in range(block_len):
+                block_rows = (block_rows[:, None] * nx + rows).ravel()
+                block_cols = (block_cols[:, None] * ny + cols).ravel()
+                values = (values[:, None] * mat[rows, cols]).ravel()
+            if model.state_prior[s] > 0:
+                flat.append(block_rows * n_cols + block_cols)
+            # The scatter leaves +0.0 at the other cells, where the strided
+            # products of a negative, -0.0 or non-finite entry would not.
+            if not np.any(np.signbit(mat) | ~np.isfinite(mat)):
+                transition[block_rows, s, block_cols] = values
+                continue
         power = np.ones((1, 1))  # the Kronecker power of mat built so far
         for level in range(1, block_len):
             power = _kron_into(np.empty((nx**level, ny**level)), power, mat)
         for lo in range(0, len(power), step):
             _kron_into(transition[lo * nx : (lo + step) * nx, s, :], power[lo : lo + step], mat)
     built = ChannelModel(transition, model.state_prior, model.distortion)
-    # A state's power is nonzero only at products of its factor's nonzero
-    # cells.  Their union over the states of positive prior holds every
-    # nonzero of P(y|x); when their count fits under the density, so does the
-    # scan's count, and both give the same support.
-    cells = [np.nonzero(model.transition[:, s, :]) for s in np.flatnonzero(model.state_prior > 0)]
-    if sum(rows.size**block_len for rows, _ in cells) <= SUPPORT_DENSITY * (nx * ny) ** block_len:
-        flat = []
-        for rows, cols in cells:
-            block_rows, block_cols = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-            for _ in range(block_len):
-                block_rows = (block_rows[:, None] * nx + rows).ravel()
-                block_cols = (block_cols[:, None] * ny + cols).ravel()
-            flat.append(block_rows * ny**block_len + block_cols)
-        rows, cols = np.divmod(np.unique(np.concatenate(flat)), ny**block_len)
+    if candidates[model.state_prior > 0].sum() <= sparse_cells:
+        rows, cols = np.divmod(np.unique(np.concatenate(flat)), n_cols)
         vars(built)["_support"] = _support_among(transition, model.state_prior, rows, cols)
     return built
 

@@ -141,8 +141,12 @@ def load_spec(path_or_preset: str) -> tuple[ChannelModel, np.ndarray | None]:
             state_size=sizes.get("s"),
         )
     if compound is not None:
-        if not compound or any(prior.shape != (model.state_size,) for prior in compound):
-            raise ValueError(f"field 'compound.priors' must list vectors of {model.state_size} state probabilities")
+        if not compound:
+            raise ValueError("field 'compound.priors' must list at least one prior")
+        for i, prior in enumerate(compound):
+            if prior.shape != (model.state_size,):
+                found = f"{prior.size} entries" if prior.ndim == 1 else f"shape {prior.shape}"
+                raise ValueError(f"field 'compound.priors[{i}]' has {found}, expected {model.state_size}")
         compound = np.stack(compound)
     return model, compound
 
@@ -411,6 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value that starts with a minus, such as
+    # "-0.1,0.05", as an option unless it is one number; joined, it is a value.
+    if "--d-list" in argv[:-1]:
+        i = argv.index("--d-list")
+        argv[i : i + 2] = [f"--d-list={argv[i + 1]}"]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

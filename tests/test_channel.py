@@ -420,6 +420,70 @@ def test_block_support_from_the_factors_is_the_scans():
     _assert_support_is_the_scans(built)
 
 
+def _strided_block(model, block_len):
+    """The builder's strided fill before sparse states were scattered,
+    copied verbatim: every state's power written by ``_strided_kron_into``."""
+    nx, ns, ny = model.transition.shape
+    transition = np.empty((nx**block_len, ns, ny**block_len))
+    step = max(1, cd.channel._RUN_ENTRIES // (nx * ny**block_len))  # rows of level K - 1 per run
+    for s in range(ns):
+        mat = model.transition[:, s, :]
+        power = np.ones((1, 1))  # the Kronecker power of mat built so far
+        for level in range(1, block_len):
+            power = _strided_kron_into(np.empty((nx**level, ny**level)), power, mat)
+        for lo in range(0, len(power), step):
+            _strided_kron_into(transition[lo * nx : (lo + step) * nx, s, :], power[lo : lo + step], mat)
+    return cd.channel.ChannelModel(transition, model.state_prior, model.distortion)
+
+
+def _strided_kron_into(out, power, mat):
+    nx, ny = mat.shape
+    for k in range(nx):
+        for l in range(ny):
+            np.multiply(power, mat[k, l], out=out[k::nx, l::ny])
+    return out
+
+
+def test_block_tensor_from_factor_products_is_the_strided_fill():
+    rng = np.random.default_rng(28)
+    bases = []
+    for _ in range(12):
+        nx, ns, ny = rng.integers(2, 5), rng.integers(2, 4), rng.integers(2, 5)
+        prior = rng.dirichlet(np.ones(ns))
+        bases.append(_sparse_channel(rng, nx, ns, ny, prior))
+        bases.append(_random_channel(rng, nx, ns, ny))
+        # One sparse state next to one dense state, then with the sparse one
+        # at zero prior: the dense state's slice is strided, the sparse one's
+        # scattered, and the zero-prior state adds no support candidate.
+        sparse = _sparse_channel(rng, nx, 2, ny, [0.5, 0.5]).transition
+        mixed = np.stack([sparse[:, 0], rng.dirichlet(np.ones(ny), size=nx)], axis=1)
+        bases.append(cd.validate_channel(mixed, rng.dirichlet(np.ones(2)), rng.random((2, 2))))
+        bases.append(cd.validate_channel(mixed[:, ::-1], [0.0, 1.0], rng.random((2, 2))))
+    # 1e-200 squared underflows to 0 in the K = 2 block.
+    transition = np.zeros((2, 2, 16))
+    transition[0, 0, :2] = [1.0, 1e-200]
+    transition[1, 0, 5] = transition[0, 1, 2] = transition[1, 1, 3] = 1.0
+    bases.append(cd.validate_channel(transition, [0.6, 0.4], HAMMING2))
+    # Zeros written as -0.0 pass validation; their strided products are -0.0.
+    signed = np.where(bases[0].transition == 0, -0.0, bases[0].transition)
+    bases.append(cd.validate_channel(signed, bases[0].state_prior, bases[0].distortion))
+    cases = [(base, K) for base in bases for K in range(1, 9)
+             if base.state_size * (base.input_size * base.output_size) ** K <= 2**21]
+    cases += [(family(0.3), K) for family in (cd.scalar_multiplicative_model, cd.additive_mod2_model)
+              for K in (9, 10, 11)]
+    scattered = 0
+    for base, K in cases:
+        built, strided = cd.block_to_super_symbol(base, K), _strided_block(base, K)
+        assert built.transition.tobytes() == strided.transition.tobytes(), K
+        _assert_support_is_the_scans(built)
+        cost, strided_cost = cd.optimal_estimator(built).cost_vector, cd.optimal_estimator(strided).cost_vector
+        assert cost.tobytes() == strided_cost.tobytes(), K
+        scattered += any(np.count_nonzero(base.transition[:, s]) ** K
+                         <= cd.channel.SUPPORT_DENSITY * (base.input_size * base.output_size) ** K
+                         for s in range(base.state_size))
+    assert scattered >= 30
+
+
 def test_block_builder_peak_memory_is_within_twice_the_tensor():
     import tracemalloc
 
@@ -431,6 +495,25 @@ def test_block_builder_peak_memory_is_within_twice_the_tensor():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * model.transition.nbytes
+
+
+def test_sparse_block_build_peak_memory_is_the_tensor_plus_1mib():
+    # Each state of the K = 11 multiplicative block scatters the 2**11
+    # products of its factor's 2 nonzeros: the index and value arrays, and
+    # the support gathered from them, are O(2**K), not a level of the power.
+    # A K = 7 build first takes the one-time imports (np.unique's of numpy.ma,
+    # about 1 MiB) out of the count.
+    import tracemalloc
+
+    cd.block_multiplicative_model(0.3, 7)
+    tracemalloc.start()
+    try:
+        model = cd.block_multiplicative_model(0.3, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_support" in vars(model)
+    assert peak <= model.transition.nbytes + 2**20
 
 
 def test_estimator_and_row_terms_peak_memory_at_k10():

@@ -203,6 +203,32 @@ def test_curve_with_every_budget_below_d_min_writes_only_the_header(tmp_path, ca
     assert out_file.read_text() == cli.CSV_HEADER + "\n"
 
 
+def test_curve_d_list_takes_a_separate_negative_list(tmp_path, capsys):
+    # "-0.1,0.05" after "--d-list" is its value, not an unknown option: the
+    # separate form writes what the = form writes.
+    runs = []
+    for argv in (["--d-list", "-0.1,0.05"], ["--d-list=-0.1,0.05"]):
+        out_file = tmp_path / f"curve{len(runs)}.csv"
+        code = cli.main(["curve", "scalar_multiplicative r=0.3", *argv, "--out", str(out_file)])
+        runs.append((code, capsys.readouterr().err, out_file.read_text()))
+    assert runs[0] == runs[1]
+    code, err, text = runs[0]
+    assert code == 3 and "skipping infeasible budgets" in err
+    assert [row[0] for row in cli.read_curve_csv(str(tmp_path / "curve0.csv"))] == [0.05]
+    assert text.startswith(cli.CSV_HEADER + "\n")
+
+
+def test_ragged_compound_priors_name_the_entry(tmp_path, capsys):
+    doc = _scalar_doc()
+    doc["compound"] = {"priors": [[0.7, 0.3], [0.5, 0.3, 0.2], [1.0]]}
+    spec = tmp_path / "ragged.json"
+    spec.write_text(json.dumps(doc))
+    code = cli.main(["compound", str(spec), "--distortion", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: field 'compound.priors[1]' has 3 entries, expected 2\n"
+
+
 def test_curve_convergence_warnings_exit_4(tmp_path, monkeypatch, capsys):
     def fake_curve(model, budgets):
         law = cd.InputDistribution([0.5, 0.5])
@@ -445,8 +471,9 @@ def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
         ("compound", {"priors": [[0.7, {"a": 1}]]}, "'compound.priors[0]'"),
         ("compound", {"priors": 5}, "'compound'"),
         ("compound", {"priors": None}, "'compound'"),
-        ("compound", {"priors": [[0.5, 0.5], [1.0]]}, "'compound.priors'"),
-        ("compound", {"priors": [[0.2, 0.3, 0.5]]}, "'compound.priors'"),
+        ("compound", {"priors": [[0.5, 0.5], [1.0]]}, "'compound.priors[1]' has 1 entries, expected 2"),
+        ("compound", {"priors": [[0.2, 0.3, 0.5]]}, "'compound.priors[0]' has 3 entries, expected 2"),
+        ("compound", {"priors": []}, "'compound.priors'"),
     ]
     for i, (key, value, field) in enumerate(shapes):
         doc = _scalar_doc()

@@ -1,6 +1,7 @@
 """Smoke test of ``tools/replay.py``: it records the benchmark's first ops
 with their checks and counts, and ``--diff`` reports a changed result; the
-wide corpus's dual bound is the exact one."""
+wide corpus's dual bound is the exact one, and the blocks corpus's check
+catches a support that is not a scan's."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 REPLAY = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 _spec = importlib.util.spec_from_file_location("replay", REPLAY)
 replay = importlib.util.module_from_spec(_spec)
+sys.modules["replay"] = replay  # its dataclass resolves annotations through the module
 _spec.loader.exec_module(replay)
 
 
@@ -42,6 +44,21 @@ def test_replay_records_ops_and_diff_reports_changes(tmp_path):
     diff = _replay("--diff", str(same), str(changed))
     assert diff.returncode == 1
     assert "op 1 " in diff.stdout and "fields: capacity" in diff.stdout and "(+3)" in diff.stdout
+
+
+def test_blocks_corpus_passes_its_checks_and_a_missing_support_fails():
+    run = _replay("blocks", "--seed", "5", "--ops", "8")
+    assert run.returncode == 0, run.stderr
+    lines = [json.loads(line) for line in run.stdout.splitlines()]
+    assert len(lines) == 8 and all(line["check"] is None and "support" in line["fields"] for line in lines)
+
+    import capdist as cd
+
+    model = cd.block_multiplicative_model(0.3, 7)
+    build = replay.BlockBuild(model.transition, model.state_prior, model.distortion, model._support)
+    assert replay.check_block_build(build, 7) is None
+    stale = replay.BlockBuild(model.transition, model.state_prior, model.distortion, None)
+    assert replay.check_block_build(stale, 7) == "support differs from a scan of the tensor"
 
 
 _slopes = st.one_of(st.just(0.0), st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0))

@@ -18,9 +18,11 @@ Exit status 1 when an op raised or failed its check.
     python tools/replay.py points --seed 5 --ops 128 > change.jsonl
     python tools/replay.py --diff parent.jsonl change.jsonl
 
-Besides the benchmark's workloads, ``wide`` is a corpus of alphabets wider
-than any of theirs, built here from ``--seed`` and kept out of the
-benchmark (``wide_ops``).
+Besides the benchmark's workloads, two corpora are built here from
+``--seed`` and kept out of the benchmark: ``wide``, alphabets wider than
+any of theirs (``wide_ops``), and ``blocks``, block channels of sparse,
+dense and mixed factors (``blocks_ops``), whose ops hash the support each
+block holds besides its fields.
 
 ``--diff`` prints each op whose label, fields, check or error changed and
 the count deltas, and exits 1 if anything differs.  Compare two checkouts
@@ -44,7 +46,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("scores", "_frank_wolfe", "_ascend")
-WORKLOADS = ("points", "outer", "large", "wide")
+WORKLOADS = ("points", "outer", "large", "wide", "blocks")
 # wide: budgeted points on Dirichlet(0.3) channels with |S| = 3 and |Y| = 8,
 # at these fractions of [d_min, d_max]; then simulate on a |X| = 4, |S| = 2,
 # |Y| = 2,000 channel, where draws are per row, at these sample counts.
@@ -184,11 +186,72 @@ def wide_ops(seed: int) -> list:
     return ops
 
 
+@dataclasses.dataclass(frozen=True)
+class BlockBuild:
+    """What a ``blocks`` op records: the block model's fields and the
+    support it holds, from its factors or from a scan on this first read."""
+
+    transition: np.ndarray
+    state_prior: np.ndarray
+    distortion: np.ndarray
+    support: object
+
+
+def check_block_build(build: BlockBuild, block_len: int) -> str | None:
+    """Rows sum to 1 within 4 K eps, and the support is a fresh scan's."""
+    from capdist.channel import ChannelModel
+
+    off = float(np.max(np.abs(build.transition.sum(axis=2) - 1.0)))
+    if not off <= 4 * block_len * np.finfo(np.float64).eps:
+        return f"row sums off by {off:.3e}"
+    if _hash(ChannelModel(build.transition, build.state_prior, build.distortion)._support) != _hash(build.support):
+        return "support differs from a scan of the tensor"
+    return None
+
+
+def blocks_ops(seed: int) -> list:
+    """``block_to_super_symbol`` on: random sparse factors (|X| = 3, |S| = 2,
+    |Y| = 6, two nonzeros per row) at K = 3, 4 and 5, a Dirichlet 2 x 2 x 2
+    base at K = 6, a base with one such sparse state and one Dirichlet state
+    at K = 5, and the additive mod-2 channel at K = 9, 10 and 11."""
+    from workloads import Op
+
+    import capdist as cd
+
+    rng = np.random.default_rng(seed)
+
+    def sparse_rows(nx, ny):
+        rows = np.zeros((nx, ny))
+        for x in range(nx):
+            rows[x, rng.choice(ny, 2, replace=False)] = rng.dirichlet(np.ones(2))
+        return rows
+
+    def channel(states):
+        return cd.validate_channel(np.stack(states, axis=1), rng.dirichlet(np.ones(len(states))),
+                                   1.0 - np.eye(len(states)))
+
+    cases = [(f"sparse 3x2x6 K={k}", channel([sparse_rows(3, 6), sparse_rows(3, 6)]), k) for k in (3, 4, 5)]
+    cases.append(("dirichlet 2x2x2 K=6", channel(list(rng.dirichlet(np.ones(2), size=(2, 2)))), 6))
+    cases.append(("mixed 3x2x6 K=5", channel([sparse_rows(3, 6), rng.dirichlet(np.ones(6), size=3)]), 5))
+    mod2 = cd.additive_mod2_model(float(rng.uniform(0.1, 0.4)))
+    cases += [(f"additive_mod2 K={k}", mod2, k) for k in (9, 10, 11)]
+
+    def build(base, k):
+        model = cd.block_to_super_symbol(base, k)
+        return BlockBuild(model.transition, model.state_prior, model.distortion, model._support)
+
+    return [Op(f"block_to_super_symbol/{name}", lambda b=base, k=k: build(b, k),
+               lambda built, k=k: check_block_build(built, k)) for name, base, k in cases]
+
+
+CORPORA = {"wide": wide_ops, "blocks": blocks_ops}
+
+
 def record(workload: str, seed: int, n_ops: int) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
-    ops = wide_ops(seed) if workload == "wide" else workloads.build_ops(workload, seed)
+    ops = CORPORA[workload](seed) if workload in CORPORA else workloads.build_ops(workload, seed)
     counts = dict.fromkeys(COUNTED, 0)
     _install_counters(counts)
     totals = dict.fromkeys(COUNTED, 0)
