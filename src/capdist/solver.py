@@ -396,30 +396,105 @@ def _budget_vertex(
 
 
 def _simplex_lp(objective: FloatArray, rows: FloatArray, n_free: int = 0) -> tuple[FloatArray, FloatArray]:
-    """Minimize objective @ z subject to rows @ z <= 0, by the HiGHS dual
-    simplex, where z is a law on the simplex followed by ``n_free`` free
-    entries.  Returns (z, multipliers): z with its law clipped at 0, and the
-    rows' duals, clipped at 0.  A failed solve raises
-    ``InfeasibleConstraints`` with HiGHS's message.
-    """
-    from scipy.optimize import linprog
+    """Minimize objective @ z subject to rows @ z <= 0, where z is a law on
+    the simplex followed by ``n_free`` free entries, by a dense two-phase
+    simplex (``_pivot_to_optimum``).
 
-    n = objective.size - n_free
-    a_eq = np.zeros((1, objective.size))
-    a_eq[0, :n] = 1.0
-    res = linprog(
-        objective,
-        A_ub=rows,
-        b_ub=np.zeros(rows.shape[0]),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)] * n_free,
-        method="highs-ds",
-    )
-    if not res.success:
-        raise InfeasibleConstraints(f"linear program failed to solve: {res.message}")
-    np.maximum(res.x[:n], 0.0, out=res.x[:n])
-    return res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+    Each row gets a slack, and each free entry takes a slack's place in the
+    basis at once (every slack is at zero) and never leaves it.  Phase 1
+    adds one artificial variable for sum(p) = 1 and minimizes it; phase 2
+    minimizes the objective from the basis it leaves.  The final basis is
+    solved once more, so z and the duals y of its equations are exact to
+    rounding.  An entry of a row below the rounding unit of the row's
+    largest is taken as zero: a degenerate pivot on it would leave a basis
+    too ill-conditioned to read.  Returns (z, multipliers): z with its law
+    clipped at 0, and the rows' multipliers -y, clipped at 0.  Raises
+    ``InfeasibleConstraints`` when phase 1 leaves the artificial variable
+    above ``FACE_TOL`` (no law meets the rows), or when the objective
+    decreases without bound.
+    """
+    m, size = rows.shape
+    n = size - n_free
+    # Columns: z, the slacks and the artificial variable; the last row is
+    # sum(p) = 1.
+    art = size + m
+    a = np.zeros((m + 1, art + 1))
+    unit = np.finfo(np.float64).eps * np.abs(rows).max(axis=1, keepdims=True)
+    a[:m, :size] = np.where(np.abs(rows) <= unit, 0.0, rows)
+    a[:m, size:art] = np.eye(m)
+    a[m, :n] = 1.0
+    a[m, art] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    basis = np.arange(size, art + 1)
+    free = np.zeros(art + 1, dtype=bool)
+    free[n:size] = True
+    for f in range(n, size):
+        reach = np.abs(np.linalg.solve(a[:, basis], a[:, f])) * (basis >= size)
+        if reach.max() == 0.0:
+            raise InfeasibleConstraints("the linear program is unbounded: a free entry is in no row")
+        basis[np.argmax(reach)] = f
+    _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis, free)
+    if art in basis:
+        r = int(np.flatnonzero(basis == art)[0])
+        row = np.linalg.solve(a[:, basis], np.column_stack([a, rhs]))[r]
+        if row[-1] > FACE_TOL:
+            raise InfeasibleConstraints(f"no law meets the rows: phase 1 ends at {row[-1]:.3g}")
+        # Basic at zero: swap it for the column its row reaches most.
+        basis[r] = int(np.argmax(np.abs(row[:art])))
+    cost = np.zeros(art)
+    cost[:size] = objective
+    _pivot_to_optimum(a[:, :art], rhs, cost, basis, free[:art])
+    z = np.zeros(art)
+    z[basis] = np.linalg.solve(a[:, basis], rhs)
+    duals = np.linalg.solve(a[:, basis].T, cost[basis])
+    np.maximum(z[:n], 0.0, out=z[:n])
+    return z[:size], np.maximum(-duals[:m], 0.0)
+
+
+def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: FloatArray, free: FloatArray) -> None:
+    """Move ``basis`` (row i's basic column of the equations a z = rhs, in
+    place) to one that minimizes cost @ z over z >= 0, but for the ``free``
+    columns, which ``_simplex_lp`` places in the basis and which never leave.
+
+    Every step solves the basis B afresh from ``a``, so rounding does not
+    build up along the pivots.  The entering column is the first (Bland,
+    1977) whose reduced cost is below minus its rounding, (m + 1) eps
+    cond(B) times the magnitudes it is computed from, or below -FACE_TOL
+    where that rounding is larger.  The leaving row has the least ratio over
+    the entries of that column above ``FACE_TOL`` times the column's
+    largest (and 1); among tied rows the largest entry leaves, which keeps a
+    degenerate vertex's basis well conditioned.  Should a basis recur, the
+    steps that led back to it were rounding, so from then on a reduced cost
+    must be below minus its rounding, and ties go to the least basic index,
+    Bland's leaving rule, with which the pivots cannot cycle; a basis that
+    recurs even so ends the loop.
+    """
+    cost_size, column_size = np.abs(cost), np.abs(a).sum(axis=0)
+    seen, bland = set(), False
+    while True:
+        if basis.tobytes() in seen:
+            if bland:
+                return
+            seen, bland = set(), True
+        seen.add(basis.tobytes())
+        b = a[:, basis]
+        y = np.linalg.solve(b.T, cost[basis])
+        reduced = cost - y @ a
+        reduced[basis] = 0.0
+        rounding = b.shape[0] * np.finfo(np.float64).eps * np.linalg.cond(b, np.inf) * (
+            cost_size + np.abs(y).max() * column_size)
+        entering = np.flatnonzero(reduced < -(rounding if bland else np.minimum(rounding, FACE_TOL)))
+        if entering.size == 0:
+            return
+        j = int(entering[0])
+        column, x = np.linalg.solve(b, np.column_stack([a[:, j], rhs])).T
+        reach = np.flatnonzero((column > FACE_TOL * max(1.0, np.abs(column).max())) & ~free[basis])
+        if reach.size == 0:
+            raise InfeasibleConstraints("the linear program is unbounded")
+        ratios = np.maximum(x[reach], 0.0) / column[reach]
+        tied = reach[ratios == ratios.min()]
+        basis[tied[np.argmin(basis[tied])] if bland else tied[np.argmax(column[tied])]] = j
 
 
 def _newton_step(
@@ -523,9 +598,9 @@ def _frank_wolfe(
     else:
 
         def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
-            # The rows are the excess, not the costs: HiGHS drops matrix
-            # entries below 1e-9, so a small cost would be priced at zero,
-            # while an excess is either zero or a cost difference.
+            # For a law v, cost_rows @ v <= budgets is excess @ v <= 0, the
+            # homogeneous form the program takes; a cost snapped onto its
+            # budget has an excess of exactly zero.
             return _simplex_lp(-score, excess)
 
     if atoms is None:

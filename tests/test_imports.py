@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used, and a solve with at
-most one budget never imports scipy.
+"""Every module-level import in the package is used, and no solve imports
+scipy, whatever its number of budgets or priors.
 
 ``__init__.py`` is left out: its imports are the public re-exports.  An
 import statement carrying ``# noqa: F401`` is exempt, as for flake8.
@@ -49,13 +49,16 @@ point = cd.capacity_distortion_point(scalar, 0.05)
 cd.cd_curve(scalar, 20)
 cd.cpud_sup_definition(scalar)
 cd.simulate(scalar, point.optimizer.probs, 10_000, 7)
+cost = cd.optimal_estimator(scalar).cost_vector
+cd.multi_constraint_point(scalar, [cd.CostConstraint(cost, 0.05), cd.CostConstraint(cost[::-1], 0.28)])
+cd.compound_cd(cd.CompoundFamily(scalar.transition, ([0.5, 0.5], [0.8, 0.2]), scalar.distortion), 0.05)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_one_budget_solves_never_import_scipy():
-    # Only the several-budget linear step and the matrix game load scipy
-    # (``solver._simplex_lp``'s lazy import); importing scipy.optimize costs
+def test_no_solve_imports_scipy():
+    # The several-budget linear step and the matrix game run the package's
+    # own simplex (``solver._simplex_lp``); importing scipy.optimize costs
     # about three times the package's own import.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                                      os.environ.get("PYTHONPATH")]))}

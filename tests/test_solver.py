@@ -592,6 +592,32 @@ def test_multi_constraint_requires_a_constraint():
 
 
 # ---------------------------------------------------------------------------
+# the linear programs
+# ---------------------------------------------------------------------------
+
+
+def test_linear_program_takes_a_score_of_1e_7():
+    # A solver stopping at feasibility tolerances of 1e-7 may keep letter 0.
+    score = np.array([0.0, 1e-7, 1e-7])
+    z, lam = solver._simplex_lp(-score, np.zeros((1, 3)))
+    assert score @ z == 1e-7 and z.sum() == 1.0
+    assert lam.tolist() == [0.0]
+
+
+def test_matrix_game_is_exact_at_a_near_tie():
+    payoff = np.array([[-6e-8, 0.0], [0.0, 1.0]])
+    value, column, row = solver._matrix_game(payoff)
+    assert abs(value) <= 1e-15
+    assert abs(float(np.max(payoff @ column)) - value) <= 1e-15
+    assert abs(float(np.min(row @ payoff)) - value) <= 1e-15
+
+
+def test_linear_program_with_no_feasible_law_raises():
+    with pytest.raises(cd.InfeasibleConstraints, match="no law meets the rows"):
+        solver._simplex_lp(np.zeros(2), np.array([[1.0, 0.5]]))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive-search cross-check
 # ---------------------------------------------------------------------------
 
