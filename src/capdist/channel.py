@@ -58,9 +58,10 @@ SUPPORT_DENSITY = 1 / 64
 
 # Entries of a state's slice that ``block_to_super_symbol`` writes as one
 # run when it strides the state (a state it scatters takes no runs), 256 KiB,
-# so that its |X| |Y| strided writes stay in cache: strided r = 0.3 tensors
-# took 23.2 ms at K = 11 and 122 ms at K = 12 in runs, 26.6 and 146 ms
-# without (process CPU, median of 21 interleaved runs, 2-vCPU x86-64 VM).
+# so that its |X| |Y| strided writes stay in cache: dense Dirichlet bases,
+# 2 x 2 x 2 at K = 11 and 2 x 1 x 2 at K = 12, built and read once in 39.3
+# and 99.1 ms in runs, 41.8 and 110.4 ms written whole (process CPU, median
+# of 11 alternated builds, 2-vCPU x86-64 VM).
 _RUN_ENTRIES = 2**15
 
 FloatArray = NDArray[np.float64]
@@ -110,8 +111,8 @@ class ChannelModel:
     @cached_property
     def output_given_input(self) -> FloatArray:
         """P(y | x) with the state averaged out, shape (|X|, |Y|), computed on
-        first read.  On a channel with a support (``_support``) only
-        ``output_marginal``, the rate per unit cost and ``reachable`` read it."""
+        first read.  On a channel with a support (``_support``) capdist reads
+        the support instead, and never builds this matrix."""
         pyx = np.einsum("xsy,s->xy", self.transition, self.state_prior)
         pyx.setflags(write=False)
         return pyx
@@ -226,8 +227,14 @@ class EstimatorPolicy:
 
     @cached_property
     def reachable(self) -> NDArray[np.bool_]:
-        # P(y | x) > 0, by the einsum of ``ChannelModel.output_given_input``.
-        reachable = np.einsum("xsy,s->xy", *self._channel[:2]) > 0.0
+        # P(y | x) > 0: the support's cells, else by the einsum of
+        # ``ChannelModel.output_given_input``.
+        transition, state_prior, _, support = self._channel
+        if support is None:
+            reachable = np.einsum("xsy,s->xy", transition, state_prior) > 0.0
+        else:
+            reachable = np.zeros(transition.shape[::2], dtype=bool)
+            reachable[support.rows, support.cols] = True
         reachable.setflags(write=False)
         return reachable
 
@@ -356,8 +363,8 @@ def validate_channel(
     """Validate raw arrays and assemble an immutable ``ChannelModel``.
 
     Probability rows must sum to 1 within ``PROB_TOL``; valid rows are
-    renormalized to machine precision.  Declared alphabet sizes, when given,
-    are checked against the tensor shapes.
+    renormalized to machine precision, zeros stored as +0.0.  Declared
+    alphabet sizes, when given, are checked against the tensor shapes.
     """
     transition = np.asarray(transition, dtype=np.float64)
     state_prior = np.asarray(state_prior, dtype=np.float64)
@@ -379,6 +386,7 @@ def validate_channel(
         raise NegativeDistortion("distortion: negative entry")
 
     transition = transition / transition.sum(axis=-1, keepdims=True)
+    transition += 0.0  # -0.0 + 0.0 is +0.0
     state_prior = state_prior / state_prior.sum()
     return ChannelModel(transition, state_prior, distortion)
 
@@ -399,14 +407,14 @@ def _as_probs(px, size: int, what: str = "input distribution") -> FloatArray:
 
 
 def output_marginal(model: ChannelModel, px_or_letter) -> FloatArray:
-    """Output distribution P(y | x) for a letter, or P(y) for an input law."""
+    """Output distribution P(y | x) for a letter (its point mass), or P(y)
+    for an input law: a fresh array, the law times ``ChannelModel._pyx``."""
     if isinstance(px_or_letter, (int, np.integer)):
         x = int(px_or_letter)
         if not 0 <= x < model.input_size:
             raise DimensionMismatch(f"input letter {x} outside alphabet of size {model.input_size}")
-        return model.output_given_input[x]
-    probs = _as_probs(px_or_letter, model.input_size)
-    return probs @ model.output_given_input
+        px_or_letter = np.eye(1, model.input_size, x)[0]
+    return _as_probs(px_or_letter, model.input_size) @ model._pyx
 
 
 def state_posterior(model: ChannelModel, x: int, y: int) -> FloatArray:
@@ -486,9 +494,7 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
     - scattered, when its factor's nnz_s nonzeros give nnz_s^K <=
       ``SUPPORT_DENSITY`` (|X| |Y|)^K product cells: their indices and values
       are formed by K outer products over the nonzeros and assigned into a
-      zeroed tensor, O(nnz_s^K) work and memory.  A factor with a negative,
-      -0.0 or non-finite entry is strided instead, since a product with it
-      need not be +0.0 at the other cells;
+      zeroed tensor, O(nnz_s^K) work and memory;
     - strided, otherwise (Dirichlet-type dense factors): the Kronecker power
       is built one level at a time, each level written as |X| |Y| strided
       multiplies of the level below by one entry of P(. | ., s); the largest
@@ -498,13 +504,16 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
 
     Both write the products 1.0 P(y_1 | x_1, s) ... P(y_K | x_K, s) taken
     left to right, as in a stack of ``np.kron`` powers, so the tensor is the
-    same bits either way.  The tensor is zeroed only when some state is
-    scattered.  Build plus one full read of the scalar family (r = 0.3) took
-    1.1, 3.1 and 18.9 ms at K = 9, 10 and 11 scattered, against 2.3, 7.3 and
-    41.9 ms strided (process CPU, median of 15 alternated runs, 2-vCPU
-    x86-64 VM); what is left at K = 11 is mostly first touch of the fresh
-    64 MiB tensor.  Rows are not renormalized: a raw ``ChannelModel`` whose
-    rows miss 1 gives a block whose rows miss it too.
+    same bits either way for factors as ``validate_channel`` stores them; a
+    raw factor with negative, -0.0 or non-finite entries gets +0.0 off its
+    nonzeros' products when scattered.  The tensor is zeroed only when some
+    state is scattered.  Build plus one full read of the scalar family
+    (r = 0.3) took 1.1, 3.1 and 18.9 ms at K = 9, 10 and 11 scattered,
+    against 2.3, 7.3 and 41.9 ms strided (process CPU, median of 15
+    alternated runs, 2-vCPU x86-64 VM); what is left at K = 11 is mostly
+    first touch of the fresh 64 MiB tensor.  Rows are not renormalized: a
+    raw ``ChannelModel`` whose rows miss 1 gives a block whose rows miss it
+    too.
 
     When the state powers have at most ``SUPPORT_DENSITY`` of P(y | x)'s
     cells as candidates, the product cells of each factor's nonzeros, the
@@ -547,11 +556,8 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
                 values = (values[:, None] * mat[rows, cols]).ravel()
             if model.state_prior[s] > 0:
                 flat.append(block_rows * n_cols + block_cols)
-            # The scatter leaves +0.0 at the other cells, where the strided
-            # products of a negative, -0.0 or non-finite entry would not.
-            if not np.any(np.signbit(mat) | ~np.isfinite(mat)):
-                transition[block_rows, s, block_cols] = values
-                continue
+            transition[block_rows, s, block_cols] = values
+            continue
         power = np.ones((1, 1))  # the Kronecker power of mat built so far
         for level in range(1, block_len):
             power = _kron_into(np.empty((nx**level, ny**level)), power, mat)

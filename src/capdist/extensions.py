@@ -78,20 +78,19 @@ def _ratio_route(model: ChannelModel, cost_vector: FloatArray, method: str) -> C
     (communicate over them at vanishing cost), or with exactly one, x0, when
     some P(.|x) is not absolutely continuous with respect to P(.|x0); the
     witness names the trigger.  Otherwise the row D(P(.|x) || P(.|x0)): the
-    row terms cached on the model minus P(.|x) @ log P(.|x0) on the support
-    of x0.
+    solver's scores at the point mass on x0.  Both read P(y|x) in the
+    model's own format (``ChannelModel._pyx``).
     """
     free = np.flatnonzero(cost_vector <= FACE_TOL)
     if free.size == 0:
         return None
     if free.size >= 2:
         return CpudResult(math.inf, tuple(int(i) for i in free), method, "multiple zero-cost letters")
-    pyx = model.output_given_input
-    support = pyx[free[0]] > 0
-    divergent = np.any(pyx[:, ~support] > 0, axis=1)
+    point = np.eye(1, model.input_size, free[0])[0]
+    divergent = model._pyx @ (point @ model._pyx == 0) > 0
     if np.any(divergent):
         return CpudResult(math.inf, int(np.argmax(divergent)), method, "divergent likelihood ratio")
-    return model._row_terms - pyx[:, support] @ np.log(pyx[free[0], support])
+    return _Objective([(1.0, model)]).scores(point)
 
 
 def cpud_ratio_formula(model: ChannelModel) -> CpudResult:

@@ -43,6 +43,21 @@ def test_validate_channel_renormalizes_slightly_off_rows():
     assert np.allclose(model.transition.sum(axis=2), 1.0, atol=1e-15)
 
 
+def test_validate_channel_stores_every_zero_as_plus_zero():
+    # -0.0 passes the nonnegativity check, and the renormalizing division
+    # would keep its sign bit.
+    transition = np.array([[[1.0, -0.0], [-0.0, 1.0]], [[-0.0, 1.0], [1.0, -0.0]]])
+    model = cd.validate_channel(transition, [0.6, 0.4], HAMMING2)
+    assert model.transition.tobytes() == np.abs(transition).tobytes()
+    # A raw ChannelModel keeps its -0.0; its K = 6 block scatters the
+    # products of the factors' nonzeros and leaves +0.0 at every other cell.
+    raw = cd.channel.ChannelModel(transition, [0.6, 0.4], np.array(HAMMING2))
+    assert np.any(np.signbit(raw.transition))
+    block = cd.block_to_super_symbol(raw, 6)
+    assert not np.any(np.signbit(block.transition))
+    assert block.transition.tobytes() == cd.block_to_super_symbol(model, 6).transition.tobytes()
+
+
 def test_validate_channel_rejects_bad_rows():
     t = np.array([[[0.7, 0.7], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(cd.NotAProbability):
@@ -256,6 +271,24 @@ def test_output_marginal_and_state_posterior():
         cd.state_posterior(model, 0, 1)
 
 
+def test_support_channel_marginals_and_reachable_build_no_dense_pyx():
+    # A K = 11 block is read on its support: a letter's row, a law's output
+    # marginal, the reachable mask and the rate per unit cost equal those of
+    # a copy held dense, and none of them builds P(y|x) (32 MiB).
+    model = cd.block_multiplicative_model(0.3, 11)
+    dense = cd.channel.ChannelModel(model.transition, model.state_prior, model.distortion)
+    vars(dense)["_support"] = None
+    law = np.random.default_rng(11).dirichlet(np.ones(model.input_size))
+    for x in (0, 1, 1234, model.input_size - 1):
+        row = cd.output_marginal(model, x)
+        assert row.tobytes() == cd.output_marginal(dense, x).tobytes() == dense.output_given_input[x].tobytes()
+    assert np.max(np.abs(cd.output_marginal(model, law) - cd.output_marginal(dense, law))) <= 1e-15
+    reachable = cd.optimal_estimator(model).reachable
+    assert reachable.tobytes() == cd.optimal_estimator(dense).reachable.tobytes()
+    assert vars(cd.cpud_ratio_formula(model)) == vars(cd.cpud_ratio_formula(dense))
+    assert model._support is not None and "output_given_input" not in vars(model)
+
+
 # ---------------------------------------------------------------------------
 # block builder
 # ---------------------------------------------------------------------------
@@ -464,7 +497,7 @@ def test_block_tensor_from_factor_products_is_the_strided_fill():
     transition[0, 0, :2] = [1.0, 1e-200]
     transition[1, 0, 5] = transition[0, 1, 2] = transition[1, 1, 3] = 1.0
     bases.append(cd.validate_channel(transition, [0.6, 0.4], HAMMING2))
-    # Zeros written as -0.0 pass validation; their strided products are -0.0.
+    # Zeros written as -0.0 pass validation, which stores them as +0.0.
     signed = np.where(bases[0].transition == 0, -0.0, bases[0].transition)
     bases.append(cd.validate_channel(signed, bases[0].state_prior, bases[0].distortion))
     cases = [(base, K) for base in bases for K in range(1, 9)

@@ -8,7 +8,7 @@ failure reproduces; the database is off, so a run writes no files.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -308,20 +308,41 @@ def budgeted_channels(draw):
 
 def _lp_dual_multipliers(divergence, rows, budgets):
     """The mu >= 0 that minimizes max_x [divergence(x) - mu . (rows[:, x] -
-    budgets)], a linear program in (mu, t) solved by scipy's HiGHS."""
+    budgets)], a linear program in (mu, t) solved by scipy's HiGHS.  Each
+    excess row is scaled to a largest entry of 1 first: HiGHS's 1e-7
+    tolerances would price a row of 1e-9 entries at zero.  An excess within
+    ``FACE_TOL`` of 0 is on its budget, as the solver's budget rule has it;
+    scaled, its rounding could make the rows meet no law."""
     from scipy.optimize import linprog
 
     m = rows.shape[0]
+    excess = rows - budgets[:, None]
+    excess[np.abs(excess) <= solver.FACE_TOL] = 0.0
+    scale = np.abs(excess).max(axis=1)
+    scale[scale == 0.0] = 1.0
     c = np.zeros(m + 1)
     c[-1] = 1.0
-    a_ub = np.hstack([-(rows - budgets[:, None]).T, -np.ones((rows.shape[1], 1))])
+    a_ub = np.hstack([-(excess / scale[:, None]).T, -np.ones((rows.shape[1], 1))])
     res = linprog(c, A_ub=a_ub, b_ub=-divergence, bounds=[(0, None)] * m + [(None, None)], method="highs")
     assert res.success
-    return np.maximum(res.x[:m], 0.0)
+    return np.maximum(res.x[:m], 0.0) / scale
+
+
+def _two_budget_case():
+    """The only feasible law is (0.5, 0.5), and the second row's entries are
+    1e-9: unscaled, HiGHS prices that row at mu = 0 and its bound sits
+    1.6e-5 above the capacity; scaled, mu = 32740.85 brings it within
+    4e-17."""
+    model = cd.validate_channel([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [2 / 3, 1 / 3]]], [0.5, 0.5],
+                                1.0 - np.eye(2))
+    rows = np.array([[0.5, 0.41666666666666663], [0.0, 1e-9]])
+    assert np.array_equal(rows[0], cd.optimal_estimator(model).cost_vector)
+    return model, rows, np.array([0.4583333333333333, 5e-10])
 
 
 @PROPERTY_SETTINGS
 @given(case=budgeted_channels())
+@example(case=_two_budget_case())
 def test_several_budgets_are_met_below_an_independent_dual_bound(case):
     model, rows, budgets = case
     assume(solver._matrix_game(rows - budgets[:, None])[0] <= 1e-12)
@@ -345,7 +366,9 @@ def test_several_budgets_are_met_below_an_independent_dual_bound(case):
     assert bound - point.capacity <= 1e-6 or point.convergence_warning is not None
     if model.input_size <= 3:
         grid = solver._simplex_grid(model.input_size, 1e-4 if model.input_size == 2 else 1e-2)
-        grid = grid[np.all(grid @ rows.T <= budgets + 1e-12, axis=1)]
+        # Feasible to rounding at each row's own scale: an absolute 1e-12 on
+        # a row of 1e-9 entries would admit laws 0.2 % past its budget.
+        grid = grid[np.all(grid @ rows.T <= budgets + 1e-12 * np.abs(excess).max(axis=1), axis=1)]
         if grid.size:
             assert point.capacity >= float(np.max(cd.batch_mutual_information(model, grid))) - 1e-9
 
@@ -434,7 +457,13 @@ def test_linear_program_is_exact_and_agrees_with_highs(lp):
     # free entries priced at zero) reaches its value.
     objective, rows, n_free = lp
     n = objective.size - n_free
-    z, lam = solver._simplex_lp(objective, rows, n_free)
+    # ``_simplex_lp`` takes nonnegative entries only, placed before the law:
+    # the free entry is the difference of a pair of them, with columns
+    # (c, -c) and objective entries (o, -o).
+    pair = np.r_[np.arange(n, objective.size), np.arange(n, objective.size), np.arange(n)]
+    signs = np.r_[np.ones(n_free), -np.ones(n_free), np.ones(n)]
+    z, lam = solver._simplex_lp(objective[pair] * signs, rows[:, pair] * signs, 2 * n_free)
+    z = np.r_[z[2 * n_free:], z[:n_free] - z[n_free:2 * n_free]]
     value = float(objective @ z)
     assert np.all(z[:n] >= 0.0) and abs(z[:n].sum() - 1.0) <= 1e-12
     assert np.all(rows @ z <= 1e-12)
@@ -530,3 +559,21 @@ def test_ratio_formula_matches_the_divergences_against_the_free_letter(model):
         expected = float(np.max(divergence[others] / cost[others]))
         assert result.condition is None
         assert abs(result.value - expected) <= 1e-12 * max(1.0, expected)
+
+
+@PROPERTY_SETTINGS
+@given(model=free_letter_channels())
+def test_ratio_formula_on_a_support_matches_the_dense_channel(model):
+    # Zero outputs appended up to |Y| = 320 leave at most 1/64 of P(y|x)
+    # nonzero, so the padded channel is read on its support.
+    cost = cd.optimal_estimator(model).cost_vector
+    assume(np.count_nonzero(cost <= solver.FACE_TOL) == 1)
+    nx, ns, ny = model.transition.shape
+    padded = cd.validate_channel(np.concatenate([model.transition, np.zeros((nx, ns, 320 - ny))], axis=2),
+                                 model.state_prior, model.distortion)
+    dense, sparse = cd.cpud_ratio_formula(model), cd.cpud_ratio_formula(padded)
+    assert padded._support is not None and "output_given_input" not in vars(padded)
+    assert sparse.condition == dense.condition
+    if dense.condition is not None:
+        assert sparse.witness == dense.witness
+    assert abs(sparse.value - dense.value) <= 1e-12 * max(1.0, dense.value) or sparse.value == dense.value
