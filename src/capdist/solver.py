@@ -395,63 +395,86 @@ def _budget_vertex(
     return x, y, alpha, float((score[y] - score[x]) / (cost[y] - cost[x]))
 
 
-def _simplex_lp(objective: FloatArray, rows: FloatArray, n_extra: int = 0) -> tuple[FloatArray, FloatArray]:
-    """Minimize objective @ z subject to rows @ z <= 0 and z >= 0, where z
-    is ``n_extra`` entries followed by a law on the simplex, by a dense
-    two-phase simplex (``_pivot_to_optimum``).
+class _LinearProgram:
+    """The linear programs min objective @ z subject to rows @ z <= 0 and
+    z >= 0, for fixed rows and any objective, where z is ``n_extra``
+    entries followed by a law on the simplex; a dense two-phase simplex
+    (``_pivot_to_optimum``).
 
     Each row gets a slack.  The extra entries come first, so that Bland's
     rule enters the matrix game's value right after the first letter; last,
     it left tiny pivots, and four times as many games with entries of 1e-12
-    to 1e-5 raised.  Phase 1 adds one artificial variable for sum(p) = 1
-    and minimizes it; phase 2 minimizes the objective from the basis it
-    leaves.  The final basis is solved once more, so z and the duals y of
-    its equations are exact to rounding.  An entry of a row below the
-    rounding unit of the row's largest is taken as zero: a degenerate pivot
-    on it would leave a basis too ill-conditioned to read.  Returns
-    (z, multipliers): z with its law clipped at 0 (the extra entries keep
-    their rounding, which a difference of two of them needs), and the rows'
-    multipliers -y, clipped at 0.  Raises ``InfeasibleConstraints`` when
-    phase 1 leaves the artificial variable above ``FACE_TOL`` (no law meets
-    the rows), or when the objective decreases without bound.
+    to 1e-5 raised.  An entry of a row below the rounding unit of the row's
+    largest is taken as zero: a degenerate pivot on it would leave a basis
+    too ill-conditioned to read.  The constructor runs phase 1, which adds
+    one artificial variable for sum(p) = 1 and minimizes it, and raises
+    ``InfeasibleConstraints`` when that leaves the artificial variable
+    above ``FACE_TOL`` (no law meets the rows).  Only the objective changes
+    between ``solve`` calls, so each one's optimal basis stays feasible and
+    the next phase 2 starts from it (simplex reoptimization).
     """
-    m, size = rows.shape
-    # Columns: z, the slacks and the artificial variable; the last row is
-    # sum(p) = 1.
-    art = size + m
-    a = np.zeros((m + 1, art + 1))
-    unit = np.finfo(np.float64).eps * np.abs(rows).max(axis=1, keepdims=True)
-    a[:m, :size] = np.where(np.abs(rows) <= unit, 0.0, rows)
-    a[:m, size:art] = np.eye(m)
-    a[m, n_extra:size] = 1.0
-    a[m, art] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    basis = np.arange(size, art + 1)
-    _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis)
-    if art in basis:
-        r = int(np.flatnonzero(basis == art)[0])
-        row = np.linalg.solve(a[:, basis], np.column_stack([a, rhs]))[r]
-        if row[-1] > FACE_TOL:
-            raise InfeasibleConstraints(f"no law meets the rows: phase 1 ends at {row[-1]:.3g}")
-        # Basic at zero: swap it for the column its row reaches most.
-        basis[r] = int(np.argmax(np.abs(row[:art])))
-    cost = np.zeros(art)
-    cost[:size] = objective
-    _pivot_to_optimum(a[:, :art], rhs, cost, basis)
-    z = np.zeros(art)
-    z[basis] = np.linalg.solve(a[:, basis], rhs)
-    duals = np.linalg.solve(a[:, basis].T, cost[basis])
-    np.maximum(z[n_extra:size], 0.0, out=z[n_extra:size])
-    return z[:size], np.maximum(-duals[:m], 0.0)
+
+    def __init__(self, rows: FloatArray, n_extra: int = 0):
+        m, size = rows.shape
+        # Columns: z, the slacks and the artificial variable; the last row
+        # is sum(p) = 1.
+        art = size + m
+        a = np.zeros((m + 1, art + 1))
+        unit = np.finfo(np.float64).eps * np.abs(rows).max(axis=1, keepdims=True)
+        a[:m, :size] = np.where(np.abs(rows) <= unit, 0.0, rows)
+        a[:m, size:art] = np.eye(m)
+        a[m, n_extra:size] = 1.0
+        a[m, art] = 1.0
+        rhs = np.zeros(m + 1)
+        rhs[m] = 1.0
+        basis = np.arange(size, art + 1)
+        _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis)
+        if art in basis:
+            r = int(np.flatnonzero(basis == art)[0])
+            row = np.linalg.solve(a[:, basis], np.column_stack([a, rhs]))[r]
+            if row[-1] > FACE_TOL:
+                raise InfeasibleConstraints(f"no law meets the rows: phase 1 ends at {row[-1]:.3g}")
+            # Basic at zero: swap it for the column its row reaches most.
+            basis[r] = int(np.argmax(np.abs(row[:art])))
+        self.a, self.rhs, self.basis = a[:, :art], rhs, basis
+        self.n_extra, self.size = n_extra, size
+
+    def solve(self, objective: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Phase 2: minimize objective @ z from the last basis.  The final
+        basis is solved once more, so z and the duals y of its equations are
+        exact to rounding.  Returns (z, multipliers): z with its law clipped
+        at 0 (the extra entries keep their rounding, which a difference of
+        two of them needs), and the rows' multipliers -y, clipped at 0.
+        Raises ``InfeasibleConstraints`` when the objective decreases
+        without bound."""
+        a, basis, n_extra, size = self.a, self.basis, self.n_extra, self.size
+        cost = np.zeros(a.shape[1])
+        cost[:size] = objective
+        _pivot_to_optimum(a, self.rhs, cost, basis)
+        z = np.zeros(a.shape[1])
+        z[basis] = np.linalg.solve(a[:, basis], self.rhs)
+        duals = np.linalg.solve(a[:, basis].T, cost[basis])
+        np.maximum(z[n_extra:size], 0.0, out=z[n_extra:size])
+        return z[:size], np.maximum(-duals[:-1], 0.0)
+
+
+def _simplex_lp(objective: FloatArray, rows: FloatArray, n_extra: int = 0) -> tuple[FloatArray, FloatArray]:
+    """One linear program of ``_LinearProgram``: phase 1 on the rows, then
+    phase 2 on the objective from the basis it leaves.  Returns
+    ``_LinearProgram.solve``'s (z, multipliers), and raises
+    ``InfeasibleConstraints`` when no law meets the rows or the objective
+    decreases without bound."""
+    return _LinearProgram(rows, n_extra).solve(objective)
 
 
 def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: FloatArray) -> None:
     """Move ``basis`` (row i's basic column of the equations a z = rhs, in
     place) to one that minimizes cost @ z over z >= 0.
 
-    Every step solves the basis B afresh from ``a``, so rounding does not
-    build up along the pivots.  The entering column is the first (Bland,
+    Every step solves the basis B afresh from ``a`` for the duals y and the
+    entering column, so rounding does not build up along the pivots; the
+    one inverse of B it factors gives cond(B) in the inf-norm, which scales
+    only the rounding bound below.  The entering column is the first (Bland,
     1977) whose reduced cost is below minus its rounding, (m + 1) eps
     cond(B) times the magnitudes it is computed from, or below -FACE_TOL
     where that rounding is larger.  The leaving row has the least ratio over
@@ -461,7 +484,11 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
     steps that led back to it were rounding, so from then on a reduced cost
     must be below minus its rounding, and ties go to the least basic index,
     Bland's leaving rule, with which the pivots cannot cycle; a basis that
-    recurs even so ends the loop.
+    recurs even so ends the loop.  A column that entered on -FACE_TOL alone,
+    within its rounding, and reaches no row switches to that rule too: a
+    warm start's degenerate basis can price a free pair's second column at
+    minus the first's rounding.  Only a reduced cost beyond its rounding
+    with no row to reach is an unbounded program.
     """
     cost_size, column_size = np.abs(cost), np.abs(a).sum(axis=0)
     seen, bland = set(), False
@@ -475,7 +502,8 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
         y = np.linalg.solve(b.T, cost[basis])
         reduced = cost - y @ a
         reduced[basis] = 0.0
-        rounding = b.shape[0] * np.finfo(np.float64).eps * np.linalg.cond(b, np.inf) * (
+        cond = np.abs(b).sum(axis=1).max() * np.abs(np.linalg.inv(b)).sum(axis=1).max()
+        rounding = b.shape[0] * np.finfo(np.float64).eps * cond * (
             cost_size + np.abs(y).max() * column_size)
         entering = np.flatnonzero(reduced < -(rounding if bland else np.minimum(rounding, FACE_TOL)))
         if entering.size == 0:
@@ -484,7 +512,10 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
         column, x = np.linalg.solve(b, np.column_stack([a[:, j], rhs])).T
         reach = np.flatnonzero(column > FACE_TOL * max(1.0, np.abs(column).max()))
         if reach.size == 0:
-            raise InfeasibleConstraints("the linear program is unbounded")
+            if bland or reduced[j] < -rounding[j]:
+                raise InfeasibleConstraints("the linear program is unbounded")
+            seen, bland = set(), True  # it entered on FACE_TOL alone: rounding
+            continue
         ratios = np.maximum(x[reach], 0.0) / column[reach]
         tied = reach[ratios == ratios.min()]
         basis[tied[np.argmin(basis[tied])] if bland else tied[np.argmax(column[tied])]] = j
@@ -560,11 +591,14 @@ def _frank_wolfe(
     that depends on the number of rows: with one it reads the best vertex
     off the upper concave hull of (cost(x), score(x)) (``_budget_vertex``;
     at a zero row that is the first best letter), and with several it solves
-    a linear program (``_simplex_lp``).  Each also returns the rows'
-    multipliers lam >= 0.  The objective is I(p) = p . score(p) with
-    gradient score - 1, so by concavity and weak duality its maximum is at
-    most max_x [score(x) - lam . (cost_rows[:, x] - budgets)] for any such
-    lam: the dual bound.
+    a linear program (``_LinearProgram``).  Its phase 1 runs once per call
+    of this routine, and every linear step, the final dual bound's too,
+    re-optimizes it for the new score from the last optimal basis.  Each
+    also returns the rows' multipliers lam >= 0.  The objective is
+    I(p) = p . score(p) with gradient score - 1, so by concavity and weak
+    duality its maximum is at most
+    max_x [score(x) - lam . (cost_rows[:, x] - budgets)] for any such lam:
+    the dual bound.
 
     With three or more atoms each pairwise step is followed by a Newton step
     on the atom weights (``_newton_step``).  Pairwise steps alone balance an
@@ -589,12 +623,15 @@ def _frank_wolfe(
             return v, np.array([lam])
 
     else:
+        # For a law v, cost_rows @ v <= budgets is excess @ v <= 0, the
+        # homogeneous form the program takes; a cost snapped onto its budget
+        # has an excess of exactly zero.  Only the score changes between
+        # linear steps, so phase 1 runs once, here, and each step starts
+        # phase 2 from the last step's optimal basis.
+        program = _LinearProgram(excess)
 
         def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
-            # For a law v, cost_rows @ v <= budgets is excess @ v <= 0, the
-            # homogeneous form the program takes; a cost snapped onto its
-            # budget has an excess of exactly zero.
-            return _simplex_lp(-score, excess)
+            return program.solve(-score)
 
     if atoms is None:
         atoms, weights = best_vertex(score)[0][None, :], np.ones(1)

@@ -480,6 +480,47 @@ def test_linear_program_is_exact_and_agrees_with_highs(lp):
         assert value <= highs_value + 1e-9
 
 
+@st.composite
+def objective_sequences(draw):
+    """A program of ``linear_programs`` and 4-6 objectives on its rows: the
+    first is the program's own, and each later one draws its letters' entries
+    afresh (random or rounded to 0.1), so its optimum moves to another vertex,
+    while the free column keeps its entry, which keeps the optimum finite."""
+    objective, rows, n_free = draw(linear_programs())
+    n = objective.size - n_free
+    objectives = [objective]
+    for _ in range(draw(st.integers(3, 5))):
+        letters = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        objectives.append(np.r_[np.round(letters, 1) if draw(st.booleans()) else letters, objective[n:]])
+    return objectives, rows, n_free
+
+
+@PROPERTY_SETTINGS
+@given(case=objective_sequences())
+def test_warm_linear_program_matches_a_cold_solve_at_every_objective(case):
+    # Frank-Wolfe solves one program per call for a sequence of scores,
+    # each from the last one's optimal basis.  Every step's value is a cold
+    # solve's, and its multipliers close the duality gap on their own.
+    objectives, rows, n_free = case
+    n = objectives[0].size - n_free
+    pair = np.r_[np.arange(n, n + n_free), np.arange(n, n + n_free), np.arange(n)]
+    signs = np.r_[np.ones(n_free), -np.ones(n_free), np.ones(n)]
+    program = solver._LinearProgram(rows[:, pair] * signs, 2 * n_free)
+    for objective in objectives:
+        z, lam = program.solve(objective[pair] * signs)
+        cold, _ = solver._simplex_lp(objective[pair] * signs, rows[:, pair] * signs, 2 * n_free)
+        z = np.r_[z[2 * n_free:], z[:n_free] - z[n_free:2 * n_free]]
+        cold = np.r_[cold[2 * n_free:], cold[:n_free] - cold[n_free:2 * n_free]]
+        value = float(objective @ z)
+        assert abs(value - float(objective @ cold)) <= 1e-12
+        assert np.all(z[:n] >= 0.0) and abs(z[:n].sum() - 1.0) <= 1e-12
+        assert np.all(rows @ z <= 1e-12)
+        assert np.all(lam >= 0.0)
+        reduced = objective + lam @ rows
+        assert np.all(np.abs(reduced[n:]) <= 1e-12)
+        assert abs(float(reduced[:n].min()) - value) <= 1e-12
+
+
 _maybe_zero = st.one_of(st.just(0.0), _weights)
 
 

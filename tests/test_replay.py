@@ -1,7 +1,8 @@
 """Smoke test of ``tools/replay.py``: it records the benchmark's first ops
 with their checks and counts, and ``--diff`` reports a changed result; the
-wide corpus's dual bound is the exact one, and the blocks corpus's check
-catches a support that is not a scan's."""
+wide corpus's dual bound is the exact one, the blocks corpus's check
+catches a support that is not a scan's, and the several corpus's check
+catches a law over its budgets."""
 
 from __future__ import annotations
 
@@ -59,6 +60,24 @@ def test_blocks_corpus_passes_its_checks_and_a_missing_support_fails():
     assert replay.check_block_build(build, 7) is None
     stale = replay.BlockBuild(model.transition, model.state_prior, model.distortion, None)
     assert replay.check_block_build(stale, 7) == "support differs from a scan of the tensor"
+
+
+def test_several_corpus_passes_its_checks_and_an_over_budget_law_fails(monkeypatch):
+    run = _replay("several", "--seed", "5", "--ops", "6")
+    assert run.returncode == 0, run.stderr
+    lines = [json.loads(line) for line in run.stdout.splitlines()]
+    assert len(lines) == 6 and all(line["check"] is None for line in lines)
+
+    import capdist as cd
+
+    monkeypatch.syspath_prepend(str(REPLAY.parents[1] / "perfbench"))  # the check reads its tolerances
+    model = cd.scalar_multiplicative_model(0.3)
+    rows = np.vstack([cd.optimal_estimator(model).cost_vector, [1.0, 0.0]])
+    budgets = np.array([0.05, 0.5])
+    point = cd.multi_constraint_point(model, [cd.CostConstraint(r, float(b)) for r, b in zip(rows, budgets)])
+    assert replay.check_several_point(model, rows, budgets, point) is None
+    over = cd.CDPoint(0.05, 0.0, cd.InputDistribution(np.array([1.0, 0.0])), True)
+    assert replay.check_several_point(model, rows, budgets, over).startswith("INVALID: costs")
 
 
 _slopes = st.one_of(st.just(0.0), st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0))

@@ -376,16 +376,22 @@ def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch, 
 def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
     # The same tied block channel, with the d* row given twice, so every
     # Frank-Wolfe step is a linear program.  Pairwise steps alone need 345
-    # of them; with the Newton step, 9.  The count also holds the budget
-    # rule's one feasibility game.
+    # of them; with the Newton step, 9.  The count of phase 2 solves also
+    # holds the budget rule's one feasibility game.  Frank-Wolfe runs phase
+    # 1 once and re-optimizes that program at every step; the game is the
+    # one one-shot program.
     model = cd.block_multiplicative_model(BLOCK_TIE_R, 2)
     cost = cd.optimal_estimator(model).cost_vector
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.5 * (d_max - d_min)
-    calls = _count_calls(monkeypatch, solver, "_simplex_lp")
+    calls = _count_calls(monkeypatch, solver._LinearProgram, "solve")
+    phase_one = _count_calls(monkeypatch, solver._LinearProgram, "__init__")
+    one_shot = _count_calls(monkeypatch, solver, "_simplex_lp")
     newton_steps = _count_calls(monkeypatch, solver, "_newton_step")
     point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)] * 2)
     assert calls[0] < 20
+    assert one_shot[0] == 1
+    assert phase_one[0] - one_shot[0] == 1
     assert newton_steps[0] >= 1
     assert point.convergence_warning is None
     assert point.constraint_active
@@ -615,6 +621,31 @@ def test_matrix_game_is_exact_at_a_near_tie():
 def test_linear_program_with_no_feasible_law_raises():
     with pytest.raises(cd.InfeasibleConstraints, match="no law meets the rows"):
         solver._simplex_lp(np.zeros(2), np.array([[1.0, 0.5]]))
+
+
+def test_unbounded_linear_program_raises():
+    # The extra entry meets no row and lowers the objective.
+    with pytest.raises(cd.InfeasibleConstraints, match="unbounded"):
+        solver._simplex_lp(np.array([-1.0, 0.0, 0.0]), np.array([[0.0, 1.0, -1.0]]), 1)
+
+
+def test_warm_linear_program_reads_a_rounded_free_pair_as_rounding():
+    # A free entry t+ - t- whose columns are exact negatives, on rows with
+    # entries of 1e-7.  Re-optimized from the first objective's degenerate
+    # basis, the last objective priced t- at -3.7e-10, below -FACE_TOL but
+    # far inside its rounding bound (0.27), and that column reached no row:
+    # it was read as an unbounded program.
+    rows = np.array([[-1.0, 1.0, 0.0, -0.75, 1e-7, 1e-7],
+                     [-1.0, 1.0, 0.0, 0.0, -1e-7, 0.0],
+                     [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+    program = solver._LinearProgram(rows, 2)
+    for letters in ([0.0, 0.0, 0.0, 0.0],) * 3 + ([0.0, 1.0, 1.0, 1.0],):
+        objective = np.r_[0.1, -0.1, letters]
+        z, lam = program.solve(objective)
+        cold, _ = solver._simplex_lp(objective, rows, 2)
+        assert objective @ z == objective @ cold == 0.0
+        assert np.all(lam >= 0.0)
+        assert abs(float((objective + lam @ rows)[2:].min()) - objective @ z) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

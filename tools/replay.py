@@ -18,11 +18,13 @@ Exit status 1 when an op raised or failed its check.
     python tools/replay.py points --seed 5 --ops 128 > change.jsonl
     python tools/replay.py --diff parent.jsonl change.jsonl
 
-Besides the benchmark's workloads, two corpora are built here from
+Besides the benchmark's workloads, three corpora are built here from
 ``--seed`` and kept out of the benchmark: ``wide``, alphabets wider than
-any of theirs (``wide_ops``), and ``blocks``, block channels of sparse,
-dense and mixed factors (``blocks_ops``), whose ops hash the support each
-block holds besides its fields.
+any of theirs (``wide_ops``); ``blocks``, block channels of sparse, dense
+and mixed factors (``blocks_ops``), whose ops hash the support each block
+holds besides its fields; and ``several``, points under 2 and 3 budgets
+(``several_ops``), whose binding ones run Frank-Wolfe on one linear program
+re-optimized at every step, checked against scipy's HiGHS.
 
 ``--diff`` prints each op whose label, fields, check or error changed and
 the count deltas, and exits 1 if anything differs.  Compare two checkouts
@@ -46,13 +48,17 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("scores", "_frank_wolfe", "_ascend")
-WORKLOADS = ("points", "outer", "large", "wide", "blocks")
+WORKLOADS = ("points", "outer", "large", "wide", "blocks", "several")
 # wide: budgeted points on Dirichlet(0.3) channels with |S| = 3 and |Y| = 8,
 # at these fractions of [d_min, d_max]; then simulate on a |X| = 4, |S| = 2,
 # |Y| = 2,000 channel, where draws are per row, at these sample counts.
 WIDE_INPUTS = (1024, 4096)
 WIDE_FRACTIONS = (0.2, 0.5, 0.8)
 WIDE_SIM_SAMPLES = (100, 10_000)
+# several: random channels, each with a 2-row and a 3-row budget set, at
+# these fractions of [budget game value, largest cost].
+SEVERAL_CHANNELS = 4
+SEVERAL_FRACTIONS = (0.2, 0.5, 0.8)
 
 
 def _feed(h, obj) -> None:
@@ -244,7 +250,76 @@ def blocks_ops(seed: int) -> list:
                lambda built, k=k: check_block_build(built, k)) for name, base, k in cases]
 
 
-CORPORA = {"wide": wide_ops, "blocks": blocks_ops}
+def check_several_point(model, rows: np.ndarray, budgets: np.ndarray, point) -> str | None:
+    """Every budget met to ``checks.COST_TOL``, capacity = I(law) to
+    ``checks.MI_TOL``, and a gap of at most ``checks.POINT_TOL`` to the
+    Lagrangian bound max_x [D(P(.|x) || q) - mu . (rows[:, x] - budgets)]
+    at the law's output law q, with multipliers mu >= 0 from scipy's HiGHS.
+    Any mu gives an upper bound; rows are scaled to a largest entry of 1
+    for HiGHS, and a cost a rounding error above its budget is put on it
+    (``checks._excess``)."""
+    import checks
+    from scipy.optimize import linprog
+
+    import capdist as cd
+
+    probs = point.optimizer.probs
+    spent = rows @ probs
+    if np.any(spent > budgets + checks.COST_TOL):
+        return f"{checks.INVALID}: costs {spent.tolist()} over budgets {budgets.tolist()}"
+    mi = cd.mutual_information(model, probs)
+    if abs(point.capacity - mi) > checks.MI_TOL:
+        return f"{checks.INVALID}: capacity {point.capacity:.12g} != I(p) {mi:.12g}"
+    divergence = checks._kl_rows(model.output_given_input, cd.output_marginal(model, probs))
+    excess = np.stack([checks._excess(row, b) for row, b in zip(rows, budgets)])
+    scale = np.abs(excess).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    m = rows.shape[0]
+    a_ub = np.hstack([-(excess / scale[:, None]).T, -np.ones((rows.shape[1], 1))])
+    res = linprog(np.r_[np.zeros(m), 1.0], A_ub=a_ub, b_ub=-divergence,
+                  bounds=[(0, None)] * m + [(None, None)], method="highs")
+    if not res.success:
+        return f"dual LP failed: {res.message}"
+    mu = np.maximum(res.x[:m], 0.0) / scale
+    gap = float(np.max(divergence - mu @ excess)) - mi
+    if gap < -checks.MI_TOL:
+        return f"{checks.INVALID}: capacity above the dual bound by {-gap:.3e}"
+    if not gap <= checks.POINT_TOL:
+        return f"dual gap {gap:.3e} > {checks.POINT_TOL:.0e}"
+    return None
+
+
+def several_ops(seed: int) -> list:
+    """``multi_constraint_point`` under 2 and 3 rows, d* and uniform random
+    costs, on ``SEVERAL_CHANNELS`` Dirichlet channels with |X| 3-16, |S|
+    2-3, |Y| 2-5 and Hamming distortion.  The rows share one budget, at
+    each of ``SEVERAL_FRACTIONS`` of the way from the budget game's value
+    (min over laws of the largest cost, by scipy's HiGHS) to the largest
+    cost."""
+    from workloads import Op, _common_min_cost
+
+    import capdist as cd
+
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(SEVERAL_CHANNELS):
+        nx, ns, ny = int(rng.integers(3, 17)), int(rng.integers(2, 4)), int(rng.integers(2, 6))
+        model = cd.validate_channel(rng.dirichlet(np.full(ny, 0.5), size=(nx, ns)),
+                                    rng.dirichlet(np.ones(ns)), 1.0 - np.eye(ns))
+        cost = cd.optimal_estimator(model).cost_vector
+        for m in (2, 3):
+            rows = np.vstack([cost, rng.uniform(0.0, 1.0, (m - 1, nx))])
+            lo, hi = _common_min_cost(rows), float(rows.max())
+            for frac in SEVERAL_FRACTIONS:
+                budgets = np.full(m, lo + frac * (hi - lo))
+                ops.append(Op(f"multi_constraint_point/dirichlet |X|={nx} {m} rows",
+                              lambda md=model, r=rows, b=budgets: cd.multi_constraint_point(
+                                  md, [cd.CostConstraint(row, float(x)) for row, x in zip(r, b)]),
+                              lambda pt, md=model, r=rows, b=budgets: check_several_point(md, r, b, pt)))
+    return ops
+
+
+CORPORA = {"wide": wide_ops, "blocks": blocks_ops, "several": several_ops}
 
 
 def record(workload: str, seed: int, n_ops: int) -> int:
