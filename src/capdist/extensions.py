@@ -22,7 +22,8 @@ from .channel import (
     ChannelModel,
     FloatArray,
     InputDistribution,
-    mutual_information,
+    _as_probs,
+    batch_mutual_information,
     optimal_estimator,
     validate_channel,
 )
@@ -281,7 +282,10 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     cost_rows, budgets = _check_budgets(cost_rows, np.full(n_theta, float(budget)))
 
     def info_values(p: FloatArray) -> FloatArray:
-        return np.array([mutual_information(m, p) for m in models])
+        # The law is checked and renormalized once, as ``mutual_information``
+        # would for each prior, and every prior reads that one row.
+        row = _as_probs(p, models[0].input_size)[None, :]
+        return np.array([batch_mutual_information(m, row)[0] for m in models])
 
     laws, cuts = [], []
     best_ub, best_lb, best_p = np.inf, -np.inf, None

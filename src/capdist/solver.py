@@ -146,12 +146,24 @@ class _Objective:
         return self._ascent
 
     def scores(self, p: FloatArray) -> FloatArray:
-        """sum_i w_i * D(P_i(.|x) || P_i(.)) per input letter, at input law p."""
-        total = np.zeros(self.n_inputs)
+        """sum_i w_i * D(P_i(.|x) || P_i(.)) per input letter, at input law p,
+        as a fresh array.  The first term starts the sum and a unit weight
+        skips its multiply: the same doubles as a sum from zeros, with fewer
+        array operations, which dominate the ascent's steps on small
+        alphabets."""
+        total = None
         for weight, pyx, row_self in self.terms:
-            log_py = np.log(np.maximum(p @ pyx, 1e-300))
-            total += weight * (row_self - pyx @ log_py)
-        return total
+            log_py = p @ pyx  # a fresh array, dense or on a support
+            np.log(np.maximum(log_py, 1e-300, out=log_py), out=log_py)
+            term = pyx @ log_py
+            np.subtract(row_self, term, out=term)
+            if weight != 1.0:
+                term *= weight
+            if total is None:
+                total = term
+            else:
+                total += term
+        return np.zeros(self.n_inputs) if total is None else total
 
     def curvature(self, atoms: FloatArray, weights: FloatArray) -> FloatArray:
         """The negated Hessian of the objective in the coordinates of p =
@@ -203,7 +215,8 @@ def _line_search(
 
     def slope(t: float) -> float:
         nonlocal best, end
-        q = p + t * direction
+        q = direction * t  # p + t * direction, in one temporary
+        q += p
         s = objective.scores(q)
         end = (t, q, s, float(q @ s))
         if end[3] > best[3]:
@@ -257,16 +270,19 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     p . score.
     """
     n = objective.n_inputs
+    # The ufuncs' reductions, bound once: np.sum and np.max reach the same
+    # ones through a wrapper that costs as much as a small step's arithmetic.
+    add, maximum = np.add.reduce, np.maximum.reduce
     log_p = np.full(n, -math.log(n))
     prev_value = -np.inf
     hist: list[FloatArray] = []  # recent consecutive log-iterates
     last = min(BA_PREFIX, BA_MAX_ITER)
     for it in range(last + 1):
         p = np.exp(log_p)
-        p /= p.sum()
+        p /= add(p)
         score = objective.scores(p)
         value = float(p @ score)
-        cert = float(np.max(score) - value)
+        cert = float(maximum(score) - value)
         if value < prev_value - 1e-12:
             raise SolverNonmonotone(f"ascent step lowered the objective: {prev_value!r} -> {value!r}")
         # Increments decay geometrically while mass drains toward a face, so
@@ -279,8 +295,8 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
             break
         prev_value = value
         log_p = log_p + score
-        log_p -= np.max(log_p)
-        log_p -= math.log(np.sum(np.exp(log_p)))
+        log_p -= maximum(log_p)
+        log_p -= math.log(add(np.exp(log_p)))
         hist.append(log_p)
         if len(hist) > 3:
             del hist[0]
@@ -295,7 +311,7 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
             denom = d1 - d0
             contracting = (np.abs(denom) > 1e-12) & (np.abs(d1) < np.abs(d0))
             jump = np.where(contracting, -d1 * d1 / np.where(contracting, denom, 1.0), 0.0)
-            if np.any(jump != 0.0):
+            if (jump != 0.0).any():
                 cand = hist[2] + jump
                 cand -= np.max(cand)
                 q = np.exp(cand)
@@ -317,7 +333,7 @@ def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[Fl
     # advantage is itself tiny (the per-step log gain equals the
     # certificate); Frank-Wolfe moves weight to the best letter directly.
     value = float(p @ score)
-    held = np.flatnonzero(p > MASS_FLOOR)
+    held = (p > MASS_FLOOR).nonzero()[0]
     atoms = (held[:, None] == np.arange(p.size)).astype(np.float64)
     # A zero cost row at budget 0 puts every letter on its budget, so the
     # hull's best vertex is the first best letter, with multiplier 0.
@@ -556,7 +572,7 @@ def _newton_step(
     if not d @ g > 0.0:
         d = vt[~null, :k].T @ ((u[:k, ~null].T @ g) / s[~null])
     g0 = float(d @ g)
-    shrink = np.flatnonzero(d < 0.0)
+    shrink = (d < 0.0).nonzero()[0]
     if g0 <= 0.0 or shrink.size == 0:
         return atoms, weights, p, score, value
     ratios = weights[shrink] / -d[shrink]
@@ -566,7 +582,7 @@ def _newton_step(
         return atoms, weights, p, score, value
     weights = weights + step * d
     if step >= t_max:
-        weights[shrink[np.argmin(ratios)]] = 0.0
+        weights[shrink[ratios.argmin()]] = 0.0
     keep = weights > 0.0
     return atoms[keep], weights[keep], q, q_score, q_value
 
@@ -638,14 +654,15 @@ def _frank_wolfe(
     p = weights @ atoms
     score = objective.scores(p)
     value = float(p @ score)
+    maximum = np.maximum.reduce  # np.max's ufunc, without its wrapper
     for _ in range(BA_MAX_ITER):
         v, lam = best_vertex(score)
-        if (score - lam @ excess).max() - value <= CERT_TOL:
+        if maximum(score - lam @ excess) - value <= CERT_TOL:
             break
         atom_scores = atoms @ score
-        away = int(np.argmin(atom_scores))
+        away = int(atom_scores.argmin())
         # The linear program returns copies of a vertex that differ in ulps.
-        same = np.flatnonzero(np.max(np.abs(atoms - v), axis=1) <= 1e-12)
+        same = (maximum(np.abs(atoms - v), axis=1) <= 1e-12).nonzero()[0]
         if same.size and same[0] == away:
             break
         t_max = weights[away]
@@ -657,11 +674,11 @@ def _frank_wolfe(
         if same.size:
             weights[same[0]] += step
         else:
-            atoms = np.vstack([atoms, v])
-            weights = np.append(weights, step)
+            atoms = np.concatenate((atoms, v[None, :]))
+            weights = np.concatenate((weights, [step]))
         if step >= t_max:  # a drop step
-            atoms = np.delete(atoms, away, axis=0)
-            weights = np.delete(weights, away)
+            kept = np.arange(weights.size) != away
+            atoms, weights = atoms[kept], weights[kept]
         else:
             weights[away] -= step
         p, score, value = q, q_score, q_value
@@ -672,7 +689,7 @@ def _frank_wolfe(
     p = weights @ atoms / weights.sum()
     score = objective.scores(p)
     value = float(p @ score)
-    return p, value, float((score - best_vertex(score)[1] @ excess).max()), score
+    return p, value, float(maximum(score - best_vertex(score)[1] @ excess)), score
 
 
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -689,14 +706,14 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArr
     cost within ``FACE_TOL`` of its budget snapped onto it: pairing such a
     letter across the budget would divide by a rounding-level difference.
     """
-    if np.any(np.isnan(budgets)):
+    if np.isnan(budgets).any():
         raise ValueError(f"budget is NaN: {budgets.tolist()}")
-    if not np.all(np.isfinite(cost_rows)):
+    if not np.isfinite(cost_rows).all():
         raise ValueError("every cost entry must be finite")
     cheapest = cost_rows.min(axis=1)
     # The difference the snap tests, so a kept budget at or below its row's
     # cheapest letter always has that letter snapped onto it.
-    short = np.flatnonzero(cheapest - budgets > FACE_TOL)
+    short = (cheapest - budgets > FACE_TOL).nonzero()[0]
     finite = budgets < np.inf
     rows, kept = cost_rows[finite], budgets[finite]
     if short.size:
@@ -732,10 +749,10 @@ def _solve_budget(
     named in the warning.
     """
     floor = budgets <= cost_rows.min(axis=1)
-    if np.any(floor):
+    if floor.any():
         rows = cost_rows[floor]
-        face = np.all(rows == budgets[floor][:, None], axis=0)
-        if not np.any(face):
+        face = (rows == budgets[floor][:, None]).all(axis=0)
+        if not face.any():
             raise InfeasibleConstraints("the budgets at their cheapest costs share no letter")
         q, value, bound, _, warning = _solve_budget(
             objective.restrict(face), cost_rows[~floor][:, face], budgets[~floor]
@@ -746,7 +763,7 @@ def _solve_budget(
 
     p, cert, _, value, score = objective.unconstrained()
     bound = value + cert
-    active = bool(np.any(cost_rows @ p > budgets))
+    active = bool((cost_rows @ p > budgets).any())
     if active:
         p, value, bound, _ = _frank_wolfe(objective, cost_rows, budgets, score)
     warning = None

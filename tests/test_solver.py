@@ -854,6 +854,52 @@ def test_dirichlet_random_channel_has_no_support():
     assert np.array_equal(pyx[rows, cols], values)
 
 
+def _reference_scores(weighted_models, p):
+    """The objective's scores summed from zeros, term by term, in the
+    textbook form sum_i w_i (row terms - P_i(y|x) @ log max(P_i(y), 1e-300))."""
+    total = np.zeros(p.size)
+    for weight, model in weighted_models:
+        if weight > 0.0:
+            pyx = model._pyx
+            total += weight * (model._row_terms - pyx @ np.log(np.maximum(p @ pyx, 1e-300)))
+    return total
+
+
+def test_scores_match_a_sum_from_zeros_bit_for_bit(monkeypatch):
+    # Scores start their sum at the first term and skip a unit weight's
+    # multiply; the doubles must be those of the sum from zeros, on dense
+    # models and on a support, for one to three models.
+    rng = np.random.default_rng(3232)
+    transition = rng.dirichlet(np.ones(4), size=(5, 3))
+    dense = [cd.validate_channel(transition, rng.dirichlet(np.ones(3)), 1.0 - np.eye(3)) for _ in range(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cd.channel, "SUPPORT_DENSITY", 1.0)
+        blocks = [cd.channel.ChannelModel(m.transition, m.state_prior, m.distortion)
+                  for m in (cd.block_multiplicative_model(r, 5) for r in (0.3, 0.45, 0.2))]
+        for block in blocks:
+            assert isinstance(block._pyx, cd.channel._Support)
+    for models in (dense, blocks):
+        n = models[0].input_size
+        laws = [rng.dirichlet(np.full(n, 0.5)), np.eye(1, n, n - 1)[0]]
+        sparse = rng.dirichlet(np.ones(n))
+        sparse[::2] = 0.0  # letters with zero mass
+        laws.append(sparse / sparse.sum())
+        for weights in ([1.0], [0.37], [1.0, 1.0], [0.25, 0.75], [1.0, 0.0, 0.4], [0.2, 0.5, 0.3]):
+            weighted = list(zip(weights, models))
+            objective = solver._Objective(weighted)
+            row_terms = [m._row_terms.copy() for m in models]
+            for p in laws:
+                got = objective.scores(p)
+                assert np.array_equal(got, _reference_scores(weighted, p))
+                assert got.flags.writeable and got.flags.owndata
+                again = objective.scores(p)
+                assert again is not got and not np.shares_memory(again, got)
+                got[:] = np.nan
+                assert np.array_equal(objective.scores(p), again)
+            for model, before in zip(models, row_terms):
+                assert np.array_equal(model._row_terms, before) and not model._row_terms.flags.writeable
+
+
 def test_support_solve_never_builds_dense_output_given_input():
     # On a fresh K = 10 block the first point finds the support from the
     # transition and derives the estimator's cost vector and the row terms
