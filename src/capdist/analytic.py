@@ -32,6 +32,12 @@ def _check_r(r: float, *, allow_zero: bool = False, upper: float = 1.0) -> None:
         raise ValueError(f"r must lie in {bound}, {upper}], got {r}")
 
 
+def _check_block(r: float, block_len: int) -> None:
+    _check_r(r, upper=0.5)
+    if block_len < 1:
+        raise ValueError("block_len must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # model builders
 # ---------------------------------------------------------------------------
@@ -112,9 +118,7 @@ def case1_predicate(r: float, block_len: int) -> bool:
     information even at zero estimation cost, the all-zeros letter is unused,
     and the tradeoff is flat in the budget.
     """
-    _check_r(r, upper=0.5)
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
+    _check_block(r, block_len)
     return 2.0**block_len > 1.0 + math.exp(-math.log(1.0 - r) / r)
 
 
@@ -137,11 +141,9 @@ def block_cd_closed_form(r: float, block_len: int, budget: float) -> tuple[float
     touches on the case boundary) the interior maximizer applies, below it
     p = 1 - budget / r.
     """
-    _check_r(r, upper=0.5)
+    _check_block(r, block_len)
     if budget < 0.0:
         raise ValueError("budget must be >= 0")
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
     nonzero = 2.0**block_len - 1.0
     if case1_predicate(r, block_len):
         p = 1.0
@@ -161,17 +163,13 @@ def training_rate(r: float, block_len: int) -> float:
     r log(2^(K-1)) / K.  The joint scheme's zero-budget rate
     r log(2^K - 1) / K is strictly larger for every finite K > 1.
     """
-    _check_r(r, upper=0.5)
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
+    _check_block(r, block_len)
     return r * (block_len - 1) * math.log(2.0) / block_len
 
 
 def block_zero_budget_rate(r: float, block_len: int) -> float:
     """Per-use capacity of the block channel at zero budget: r log(2^K - 1) / K."""
-    _check_r(r, upper=0.5)
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
+    _check_block(r, block_len)
     if block_len == 1:
         return 0.0
     return r * math.log(2.0**block_len - 1.0) / block_len

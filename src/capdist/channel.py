@@ -329,14 +329,13 @@ def _risk_blocks(transition, state_prior, distortion, support):
 
 
 def _check_prob_rows(rows: FloatArray, field: str) -> None:
-    if np.any(rows < 0):
+    if (rows < 0).any():
         raise NotAProbability(f"{field}: negative entry")
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise NotAProbability(f"{field}: non-finite entry")
-    sums = rows.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) >= PROB_TOL):
-        worst = float(np.max(np.abs(sums - 1.0)))
-        raise NotAProbability(f"{field}: row sum off by {worst:.3e} (tolerance {PROB_TOL:.0e})")
+    off = np.abs(rows.sum(axis=-1) - 1.0)
+    if (off >= PROB_TOL).any():
+        raise NotAProbability(f"{field}: row sum off by {off.max():.3e} (tolerance {PROB_TOL:.0e})")
 
 
 def _check_shapes(transition: FloatArray, state_prior: FloatArray, distortion: FloatArray) -> None:
@@ -391,13 +390,13 @@ def validate_channel(
     return ChannelModel(transition, state_prior, distortion)
 
 
-def _as_probs(px, size: int, what: str = "input distribution") -> FloatArray:
+def _as_probs(px, size: int) -> FloatArray:
     if isinstance(px, InputDistribution):
         probs = px.probs
     else:
         probs = InputDistribution(np.asarray(px, dtype=np.float64)).probs
     if probs.size != size:
-        raise DimensionMismatch(f"{what} has length {probs.size}, expected {size}")
+        raise DimensionMismatch(f"input distribution has length {probs.size}, expected {size}")
     return probs
 
 

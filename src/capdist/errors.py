@@ -40,7 +40,9 @@ class InfeasibleDistortion(InfeasibleConstraints):
     point (a NaN budget raises ``ValueError``).  ``d_min`` is the least
     budget all rows could share: the cheapest letter's cost for one row,
     min over input laws of the dearest row's cost for several, and None
-    when the budgets differ."""
+    when the budgets differ.  A set found infeasible only on a face, where
+    budgets at their rows' cheapest costs share no letter, carries no
+    ``d_min`` either."""
 
     def __init__(self, message: str, d_min: float | None = None):
         super().__init__(message)

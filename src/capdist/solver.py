@@ -474,15 +474,6 @@ class _LinearProgram:
         return z[:size], np.maximum(-duals[:-1], 0.0)
 
 
-def _simplex_lp(objective: FloatArray, rows: FloatArray, n_extra: int = 0) -> tuple[FloatArray, FloatArray]:
-    """One linear program of ``_LinearProgram``: phase 1 on the rows, then
-    phase 2 on the objective from the basis it leaves.  Returns
-    ``_LinearProgram.solve``'s (z, multipliers), and raises
-    ``InfeasibleConstraints`` when no law meets the rows or the objective
-    decreases without bound."""
-    return _LinearProgram(rows, n_extra).solve(objective)
-
-
 def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: FloatArray) -> None:
     """Move ``basis`` (row i's basic column of the equations a z = rhs, in
     place) to one that minimizes cost @ z over z >= 0.
@@ -741,7 +732,8 @@ def _solve_budget(
     Returns (law, value, dual bound, constraint_active, warning).  A budget
     on its row's cheapest cost (where the snap puts costs within FACE_TOL)
     confines the law to the letters on it, on which the other rows are
-    solved.  Otherwise the objective's unconstrained law (its one
+    solved; ``InfeasibleDistortion`` is raised when no letter is on every
+    such budget.  Otherwise the objective's unconstrained law (its one
     ``_ascend``) is returned if it meets every budget.  If not, pairwise
     Frank-Wolfe solves on the budget polytope, started from the best vertex
     for the unconstrained law's scores.  Either way the law comes with a
@@ -753,7 +745,7 @@ def _solve_budget(
         rows = cost_rows[floor]
         face = (rows == budgets[floor][:, None]).all(axis=0)
         if not face.any():
-            raise InfeasibleConstraints("the budgets at their cheapest costs share no letter")
+            raise InfeasibleDistortion("the budgets at their cheapest costs share no letter")
         q, value, bound, _, warning = _solve_budget(
             objective.restrict(face), cost_rows[~floor][:, face], budgets[~floor]
         )
@@ -782,7 +774,8 @@ def capacity_distortion_point(model: ChannelModel, budget: float) -> CDPoint:
     concave hull of (d*(x), score(x)), whose slope at the budget is the
     multiplier dC/dD.
     """
-    return multi_constraint_point(model, [CostConstraint(optimal_estimator(model).cost_vector, budget)])
+    cost = optimal_estimator(model).cost_vector
+    return _point(_Objective([(1.0, model)]), cost[None, :], np.array([budget], dtype=np.float64))
 
 
 def cd_curve(model: ChannelModel, grid) -> CDCurve:
@@ -839,7 +832,8 @@ def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
     before the law.  Returns (value, column law, row law).
     """
     ones = np.ones((payoff.shape[0], 1))
-    z, row = _simplex_lp(np.r_[1.0, -1.0, np.zeros(payoff.shape[1])], np.hstack([-ones, ones, payoff]), 2)
+    program = _LinearProgram(np.hstack([-ones, ones, payoff]), 2)
+    z, row = program.solve(np.r_[1.0, -1.0, np.zeros(payoff.shape[1])])
     column = z[2:]
     return float(z[0] - z[1]), column / column.sum(), row / row.sum()
 
@@ -894,13 +888,16 @@ def grid_search_capacity(model: ChannelModel, budget: float, step: float | None 
 
     Only tiny input alphabets are supported (2 or 3 letters); the default
     step is 1e-4 for two letters and 1e-2 for three, giving an O(step)
-    approximation from below.  ``_check_budgets`` checks the budget, and a
-    grid law at most ``FACE_TOL`` above it counts as feasible.
+    approximation from below; a step outside (0, 1] raises ``ValueError``.
+    ``_check_budgets`` checks the budget, and a grid law at most
+    ``FACE_TOL`` above it counts as feasible.
     """
     if model.input_size > 3:
         raise AlphabetTooLarge("grid search supports input alphabets of size 2 or 3")
     if step is None:
         step = 1e-4 if model.input_size == 2 else 1e-2
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must lie in (0, 1], got {step}")
     cost_vector = optimal_estimator(model).cost_vector
     _check_budgets(cost_vector[None, :], np.array([budget], dtype=np.float64))
     if model.input_size == 1:

@@ -178,6 +178,10 @@ def test_zero_budget_rate_values():
             continue
         closed, _ = cd.block_cd_closed_form(r, block_len, 0.0)
         assert abs(cd.block_zero_budget_rate(r, block_len) - closed) < 1e-15
+    with pytest.raises(ValueError, match="block_len must be >= 1"):
+        cd.block_zero_budget_rate(0.3, 0)
+    with pytest.raises(ValueError, match=r"r must lie in \(0, 0.5\]"):
+        cd.block_zero_budget_rate(0.6, 2)
 
 
 def test_joint_scheme_beats_training_and_ratio_shrinks():

@@ -58,7 +58,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 def test_no_solve_imports_scipy():
     # The several-budget linear step and the matrix game run the package's
-    # own simplex (``solver._simplex_lp``); importing scipy.optimize costs
+    # own simplex (``solver._LinearProgram``); importing scipy.optimize costs
     # about three times the package's own import.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                                      os.environ.get("PYTHONPATH")]))}

@@ -409,7 +409,7 @@ def test_lp_vertex_multipliers_close_the_duality_gap(case):
     # max_x [score(x) - lam . excess_x] equals the vertex's score.
     costs, slack, score, x = case
     excess = costs - (costs[:, x] + slack)[:, None]
-    v, lam = solver._simplex_lp(-score, excess)
+    v, lam = solver._LinearProgram(excess).solve(-score)
     assert np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-12
     assert np.all(excess @ v <= 1e-12)
     assert np.all(lam >= 0.0)
@@ -418,7 +418,7 @@ def test_lp_vertex_multipliers_close_the_duality_gap(case):
 
 @st.composite
 def linear_programs(draw):
-    """(objective, rows, n_free) for ``_simplex_lp`` over |X| 1-64 letters
+    """(objective, rows, n_free) for ``_LinearProgram`` over |X| 1-64 letters
     and 1-3 rows, each row a letter's cost minus letter x's cost and a slack,
     so that x meets them all.  With a free column, which every row prices
     down and the objective up, the optimum stays finite.  Entries are random
@@ -457,12 +457,12 @@ def test_linear_program_is_exact_and_agrees_with_highs(lp):
     # free entries priced at zero) reaches its value.
     objective, rows, n_free = lp
     n = objective.size - n_free
-    # ``_simplex_lp`` takes nonnegative entries only, placed before the law:
+    # ``_LinearProgram`` takes nonnegative entries only, placed before the law:
     # the free entry is the difference of a pair of them, with columns
     # (c, -c) and objective entries (o, -o).
     pair = np.r_[np.arange(n, objective.size), np.arange(n, objective.size), np.arange(n)]
     signs = np.r_[np.ones(n_free), -np.ones(n_free), np.ones(n)]
-    z, lam = solver._simplex_lp(objective[pair] * signs, rows[:, pair] * signs, 2 * n_free)
+    z, lam = solver._LinearProgram(rows[:, pair] * signs, 2 * n_free).solve(objective[pair] * signs)
     z = np.r_[z[2 * n_free:], z[:n_free] - z[n_free:2 * n_free]]
     value = float(objective @ z)
     assert np.all(z[:n] >= 0.0) and abs(z[:n].sum() - 1.0) <= 1e-12
@@ -508,7 +508,7 @@ def test_warm_linear_program_matches_a_cold_solve_at_every_objective(case):
     program = solver._LinearProgram(rows[:, pair] * signs, 2 * n_free)
     for objective in objectives:
         z, lam = program.solve(objective[pair] * signs)
-        cold, _ = solver._simplex_lp(objective[pair] * signs, rows[:, pair] * signs, 2 * n_free)
+        cold, _ = solver._LinearProgram(rows[:, pair] * signs, 2 * n_free).solve(objective[pair] * signs)
         z = np.r_[z[2 * n_free:], z[:n_free] - z[n_free:2 * n_free]]
         cold = np.r_[cold[2 * n_free:], cold[:n_free] - cold[n_free:2 * n_free]]
         value = float(objective @ z)

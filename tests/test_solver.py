@@ -378,20 +378,20 @@ def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch
     # Frank-Wolfe step is a linear program.  Pairwise steps alone need 345
     # of them; with the Newton step, 9.  The count of phase 2 solves also
     # holds the budget rule's one feasibility game.  Frank-Wolfe runs phase
-    # 1 once and re-optimizes that program at every step; the game is the
-    # one one-shot program.
+    # 1 once and re-optimizes that program at every step; the game builds
+    # its own program and solves it once.
     model = cd.block_multiplicative_model(BLOCK_TIE_R, 2)
     cost = cd.optimal_estimator(model).cost_vector
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.5 * (d_max - d_min)
     calls = _count_calls(monkeypatch, solver._LinearProgram, "solve")
     phase_one = _count_calls(monkeypatch, solver._LinearProgram, "__init__")
-    one_shot = _count_calls(monkeypatch, solver, "_simplex_lp")
+    games = _count_calls(monkeypatch, solver, "_matrix_game")
     newton_steps = _count_calls(monkeypatch, solver, "_newton_step")
     point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)] * 2)
     assert calls[0] < 20
-    assert one_shot[0] == 1
-    assert phase_one[0] - one_shot[0] == 1
+    assert games[0] == 1
+    assert phase_one[0] - games[0] == 1
     assert newton_steps[0] >= 1
     assert point.convergence_warning is None
     assert point.constraint_active
@@ -592,6 +592,17 @@ def test_multi_constraint_rejects_a_non_finite_cost(entry):
         cd.multi_constraint_point(model, [cd.CostConstraint(np.array([entry, 0.0]), 0.3)])
 
 
+def test_budgets_at_their_cheapest_costs_sharing_no_letter_raise_infeasible_distortion():
+    # Each budget sits on its row's cheapest letter, and the two letters
+    # differ.  The budget rule's game reads 1e-12 <= FACE_TOL and lets the
+    # set through; only the face of the cheapest letters shows it empty.
+    model = cd.validate_channel([[[0.9, 0.1]], [[0.2, 0.8]]], [1.0], [[0.0]])
+    constraints = [cd.CostConstraint([0.0, 2e-12], 0.0), cd.CostConstraint([2e-12, 0.0], 0.0)]
+    with pytest.raises(cd.InfeasibleDistortion, match="share no letter") as exc:
+        cd.multi_constraint_point(model, constraints)
+    assert exc.value.d_min is None
+
+
 def test_multi_constraint_requires_a_constraint():
     with pytest.raises(ValueError):
         cd.multi_constraint_point(cd.scalar_multiplicative_model(0.4), [])
@@ -605,7 +616,7 @@ def test_multi_constraint_requires_a_constraint():
 def test_linear_program_takes_a_score_of_1e_7():
     # A solver stopping at feasibility tolerances of 1e-7 may keep letter 0.
     score = np.array([0.0, 1e-7, 1e-7])
-    z, lam = solver._simplex_lp(-score, np.zeros((1, 3)))
+    z, lam = solver._LinearProgram(np.zeros((1, 3))).solve(-score)
     assert score @ z == 1e-7 and z.sum() == 1.0
     assert lam.tolist() == [0.0]
 
@@ -618,15 +629,30 @@ def test_matrix_game_is_exact_at_a_near_tie():
     assert abs(float(np.min(row @ payoff)) - value) <= 1e-15
 
 
+def test_matrix_game_is_exact_where_a_basis_recurs():
+    # Of 30,000 random games (uniform entries, entries rounded to 0.1, drawn
+    # from {0, +-1e-9, +-1e-5, +-1}, or tiny), this is the only one whose
+    # pivots lead back to a basis: ``_pivot_to_optimum`` then switches to
+    # Bland's leaving rule and prices beyond rounding only.
+    payoff = np.array([[1e-05, 1e-05, 1.0, 1e-09, 1.0],
+                       [1.0, -1e-05, 1e-05, -1e-05, -1.0],
+                       [1.0, 1e-09, -1e-09, 1e-05, -1.0],
+                       [-1e-05, 1e-09, 1.0, 1e-05, 1e-09]])
+    value, column, row = solver._matrix_game(payoff)
+    assert abs(value - 5.0005e-06) <= 1e-15
+    assert abs(float(np.max(payoff @ column)) - value) <= 1e-15
+    assert abs(float(np.min(row @ payoff)) - value) <= 1e-15
+
+
 def test_linear_program_with_no_feasible_law_raises():
     with pytest.raises(cd.InfeasibleConstraints, match="no law meets the rows"):
-        solver._simplex_lp(np.zeros(2), np.array([[1.0, 0.5]]))
+        solver._LinearProgram(np.array([[1.0, 0.5]]))
 
 
 def test_unbounded_linear_program_raises():
     # The extra entry meets no row and lowers the objective.
     with pytest.raises(cd.InfeasibleConstraints, match="unbounded"):
-        solver._simplex_lp(np.array([-1.0, 0.0, 0.0]), np.array([[0.0, 1.0, -1.0]]), 1)
+        solver._LinearProgram(np.array([[0.0, 1.0, -1.0]]), 1).solve(np.array([-1.0, 0.0, 0.0]))
 
 
 def test_warm_linear_program_reads_a_rounded_free_pair_as_rounding():
@@ -642,7 +668,7 @@ def test_warm_linear_program_reads_a_rounded_free_pair_as_rounding():
     for letters in ([0.0, 0.0, 0.0, 0.0],) * 3 + ([0.0, 1.0, 1.0, 1.0],):
         objective = np.r_[0.1, -0.1, letters]
         z, lam = program.solve(objective)
-        cold, _ = solver._simplex_lp(objective, rows, 2)
+        cold, _ = solver._LinearProgram(rows, 2).solve(objective)
         assert objective @ z == objective @ cold == 0.0
         assert np.all(lam >= 0.0)
         assert abs(float((objective + lam @ rows)[2:].min()) - objective @ z) <= 1e-12
@@ -681,6 +707,9 @@ def test_grid_search_guards():
         with pytest.raises(ValueError, match="NaN"):
             cd.grid_search_capacity(model, math.nan)
     assert cd.grid_search_capacity(one_letter, 0.0) == 0.0
+    for step in (0.0, -0.1, 2.0, math.nan):
+        with pytest.raises(ValueError, match="step"):
+            cd.grid_search_capacity(cd.scalar_multiplicative_model(0.4), 0.1, step=step)
 
 
 def test_batch_mutual_information_agrees_with_scalar_version():
