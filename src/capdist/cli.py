@@ -17,8 +17,9 @@ of a filename.
 
 Exit codes: 0 success, 2 malformed input (a NaN budget included) or an
 input too large for memory, 3 infeasible budget or constraint set, 4 solver
-could not converge or certify.  Rates print in nats; --bits adds the base-2
-conversion where supported.
+could not converge or certify, a fault of its own linear programs (a
+singular basis, an unbounded program, a vertex off the simplex) included.
+Rates print in nats; --bits adds the base-2 conversion where supported.
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ LN2 = math.log(2.0)
 
 CSV_HEADER = "D,capacity_nats,capacity_bits,constraint_active"
 
-_PRESET_NAMES = ("scalar_multiplicative", "block_multiplicative", "additive_mod2")
+# Each builder pops its parameters by name; a missing one raises KeyError.
+_PRESETS = {
+    "scalar_multiplicative": lambda params: analytic.scalar_multiplicative_model(float(params.pop("r"))),
+    "block_multiplicative": lambda params: analytic.block_multiplicative_model(
+        float(params.pop("r")), int(params.pop("K"))),
+    "additive_mod2": lambda params: analytic.additive_mod2_model(float(params.pop("r"))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +76,8 @@ _PRESET_NAMES = ("scalar_multiplicative", "block_multiplicative", "additive_mod2
 
 def _parse_preset(text: str) -> ChannelModel:
     tokens = text.split()
-    if not tokens or tokens[0] not in _PRESET_NAMES:
-        raise ValueError(f"unknown preset {text!r}; expected one of {', '.join(_PRESET_NAMES)}")
+    if not tokens or tokens[0] not in _PRESETS:
+        raise ValueError(f"unknown preset {text!r}; expected one of {', '.join(_PRESETS)}")
     name, params = tokens[0], {}
     for tok in tokens[1:]:
         if "=" not in tok:
@@ -78,19 +85,9 @@ def _parse_preset(text: str) -> ChannelModel:
         key, _, val = tok.partition("=")
         params[key] = val
     try:
-        r = float(params.pop("r"))
-    except KeyError:
-        raise ValueError(f"preset {name!r} requires r=") from None
-    if name == "scalar_multiplicative":
-        model = analytic.scalar_multiplicative_model(r)
-    elif name == "additive_mod2":
-        model = analytic.additive_mod2_model(r)
-    else:
-        try:
-            block_len = int(params.pop("K"))
-        except KeyError:
-            raise ValueError("preset 'block_multiplicative' requires K=") from None
-        model = analytic.block_multiplicative_model(r, block_len)
+        model = _PRESETS[name](params)
+    except KeyError as exc:
+        raise ValueError(f"preset {name!r} requires {exc.args[0]}=") from None
     if params:
         raise ValueError(f"preset {name!r}: unexpected parameters {sorted(params)}")
     return model
@@ -111,7 +108,7 @@ def load_spec(path_or_preset: str) -> tuple[ChannelModel, np.ndarray | None]:
     if os.path.exists(path_or_preset):
         with open(path_or_preset, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    elif path_or_preset.split() and path_or_preset.split()[0] in _PRESET_NAMES:
+    elif path_or_preset.split() and path_or_preset.split()[0] in _PRESETS:
         doc = {"preset": path_or_preset}
     else:
         raise ValueError(f"no such file or preset: {path_or_preset!r}")
@@ -433,7 +430,7 @@ def main(argv=None) -> int:
     except (NotCertified, SolverNonmonotone) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CapdistError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CapdistError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -40,9 +40,10 @@ class InfeasibleDistortion(InfeasibleConstraints):
     point (a NaN budget raises ``ValueError``).  ``d_min`` is the least
     budget all rows could share: the cheapest letter's cost for one row,
     min over input laws of the dearest row's cost for several, and None
-    when the budgets differ.  A set found infeasible only on a face, where
-    budgets at their rows' cheapest costs share no letter, carries no
-    ``d_min`` either."""
+    when the budgets differ.  A set found infeasible only on a face carries
+    no ``d_min`` either: budgets at their rows' cheapest costs that share no
+    letter, or other rows that no law on those letters meets (Frank-Wolfe's
+    linear program fails its phase 1)."""
 
     def __init__(self, message: str, d_min: float | None = None):
         super().__init__(message)
@@ -59,4 +60,7 @@ class NoZeroCostLetter(CapdistError):
 
 
 class NotCertified(CapdistError):
-    """Max-min solver could not certify its duality gap and no fallback applies."""
+    """A solver fault: the max-min solver could not certify its duality gap,
+    or the simplex failed on its own (a singular basis, an unbounded
+    program, or a vertex off the simplex that leaves Frank-Wolfe's law
+    summing off 1 by ``PROB_TOL`` or more)."""

@@ -12,8 +12,9 @@ information while meeting the cost budget under every prior simultaneously.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -138,12 +139,7 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     if model.input_size == 1:
         return CpudResult(0.0, InputDistribution(np.ones(1)), "sup-definition")
 
-    cache: dict[float, object] = {}
-
-    def point(budget: float):
-        if budget not in cache:
-            cache[budget] = capacity_distortion_point(model, budget)
-        return cache[budget]
+    point = functools.cache(functools.partial(capacity_distortion_point, model))
 
     def ratio(budget: float) -> float:
         return point(budget).capacity / budget
@@ -199,6 +195,7 @@ class CompoundFamily:
     transition: FloatArray
     priors: tuple[FloatArray, ...]
     distortion: FloatArray
+    models: tuple[ChannelModel, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         models = tuple(
@@ -209,11 +206,7 @@ class CompoundFamily:
         object.__setattr__(self, "transition", models[0].transition)
         object.__setattr__(self, "distortion", models[0].distortion)
         object.__setattr__(self, "priors", tuple(m.state_prior for m in models))
-        object.__setattr__(self, "_models", models)
-
-    @property
-    def models(self) -> tuple[ChannelModel, ...]:
-        return self._models
+        object.__setattr__(self, "models", models)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +281,7 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
         return np.array([batch_mutual_information(m, row)[0] for m in models])
 
     laws, cuts = [], []
-    best_ub, best_lb, best_p = np.inf, -np.inf, None
+    best_ub, best_lb, best_p, best_values = np.inf, -np.inf, None, None
     for k in range(MAX_OUTER):
         w = np.eye(n_theta)[k] if k < n_theta else weights
         p, ub = _solve_weighted(models, w, cost_rows, budgets)
@@ -297,9 +290,10 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
         cuts.append(info_values(p))
         _, weights, mix = _matrix_game(np.array(cuts))
         p = mix @ np.array(laws)
-        lb = float(info_values(p).min())
+        values = info_values(p)
+        lb = float(values.min())
         if lb > best_lb:
-            best_lb, best_p = lb, p
+            best_lb, best_p, best_values = lb, p, values
         if best_ub - best_lb <= GAP_TOL:
             break
     else:
@@ -310,7 +304,7 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     return CompoundResult(
         best_lb,
         InputDistribution(best_p),
-        int(np.argmin(info_values(best_p))),
+        int(np.argmin(best_values)),
         max(0.0, best_ub - best_lb),
         True,
     )

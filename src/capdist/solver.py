@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import (
+    PROB_TOL,
     ChannelModel,
     FloatArray,
     InputDistribution,
@@ -37,8 +38,8 @@ from .channel import (
 from .errors import (
     AlphabetTooLarge,
     DimensionMismatch,
-    InfeasibleConstraints,
     InfeasibleDistortion,
+    NotCertified,
     SolverNonmonotone,
 )
 
@@ -56,8 +57,8 @@ CURVE_TOL = 1e-7
 # The inner ascent stalls once its objective increment is at most BA_TOL.
 BA_TOL = 1e-10
 
-# Iteration cap of the Frank-Wolfe finisher, and of the inner ascent where
-# it is below BA_PREFIX.
+# Iteration cap of every Frank-Wolfe solve, on the simplex and on the budget
+# polytope alike.
 BA_MAX_ITER = 10_000
 
 # Multiplicative updates an ascent makes before it hands an uncertified law
@@ -255,19 +256,18 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     Runs the multiplicative update from the uniform law.  It returns once
     the certificate max_x score(x) - value is at most ``CERT_TOL``, or once
     the value increment drops to ``BA_TOL`` with a certificate of at most
-    ``STALL_CERT``.  Any other stall, and the end of min(``BA_PREFIX``,
-    ``BA_MAX_ITER``) updates, hand the law to ``_finish``: the update
-    converges geometrically, by a ratio near 1 where the optimum sits near a
-    face, while the finisher converges linearly on the simplex.  An update
-    that lowers the value by more than 1e-12 raises ``SolverNonmonotone``.
+    ``STALL_CERT``.  Any other stall, and the end of ``BA_PREFIX``
+    updates, hand the law to ``_finish``: the update converges
+    geometrically, by a ratio near 1 where the optimum sits near a face,
+    while the finisher converges linearly on the simplex.  An update that
+    lowers the value by more than 1e-12 raises ``SolverNonmonotone``.
 
-    Returns (maximizer, certified optimality gap, hit_iteration_cap, value,
-    score), the last two being p . score and score = scores(p) at the
-    maximizer; hit_iteration_cap says the update ran to ``BA_MAX_ITER``
-    before the hand-off, which only a cap of at most ``BA_PREFIX`` can
-    make true.  The gap bounds the true suboptimality from above: for any
-    law q, objective(q) <= max_x score(x), while the iterate achieves
-    p . score.
+    Returns (maximizer, certified optimality gap, False, value, score), the
+    last two being p . score and score = scores(p) at the maximizer.  The
+    third entry, an iteration-cap flag, is always False: the update runs at
+    most ``BA_PREFIX`` times and ``BA_MAX_ITER`` caps only Frank-Wolfe.
+    The gap bounds the true suboptimality from above: for any law q,
+    objective(q) <= max_x score(x), while the iterate achieves p . score.
     """
     n = objective.n_inputs
     # The ufuncs' reductions, bound once: np.sum and np.max reach the same
@@ -276,8 +276,7 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
     log_p = np.full(n, -math.log(n))
     prev_value = -np.inf
     hist: list[FloatArray] = []  # recent consecutive log-iterates
-    last = min(BA_PREFIX, BA_MAX_ITER)
-    for it in range(last + 1):
+    for it in range(BA_PREFIX + 1):
         p = np.exp(log_p)
         p /= add(p)
         score = objective.scores(p)
@@ -291,7 +290,7 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
         stalled = value - prev_value <= BA_TOL
         if cert <= CERT_TOL or (stalled and cert <= STALL_CERT):
             return p, cert, False, value, score
-        if stalled or it == last:
+        if stalled or it == BA_PREFIX:
             break
         prev_value = value
         log_p = log_p + score
@@ -320,7 +319,7 @@ def _ascend(objective: _Objective) -> tuple[FloatArray, float, bool, float, Floa
                     log_p = np.log(np.maximum(q, 1e-300))
                     hist.clear()
     q, gap, q_value, q_score = _finish(objective, p, score)
-    return q, gap, it == BA_MAX_ITER, q_value, q_score
+    return q, gap, False, q_value, q_score
 
 
 def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[FloatArray, float, float, FloatArray]:
@@ -424,10 +423,13 @@ class _LinearProgram:
     largest is taken as zero: a degenerate pivot on it would leave a basis
     too ill-conditioned to read.  The constructor runs phase 1, which adds
     one artificial variable for sum(p) = 1 and minimizes it, and raises
-    ``InfeasibleConstraints`` when that leaves the artificial variable
-    above ``FACE_TOL`` (no law meets the rows).  Only the objective changes
-    between ``solve`` calls, so each one's optimal basis stays feasible and
-    the next phase 2 starts from it (simplex reoptimization).
+    ``InfeasibleDistortion`` with no ``d_min`` when that leaves the
+    artificial variable above ``FACE_TOL`` (no law meets the rows).  Only
+    Frank-Wolfe's rows can fail it, where the budget rule's game let a set
+    through within ``FACE_TOL``; a matrix game's rows always admit a law.
+    Only the objective changes between ``solve`` calls, so each one's
+    optimal basis stays feasible and the next phase 2 starts from it
+    (simplex reoptimization).  Every basis is solved by ``_solve_basis``.
     """
 
     def __init__(self, rows: FloatArray, n_extra: int = 0):
@@ -447,9 +449,9 @@ class _LinearProgram:
         _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis)
         if art in basis:
             r = int(np.flatnonzero(basis == art)[0])
-            row = np.linalg.solve(a[:, basis], np.column_stack([a, rhs]))[r]
+            row = _solve_basis(a[:, basis], np.column_stack([a, rhs]))[r]
             if row[-1] > FACE_TOL:
-                raise InfeasibleConstraints(f"no law meets the rows: phase 1 ends at {row[-1]:.3g}")
+                raise InfeasibleDistortion(f"no law meets the rows: phase 1 ends at {row[-1]:.3g}")
             # Basic at zero: swap it for the column its row reaches most.
             basis[r] = int(np.argmax(np.abs(row[:art])))
         self.a, self.rhs, self.basis = a[:, :art], rhs, basis
@@ -461,17 +463,26 @@ class _LinearProgram:
         exact to rounding.  Returns (z, multipliers): z with its law clipped
         at 0 (the extra entries keep their rounding, which a difference of
         two of them needs), and the rows' multipliers -y, clipped at 0.
-        Raises ``InfeasibleConstraints`` when the objective decreases
-        without bound."""
+        Raises ``NotCertified`` when the objective decreases without bound,
+        which no caller's program can."""
         a, basis, n_extra, size = self.a, self.basis, self.n_extra, self.size
         cost = np.zeros(a.shape[1])
         cost[:size] = objective
         _pivot_to_optimum(a, self.rhs, cost, basis)
         z = np.zeros(a.shape[1])
-        z[basis] = np.linalg.solve(a[:, basis], self.rhs)
-        duals = np.linalg.solve(a[:, basis].T, cost[basis])
+        z[basis] = _solve_basis(a[:, basis], self.rhs)
+        duals = _solve_basis(a[:, basis].T, cost[basis])
         np.maximum(z[n_extra:size], 0.0, out=z[n_extra:size])
         return z[:size], np.maximum(-duals[:-1], 0.0)
+
+
+def _solve_basis(b: FloatArray, rhs: FloatArray) -> FloatArray:
+    """``np.linalg.solve(b, rhs)`` for a simplex basis b.  A singular basis
+    is the simplex's own fault, not the input's: ``NotCertified``."""
+    try:
+        return np.linalg.solve(b, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NotCertified(f"the simplex reached a singular basis ({exc})") from None
 
 
 def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: FloatArray) -> None:
@@ -495,7 +506,8 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
     within its rounding, and reaches no row switches to that rule too: a
     warm start's degenerate basis can price a free pair's second column at
     minus the first's rounding.  Only a reduced cost beyond its rounding
-    with no row to reach is an unbounded program.
+    with no row to reach is an unbounded program, raised as
+    ``NotCertified``.
     """
     cost_size, column_size = np.abs(cost), np.abs(a).sum(axis=0)
     seen, bland = set(), False
@@ -506,21 +518,22 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
             seen, bland = set(), True
         seen.add(basis.tobytes())
         b = a[:, basis]
-        y = np.linalg.solve(b.T, cost[basis])
+        y = _solve_basis(b.T, cost[basis])
         reduced = cost - y @ a
         reduced[basis] = 0.0
-        cond = np.abs(b).sum(axis=1).max() * np.abs(np.linalg.inv(b)).sum(axis=1).max()
+        inverse = _solve_basis(b, np.eye(b.shape[0]))  # np.linalg.inv's own solve
+        cond = np.abs(b).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
         rounding = b.shape[0] * np.finfo(np.float64).eps * cond * (
             cost_size + np.abs(y).max() * column_size)
         entering = np.flatnonzero(reduced < -(rounding if bland else np.minimum(rounding, FACE_TOL)))
         if entering.size == 0:
             return
         j = int(entering[0])
-        column, x = np.linalg.solve(b, np.column_stack([a[:, j], rhs])).T
+        column, x = _solve_basis(b, np.column_stack([a[:, j], rhs])).T
         reach = np.flatnonzero(column > FACE_TOL * max(1.0, np.abs(column).max()))
         if reach.size == 0:
             if bland or reduced[j] < -rounding[j]:
-                raise InfeasibleConstraints("the linear program is unbounded")
+                raise NotCertified("the linear program is unbounded")
             seen, bland = set(), True  # it entered on FACE_TOL alone: rounding
             continue
         ratios = np.maximum(x[reach], 0.0) / column[reach]
@@ -614,7 +627,9 @@ def _frank_wolfe(
     pairwise one, so it adds nothing there.  Stops once bound - value is at
     most ``CERT_TOL``, after ``BA_MAX_ITER`` steps, or when no pairwise step
     improves the objective.  Returns (law, value, dual bound, scores at the
-    law).
+    law).  A law whose sum is off 1 by ``PROB_TOL`` or more, which only
+    linear-program vertices off the simplex can give, raises
+    ``NotCertified``.
     """
     n = objective.n_inputs
     excess = cost_rows - budgets[:, None]
@@ -678,6 +693,8 @@ def _frank_wolfe(
     # The steps leave rounding in p; rebuilt from the atom weights it is
     # nonnegative and its cost is on a budget wherever theirs is.
     p = weights @ atoms / weights.sum()
+    if abs(p.sum() - 1.0) >= PROB_TOL:
+        raise NotCertified(f"Frank-Wolfe's law sums to {p.sum():.17g}: a vertex is off the simplex")
     score = objective.scores(p)
     value = float(p @ score)
     return p, value, float(maximum(score - best_vertex(score)[1] @ excess)), score

@@ -115,8 +115,8 @@ def _library_channel_0_spec(tmp_path):
 
 
 def test_point_uncertified_solve_exits_4(tmp_path, monkeypatch, capsys):
-    # A real solve, cut to two iterations per ascent and finisher, whose
-    # gap stays above stall_cert (about 2.7e-3).
+    # A real solve, cut to two Frank-Wolfe steps, whose gap stays above
+    # stall_cert (about 1.4e-2).
     spec, model = _library_channel_0_spec(tmp_path)
     d_min, d_max = cd.feasible_range(model)
     budget = repr(d_min + 0.9 * (d_max - d_min))

@@ -198,9 +198,9 @@ def test_compound_single_prior_matches_the_plain_solver():
 
 def test_compound_single_prior_reports_the_gap_of_its_solve(monkeypatch):
     # The first |X| = 8 library channel of the ``points`` workload, at 50 %
-    # of [d_min, d_max].  Two iterations per ascent and finisher leave its
-    # point a Frank-Wolfe gap of about 3e-2; one prior goes through the same
-    # rounds as several, so the gap is reported, not replaced by 0.
+    # of [d_min, d_max].  Two Frank-Wolfe steps per solve leave its point a
+    # gap of about 4e-3; one prior goes through the same rounds as several,
+    # so the gap is reported, not replaced by 0.
     lib = np.random.default_rng(8011136)
     nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
     transition = lib.dirichlet(np.ones(ny), size=(nx, ns))

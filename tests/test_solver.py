@@ -154,6 +154,11 @@ def _library_channel_0():
     return cd.validate_channel(transition, prior, 1.0 - np.eye(ns))
 
 
+def _three_letter_model():
+    """Two informative letters and a third whose output is a fair coin."""
+    return cd.validate_channel([[[0.9, 0.1]], [[0.2, 0.8]], [[0.5, 0.5]]], [1.0], [[0.0]])
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = [0]
     target = getattr(owner, name)
@@ -195,10 +200,17 @@ def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypa
     assert abs(point.optimizer.probs @ cost - budget) <= 1e-12
 
 
+def test_iteration_cap_binds_frank_wolfe_alone(monkeypatch):
+    # A cap below BA_PREFIX leaves the ascent's updates as they are, so its
+    # iteration-cap flag stays False.
+    monkeypatch.setattr(solver, "BA_MAX_ITER", 2)
+    objective = solver._Objective([(1.0, cd.scalar_multiplicative_model(0.3))])
+    assert solver._ascend(objective)[2] is False
+
+
 def test_point_flags_an_uncertified_gap(monkeypatch):
-    # Two iterations leave every ascent and the finisher far from optimal
-    # (a gap of about 2.7e-3); the finisher's Newton steps certify this
-    # point within five.
+    # Two Frank-Wolfe steps leave the budget solve far from optimal (a gap
+    # of about 1.4e-2); ten certify this point.
     model = _library_channel_0()
     d_min, d_max = cd.feasible_range(model)
     budget = d_min + 0.9 * (d_max - d_min)
@@ -603,6 +615,18 @@ def test_budgets_at_their_cheapest_costs_sharing_no_letter_raise_infeasible_dist
     assert exc.value.d_min is None
 
 
+def test_budgets_that_no_law_on_the_face_meets_raise_infeasible_distortion():
+    # Letter 2 sits 1e-9 off the first row's floor, so the budget rule's
+    # game reads about 1e-17 <= FACE_TOL and lets the set through.  On the
+    # face {0, 1} the other rows need p0 <= 0.3 and p0 >= 0.3 + 1e-8, and
+    # Frank-Wolfe's program fails its phase 1.
+    constraints = [cd.CostConstraint([0.0, 0.0, 1e-9], 0.0), cd.CostConstraint([1.0, 0.0, 0.0], 0.3),
+                   cd.CostConstraint([0.0, 1.0, 0.0], 0.7 - 1e-8)]
+    with pytest.raises(cd.InfeasibleDistortion, match="no law meets the rows") as exc:
+        cd.multi_constraint_point(_three_letter_model(), constraints)
+    assert exc.value.d_min is None
+
+
 def test_multi_constraint_requires_a_constraint():
     with pytest.raises(ValueError):
         cd.multi_constraint_point(cd.scalar_multiplicative_model(0.4), [])
@@ -651,8 +675,36 @@ def test_linear_program_with_no_feasible_law_raises():
 
 def test_unbounded_linear_program_raises():
     # The extra entry meets no row and lowers the objective.
-    with pytest.raises(cd.InfeasibleConstraints, match="unbounded"):
+    with pytest.raises(cd.NotCertified, match="unbounded"):
         solver._LinearProgram(np.array([[0.0, 1.0, -1.0]]), 1).solve(np.array([-1.0, 0.0, 0.0]))
+
+
+def test_singular_basis_is_a_solver_fault_or_a_solve():
+    # Letter 2 meets both budgets, but the budget rule's game on rows that
+    # differ by 1e-9 and 1e-5 in one entry reaches a singular basis.  A
+    # simplex that solves it must return a point within both budgets.
+    rows = np.array([[1.0, 1e-9, 0.0], [1.0, 1e-5, 0.0]])
+    constraints = [cd.CostConstraint(row, 0.3) for row in rows]
+    try:
+        point = cd.multi_constraint_point(_three_letter_model(), constraints)
+    except cd.NotCertified:
+        return
+    assert (rows @ point.optimizer.probs <= 0.3 + 1e-12).all()
+
+
+def test_frank_wolfe_law_off_the_simplex_is_a_solver_fault(monkeypatch):
+    # Frank-Wolfe's program (no extra entries) returns its vertices 1e-6
+    # off the simplex; the law rebuilt from them sums to 1 + 1e-6.
+    solve = solver._LinearProgram.solve
+
+    def off_simplex(program, objective):
+        z, lam = solve(program, objective)
+        return (z * (1.0 + 1e-6) if program.n_extra == 0 else z), lam
+
+    monkeypatch.setattr(solver._LinearProgram, "solve", off_simplex)
+    constraints = [cd.CostConstraint([1.0, 0.0, 0.0], 0.3), cd.CostConstraint([0.0, 1.0, 0.0], 0.3)]
+    with pytest.raises(cd.NotCertified, match="off the simplex"):
+        cd.multi_constraint_point(_three_letter_model(), constraints)
 
 
 def test_warm_linear_program_reads_a_rounded_free_pair_as_rounding():
