@@ -32,7 +32,8 @@ from .errors import NoZeroCostLetter, NotCertified
 from .solver import (
     FACE_TOL,
     _check_budgets,
-    _matrix_game,
+    _game,
+    _game_laws,
     _Objective,
     _solve_budget,
     capacity_distortion_point,
@@ -260,6 +261,13 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     a matrix game whose other player mixes the laws: p = sum_k a_k p_k meets
     every budget and, each I_theta being concave, is worth at least the
     game value under every prior.  The first rounds use the pure priors.
+    The game is held transposed, as the ``_game`` of -V^T with the cuts v_k
+    the rows of V: one row per prior and one column per law, whose column
+    law is the mix a and whose row duals are w.  Each round's cut is then
+    one more column of the same program (column generation; Gilmore &
+    Gomory, 1961), which leaves the last optimal basis feasible: phase 1
+    runs once per call, every later round re-optimizes from the last
+    basis, and the basis has n_theta + 1 rows however many rounds run.
 
     The result is the mixed law, its value min_theta I_theta(p), and a gap
     equal to the smallest dual bound seen minus that value.  Rounds stop
@@ -280,15 +288,19 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
         row = _as_probs(p, models[0].input_size)[None, :]
         return np.array([batch_mutual_information(m, row)[0] for m in models])
 
-    laws, cuts = [], []
+    laws, game = [], None
     best_ub, best_lb, best_p, best_values = np.inf, -np.inf, None, None
     for k in range(MAX_OUTER):
         w = np.eye(n_theta)[k] if k < n_theta else weights
         p, ub = _solve_weighted(models, w, cost_rows, budgets)
         best_ub = min(best_ub, ub)
         laws.append(p)
-        cuts.append(info_values(p))
-        _, weights, mix = _matrix_game(np.array(cuts))
+        cut = -info_values(p)
+        if game is None:
+            game = _game(cut[:, None])
+        else:
+            game.add_column(cut)
+        _, mix, weights = _game_laws(game)
         p = mix @ np.array(laws)
         values = info_values(p)
         lb = float(values.min())

@@ -422,14 +422,21 @@ class _LinearProgram:
     to 1e-5 raised.  An entry of a row below the rounding unit of the row's
     largest is taken as zero: a degenerate pivot on it would leave a basis
     too ill-conditioned to read.  The constructor runs phase 1, which adds
-    one artificial variable for sum(p) = 1 and minimizes it, and raises
-    ``InfeasibleDistortion`` with no ``d_min`` when that leaves the
-    artificial variable above ``FACE_TOL`` (no law meets the rows).  Only
-    Frank-Wolfe's rows can fail it, where the budget rule's game let a set
-    through within ``FACE_TOL``; a matrix game's rows always admit a law.
-    Only the objective changes between ``solve`` calls, so each one's
+    one artificial variable for sum(p) = 1 and minimizes it.  While that
+    variable is basic, the basis solves B x = e with e its own column, so
+    it sits at 1 and every other basic variable at 0; an entering column
+    that reaches another row then pivots there at ratio 0, and one that
+    reaches only its row takes it out.  So phase 1 ends with it out of the
+    basis or basic at 1, never basic at 0, and basic it raises
+    ``InfeasibleDistortion`` with no ``d_min`` (no law meets the rows).
+    Only Frank-Wolfe's rows can fail it, where the budget rule's game let a
+    set through within ``FACE_TOL``; a matrix game's rows always admit a
+    law.  Only the objective changes between ``solve`` calls, so each one's
     optimal basis stays feasible and the next phase 2 starts from it
-    (simplex reoptimization).  Every basis is solved by ``_solve_basis``.
+    (simplex reoptimization).  A letter appended by ``add_column`` is
+    nonbasic at 0, so the basis stays primal feasible too, and phase 1 runs
+    once however many columns are added.  Every basis is solved by
+    ``_solve_basis``.
     """
 
     def __init__(self, rows: FloatArray, n_extra: int = 0):
@@ -438,8 +445,7 @@ class _LinearProgram:
         # is sum(p) = 1.
         art = size + m
         a = np.zeros((m + 1, art + 1))
-        unit = np.finfo(np.float64).eps * np.abs(rows).max(axis=1, keepdims=True)
-        a[:m, :size] = np.where(np.abs(rows) <= unit, 0.0, rows)
+        a[:m, :size] = _zero_tiny(rows)
         a[:m, size:art] = np.eye(m)
         a[m, n_extra:size] = 1.0
         a[m, art] = 1.0
@@ -448,14 +454,24 @@ class _LinearProgram:
         basis = np.arange(size, art + 1)
         _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis)
         if art in basis:
-            r = int(np.flatnonzero(basis == art)[0])
-            row = _solve_basis(a[:, basis], np.column_stack([a, rhs]))[r]
-            if row[-1] > FACE_TOL:
-                raise InfeasibleDistortion(f"no law meets the rows: phase 1 ends at {row[-1]:.3g}")
-            # Basic at zero: swap it for the column its row reaches most.
-            basis[r] = int(np.argmax(np.abs(row[:art])))
+            raise InfeasibleDistortion("no law meets the rows: phase 1 ends at 1")
         self.a, self.rhs, self.basis = a[:, :art], rhs, basis
         self.n_extra, self.size = n_extra, size
+
+    def add_column(self, column: FloatArray) -> None:
+        """Append a letter with this column of the rows, after the last.
+        Its entries are zeroed at the unit of each row's largest, the new
+        entry included, as a fresh build of all the rows would zero them.
+        The earlier entries stay as they are, so where the new entry raises
+        a row's largest, an earlier entry between the old unit and the new
+        one stays nonzero; a fresh build would zero it.  Zeroing it under
+        the kept basis would move that basis's vertex: on a row tied at
+        3e-16 it broke primal feasibility by 3e-4."""
+        m, size = self.rhs.size - 1, self.size
+        column = _zero_tiny(np.column_stack([self.a[:m, :size], column]))[:, -1]
+        self.a = np.insert(self.a, size, np.append(column, 1.0), axis=1)
+        self.basis[self.basis >= size] += 1
+        self.size = size + 1
 
     def solve(self, objective: FloatArray) -> tuple[FloatArray, FloatArray]:
         """Phase 2: minimize objective @ z from the last basis.  The final
@@ -476,6 +492,13 @@ class _LinearProgram:
         return z[:size], np.maximum(-duals[:-1], 0.0)
 
 
+def _zero_tiny(rows: FloatArray) -> FloatArray:
+    """``rows`` with each entry at or below eps times its row's largest
+    magnitude set to zero."""
+    unit = np.finfo(np.float64).eps * np.abs(rows).max(axis=1, keepdims=True)
+    return np.where(np.abs(rows) <= unit, 0.0, rows)
+
+
 def _solve_basis(b: FloatArray, rhs: FloatArray) -> FloatArray:
     """``np.linalg.solve(b, rhs)`` for a simplex basis b.  A singular basis
     is the simplex's own fault, not the input's: ``NotCertified``."""
@@ -490,26 +513,34 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
     place) to one that minimizes cost @ z over z >= 0.
 
     Every step solves the basis B afresh from ``a`` for the duals y and the
-    entering column, so rounding does not build up along the pivots; the
-    one inverse of B it factors gives cond(B) in the inf-norm, which scales
-    only the rounding bound below.  The entering column is the first (Bland,
-    1977) whose reduced cost is below minus its rounding, (m + 1) eps
-    cond(B) times the magnitudes it is computed from, or below -FACE_TOL
-    where that rounding is larger.  The leaving row has the least ratio over
-    the entries of that column above ``FACE_TOL`` times the column's
-    largest (and 1); among tied rows the largest entry leaves, which keeps a
-    degenerate vertex's basis well conditioned.  Should a basis recur, the
-    steps that led back to it were rounding, so from then on a reduced cost
-    must be below minus its rounding, and ties go to the least basic index,
-    Bland's leaving rule, with which the pivots cannot cycle; a basis that
-    recurs even so ends the loop.  A column that entered on -FACE_TOL alone,
-    within its rounding, and reaches no row switches to that rule too: a
-    warm start's degenerate basis can price a free pair's second column at
-    minus the first's rounding.  Only a reduced cost beyond its rounding
-    with no row to reach is an unbounded program, raised as
-    ``NotCertified``.
+    entering column, so rounding does not build up along the pivots.  The
+    entering column is the first (Bland, 1977) whose reduced cost is below
+    minus its rounding, (m + 1) eps cond(B) times the magnitudes it is
+    computed from, or below -FACE_TOL where that rounding is larger.  So a
+    first negative reduced cost below -FACE_TOL enters whatever its
+    rounding, and the bound, with the one inverse of B that gives cond(B)
+    in the inf-norm, is formed only when that cost lies within
+    [-FACE_TOL, 0), in Bland mode, or when the column reaches no row.  The
+    leaving row has the least ratio over the entries of that column above
+    ``FACE_TOL`` times the column's largest (and 1); among tied rows the
+    largest entry leaves, which keeps a degenerate vertex's basis well
+    conditioned.  Should a basis recur, the steps that led back to it were
+    rounding, so from then on a reduced cost must be below minus its
+    rounding, and ties go to the least basic index, Bland's leaving rule,
+    with which the pivots cannot cycle; a basis that recurs even so ends the
+    loop.  A column that entered on -FACE_TOL alone, within its rounding,
+    and reaches no row switches to that rule too: a warm start's degenerate
+    basis can price a free pair's second column at minus the first's
+    rounding.  Only a reduced cost beyond its rounding with no row to reach
+    is an unbounded program, raised as ``NotCertified``.
     """
-    cost_size, column_size = np.abs(cost), np.abs(a).sum(axis=0)
+
+    def rounding_of(b: FloatArray, y: FloatArray) -> FloatArray:
+        inverse = _solve_basis(b, np.eye(b.shape[0]))  # np.linalg.inv's own solve
+        cond = np.abs(b).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
+        return b.shape[0] * np.finfo(np.float64).eps * cond * (
+            np.abs(cost) + np.abs(y).max() * np.abs(a).sum(axis=0))
+
     seen, bland = set(), False
     while True:
         if basis.tobytes() in seen:
@@ -521,17 +552,22 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
         y = _solve_basis(b.T, cost[basis])
         reduced = cost - y @ a
         reduced[basis] = 0.0
-        inverse = _solve_basis(b, np.eye(b.shape[0]))  # np.linalg.inv's own solve
-        cond = np.abs(b).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
-        rounding = b.shape[0] * np.finfo(np.float64).eps * cond * (
-            cost_size + np.abs(y).max() * column_size)
-        entering = np.flatnonzero(reduced < -(rounding if bland else np.minimum(rounding, FACE_TOL)))
-        if entering.size == 0:
+        negative = reduced < 0.0
+        j = int(negative.argmax())
+        if not negative[j]:
             return
-        j = int(entering[0])
+        rounding = None
+        if bland or reduced[j] >= -FACE_TOL:
+            rounding = rounding_of(b, y)
+            entering = np.flatnonzero(reduced < -(rounding if bland else np.minimum(rounding, FACE_TOL)))
+            if entering.size == 0:
+                return
+            j = int(entering[0])
         column, x = _solve_basis(b, np.column_stack([a[:, j], rhs])).T
         reach = np.flatnonzero(column > FACE_TOL * max(1.0, np.abs(column).max()))
         if reach.size == 0:
+            if rounding is None:
+                rounding = rounding_of(b, y)
             if bland or reduced[j] < -rounding[j]:
                 raise NotCertified("the linear program is unbounded")
             seen, bland = set(), True  # it entered on FACE_TOL alone: rounding
@@ -839,20 +875,29 @@ def cd_curve(model: ChannelModel, grid) -> CDCurve:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
-    """Value and optimal laws of the zero-sum game with this payoff matrix.
-
-    The column player picks a law q to minimize max_j (payoff @ q)_j and the
-    row player a law a to maximize min_i (a @ payoff)_i; both reach the
-    value.  Solved as min t s.t. payoff @ q <= t over the simplex, whose
-    constraint duals are the row law; t = t+ - t-, two nonnegative entries
-    before the law.  Returns (value, column law, row law).
-    """
+def _game(payoff: FloatArray) -> _LinearProgram:
+    """The program of the zero-sum game with this payoff matrix, in which
+    the column player picks a law q to minimize max_j (payoff @ q)_j and
+    the row player a law a to maximize min_i (a @ payoff)_i: min t s.t.
+    payoff @ q <= t over the simplex, whose constraint duals are the row
+    law; t = t+ - t-, two nonnegative entries before the law.  A column
+    appended with ``add_column`` gives the column player one more choice."""
     ones = np.ones((payoff.shape[0], 1))
-    program = _LinearProgram(np.hstack([-ones, ones, payoff]), 2)
-    z, row = program.solve(np.r_[1.0, -1.0, np.zeros(payoff.shape[1])])
+    return _LinearProgram(np.hstack([-ones, ones, payoff]), 2)
+
+
+def _game_laws(game: _LinearProgram) -> tuple[float, FloatArray, FloatArray]:
+    """Solve a ``_game`` program from its last basis.  Both players reach
+    the value.  Returns (value, column law, row law)."""
+    z, row = game.solve(np.r_[1.0, -1.0, np.zeros(game.size - 2)])
     column = z[2:]
     return float(z[0] - z[1]), column / column.sum(), row / row.sum()
+
+
+def _matrix_game(payoff: FloatArray) -> tuple[float, FloatArray, FloatArray]:
+    """Value and optimal laws (column, row) of the zero-sum game with this
+    payoff matrix (``_game``), solved from scratch."""
+    return _game_laws(_game(payoff))
 
 
 def multi_constraint_point(model: ChannelModel, constraints: Sequence[CostConstraint]) -> CDPoint:

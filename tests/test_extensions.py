@@ -295,8 +295,9 @@ def test_compound_gap_holds_against_an_independent_bound_on_the_outer_family():
 
 def test_compound_mixes_its_laws_to_certify_in_few_rounds(monkeypatch):
     # The 17th library family (|X| = 4, 2 priors) at 30 % of its budget
-    # range.  Mixing the inner laws by the master game's duals certifies it
-    # in 4 inner solves; the last inner law alone needs 8.
+    # range.  Mixing the inner laws by the master game's optimal law (its
+    # column law, held transposed) certifies it in 4 inner solves; the last
+    # inner law alone needs 8.
     family = _outer_family(17)
     rows = _cost_rows(family)
     lo = solver._matrix_game(rows)[0]
@@ -306,6 +307,41 @@ def test_compound_mixes_its_laws_to_certify_in_few_rounds(monkeypatch):
     result = cd.compound_cd(family, lo + 0.3 * (float(rows.max()) - lo))
     assert result.gap <= 1e-4
     assert len(calls) <= 6
+
+
+def test_kelley_game_runs_phase_one_once(monkeypatch):
+    # At GAP_TOL = 1e-10 the outer family takes 16 rounds.  The Kelley game
+    # grows by one column a round and re-optimizes from its last basis, so
+    # of the game programs (two extra entries, t+ and t-) only the budget
+    # rule's feasibility game, a `_matrix_game`, and the first round's run
+    # phase 1; Frank-Wolfe's programs have no extra entry.
+    monkeypatch.setattr(extensions, "GAP_TOL", 1e-10)
+    monkeypatch.setattr(extensions, "MAX_OUTER", 40)
+    built, solved = [], []
+    init, solve = solver._LinearProgram.__init__, solver._LinearProgram.solve
+
+    def counting_init(program, rows, n_extra=0):
+        built.append(n_extra)
+        init(program, rows, n_extra)
+
+    def counting_solve(program, objective):
+        solved.append(program.n_extra)
+        return solve(program, objective)
+
+    monkeypatch.setattr(solver._LinearProgram, "__init__", counting_init)
+    monkeypatch.setattr(solver._LinearProgram, "solve", counting_solve)
+    budget_games = []
+    matrix_game = solver._matrix_game
+    monkeypatch.setattr(solver, "_matrix_game", lambda payoff: budget_games.append(1) or matrix_game(payoff))
+    rounds = []
+    real = extensions._solve_weighted
+    monkeypatch.setattr(extensions, "_solve_weighted", lambda *args: rounds.append(1) or real(*args))
+    result = cd.compound_cd(_outer_family(), OUTER_FAMILY_BUDGET)
+    assert result.gap <= 1e-10
+    assert len(rounds) >= 10
+    assert len(budget_games) == 1
+    assert built.count(2) - len(budget_games) == 1
+    assert solved.count(2) - len(budget_games) == len(rounds)
 
 
 _weights = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)

@@ -397,6 +397,48 @@ def test_matrix_game_value_is_reached_by_both_players(payoff):
     assert abs(float(np.min(row @ payoff)) - value) <= 1e-12
 
 
+def _game_payoffs(shape):
+    """Payoffs as a stress of random games draws them: uniform entries,
+    entries rounded to 0.1, or entries from {0, +-1e-9, +-1e-5, +-1}."""
+    return st.one_of(
+        arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, shape, elements=st.integers(-10, 10).map(lambda k: k / 10)),
+        arrays(np.float64, shape, elements=st.sampled_from([0.0, 1e-9, -1e-9, 1e-5, -1e-5, 1.0, -1.0])),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(payoff=st.tuples(st.integers(1, 4), st.integers(1, 8)).flatmap(_game_payoffs))
+# The second column raises the row's largest entry to 10, so the first
+# column's 3e-16, kept at a largest of 1, falls below the rounding unit;
+# appended after the 10, the 3e-16 is zeroed.
+@example(payoff=np.array([[3e-16, 10.0], [1.0, -1.0]]))
+@example(payoff=np.array([[10.0, 3e-16], [1.0, -1.0]]))
+def test_grown_game_matches_a_fresh_one(payoff):
+    # A game grown one column at a time, each solve starting from the last
+    # optimal basis, and a fresh build of the same payoff: each appended
+    # entry is zeroed as the fresh build zeroes it, and an earlier entry
+    # differs only where a later, larger entry put it below its row's
+    # rounding unit, which the fresh build zeroes and the grown game keeps.
+    # The grown game's laws reach the fresh game's value.
+    game = solver._game(payoff[:, :1])
+    for j in range(1, payoff.shape[1] + 1):
+        if j > 1:
+            game.add_column(payoff[:, j - 1])
+        fresh = solver._game(payoff[:, :j]).a
+        unit = np.finfo(np.float64).eps * np.abs(fresh).max(axis=1, keepdims=True)
+        kept = game.a != fresh
+        assert not kept[:, j + 1:].any() and np.all(fresh[kept] == 0.0)
+        assert np.all(np.abs(game.a - fresh) <= unit)
+        value, column, row = solver._game_laws(game)
+        fresh = solver._matrix_game(payoff[:, :j])[0]
+        assert np.all(column >= 0.0) and abs(column.sum() - 1.0) <= 1e-12
+        assert np.all(row >= 0.0) and abs(row.sum() - 1.0) <= 1e-12
+        assert abs(value - fresh) <= 1e-12
+        assert abs(float(np.max(payoff[:, :j] @ column)) - fresh) <= 1e-12
+        assert abs(float(np.min(row @ payoff[:, :j])) - fresh) <= 1e-12
+
+
 @PROPERTY_SETTINGS
 @given(case=st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(lambda shape: st.tuples(
     arrays(np.float64, shape, elements=st.floats(0.0, 1.0)),
