@@ -40,9 +40,10 @@ class InfeasibleDistortion(InfeasibleConstraints):
     point (a NaN budget raises ``ValueError``).  ``d_min`` is the least
     budget all rows could share: the cheapest letter's cost for one row,
     min over input laws of the dearest row's cost for several, and None
-    when the budgets differ.  A set found infeasible only on a face carries
-    no ``d_min`` either: budgets at their rows' cheapest costs that share no
-    letter, or other rows that no law on those letters meets (Frank-Wolfe's
+    when the budgets differ.  A set that the budget rule's game puts within
+    ``FACE_TOL`` of feasible carries no ``d_min`` either, where a solve finds
+    it empty: budgets at their rows' cheapest costs that share no letter, or
+    other rows that no law on those letters meets (the budget polytope's
     linear program fails its phase 1)."""
 
     def __init__(self, message: str, d_min: float | None = None):

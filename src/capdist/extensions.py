@@ -35,6 +35,7 @@ from .solver import (
     _game,
     _game_laws,
     _Objective,
+    _Polytope,
     _solve_budget,
     capacity_distortion_point,
 )
@@ -230,20 +231,17 @@ class CompoundResult:
 
 
 def _solve_weighted(
-    models: Sequence[ChannelModel],
-    weights: FloatArray,
-    cost_rows: FloatArray,
-    budgets: FloatArray,
+    models: Sequence[ChannelModel], weights: FloatArray, polytope: _Polytope
 ) -> tuple[FloatArray, float]:
-    """Maximize sum_i w_i I_i(p) subject to cost_rows @ p <= budgets.
+    """Maximize sum_i w_i I_i(p) over the budget polytope.
 
-    One call of the budgeted solver of ``multi_constraint_point``, on rows
-    and budgets returned by ``_check_budgets``.  Returns (p, dual_bound): p
+    One call of the budgeted solver of ``multi_constraint_point``, on a
+    polytope returned by ``_check_budgets``.  Returns (p, dual_bound): p
     meets every budget, and dual_bound is an upper bound on the constrained
     optimum (by concavity and weak duality, the Lagrangian bound at the
     returned law's gradient and the budgets' multipliers).
     """
-    p, _, bound, _, _ = _solve_budget(_Objective(list(zip(weights, models))), cost_rows, budgets)
+    p, _, bound, _, _ = _solve_budget(_Objective(list(zip(weights, models))), polytope)
     return p, bound
 
 
@@ -260,14 +258,16 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     upper bound on the max-min value.  The next w minimizes max_k w . v_k,
     a matrix game whose other player mixes the laws: p = sum_k a_k p_k meets
     every budget and, each I_theta being concave, is worth at least the
-    game value under every prior.  The first rounds use the pure priors.
-    The game is held transposed, as the ``_game`` of -V^T with the cuts v_k
-    the rows of V: one row per prior and one column per law, whose column
-    law is the mix a and whose row duals are w.  Each round's cut is then
-    one more column of the same program (column generation; Gilmore &
-    Gomory, 1961), which leaves the last optimal basis feasible: phase 1
-    runs once per call, every later round re-optimizes from the last
-    basis, and the basis has n_theta + 1 rows however many rounds run.
+    game value under every prior.  The first round solves at the pure
+    prior that the uniform law finds worst, and every later one at the
+    game's w.  The game is held transposed, as the ``_game`` of -V^T with
+    the cuts v_k the rows of V: one row per prior and one column per law,
+    whose column law is the mix a and whose row duals are w.  Each round's
+    cut is then one more column of the same program (column generation;
+    Gilmore & Gomory, 1961), which leaves the last optimal basis feasible:
+    phase 1 runs once per call, every later round re-optimizes from the
+    last basis, and the basis has n_theta + 1 rows however many rounds run.
+    A call whose first round certifies builds no game: one law's mix is 1.
 
     The result is the mixed law, its value min_theta I_theta(p), and a gap
     equal to the smallest dual bound seen minus that value.  Rounds stop
@@ -275,39 +275,43 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     it, ``NotCertified`` is raised; one prior takes the same rounds.  The
     budget is checked once by ``_check_budgets`` (one row per prior), so an
     infeasible one raises ``InfeasibleDistortion`` whose ``d_min`` is
-    min_p max_theta d*_theta . p.
+    min_p max_theta d*_theta . p.  Every round solves on the one budget
+    polytope it returns, so the polytope's linear program, for several
+    priors, runs its phase 1 once per call, and each round's Frank-Wolfe
+    re-optimizes it from the last round's basis.
     """
     models = family.models
-    n_theta = len(models)
+    n_theta, n_inputs = len(models), models[0].input_size
     cost_rows = np.stack([optimal_estimator(m).cost_vector for m in models])
-    cost_rows, budgets = _check_budgets(cost_rows, np.full(n_theta, float(budget)))
+    polytope = _check_budgets(cost_rows, np.full(n_theta, float(budget)))
 
     def info_values(p: FloatArray) -> FloatArray:
         # The law is checked and renormalized once, as ``mutual_information``
         # would for each prior, and every prior reads that one row.
-        row = _as_probs(p, models[0].input_size)[None, :]
+        row = _as_probs(p, n_inputs)[None, :]
         return np.array([batch_mutual_information(m, row)[0] for m in models])
 
+    weights = np.eye(n_theta)[int(np.argmin(info_values(np.full(n_inputs, 1.0 / n_inputs))))]
     laws, game = [], None
     best_ub, best_lb, best_p, best_values = np.inf, -np.inf, None, None
-    for k in range(MAX_OUTER):
-        w = np.eye(n_theta)[k] if k < n_theta else weights
-        p, ub = _solve_weighted(models, w, cost_rows, budgets)
+    for _ in range(MAX_OUTER):
+        p, ub = _solve_weighted(models, weights, polytope)
         best_ub = min(best_ub, ub)
         laws.append(p)
-        cut = -info_values(p)
-        if game is None:
-            game = _game(cut[:, None])
-        else:
-            game.add_column(cut)
-        _, mix, weights = _game_laws(game)
-        p = mix @ np.array(laws)
         values = info_values(p)
+        if game is not None:
+            game.add_column(-values)
+            _, mix, weights = _game_laws(game)
+            p = mix @ np.array(laws)
+            values = info_values(p)
         lb = float(values.min())
         if lb > best_lb:
             best_lb, best_p, best_values = lb, p, values
         if best_ub - best_lb <= GAP_TOL:
             break
+        if game is None:
+            game = _game(-values[:, None])
+            weights = _game_laws(game)[2]
     else:
         raise NotCertified(
             f"gap {best_ub - best_lb:.3e} above {GAP_TOL:.0e} after {MAX_OUTER} rounds"

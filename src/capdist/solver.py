@@ -21,6 +21,7 @@ alphabets.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -336,9 +337,9 @@ def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[Fl
     atoms = (held[:, None] == np.arange(p.size)).astype(np.float64)
     # A zero cost row at budget 0 puts every letter on its budget, so the
     # hull's best vertex is the first best letter, with multiplier 0.
-    q, q_value, bound, q_score = _frank_wolfe(
-        objective, np.zeros((1, p.size)), np.zeros(1), score, atoms, p[held] / p[held].sum()
-    )
+    zero = np.zeros((1, p.size))
+    simplex = _Polytope(zero, np.zeros(1), zero)
+    q, q_value, bound, q_score = _frank_wolfe(objective, simplex, score, atoms, p[held] / p[held].sum())
     if q_value < value - 1e-12:
         raise SolverNonmonotone(f"finisher returned below its start: {value!r} -> {q_value!r}")
     return q, bound - q_value, q_value, q_score
@@ -429,14 +430,16 @@ class _LinearProgram:
     reaches only its row takes it out.  So phase 1 ends with it out of the
     basis or basic at 1, never basic at 0, and basic it raises
     ``InfeasibleDistortion`` with no ``d_min`` (no law meets the rows).
-    Only Frank-Wolfe's rows can fail it, where the budget rule's game let a
-    set through within ``FACE_TOL``; a matrix game's rows always admit a
-    law.  Only the objective changes between ``solve`` calls, so each one's
-    optimal basis stays feasible and the next phase 2 starts from it
-    (simplex reoptimization).  A letter appended by ``add_column`` is
-    nonbasic at 0, so the basis stays primal feasible too, and phase 1 runs
-    once however many columns are added.  Every basis is solved by
-    ``_solve_basis``.
+    That is the budget rule's feasibility test for several rows: the
+    program of a budget polytope's excess rows (``_Polytope.program``) runs
+    its phase 1 once, in ``_check_budgets``; a matrix game's rows always
+    admit a law.  Only the objective changes between ``solve`` calls, so
+    each one's optimal basis stays feasible and the next phase 2 starts from
+    it (simplex reoptimization): every Frank-Wolfe step on a polytope, in
+    every solve on it, re-optimizes its one program.  A letter appended by
+    ``add_column`` is nonbasic at 0, so the basis stays primal feasible too,
+    and phase 1 runs once however many columns are added.  Every basis is
+    solved by ``_solve_basis``.
     """
 
     def __init__(self, rows: FloatArray, n_extra: int = 0):
@@ -475,19 +478,19 @@ class _LinearProgram:
 
     def solve(self, objective: FloatArray) -> tuple[FloatArray, FloatArray]:
         """Phase 2: minimize objective @ z from the last basis.  The final
-        basis is solved once more, so z and the duals y of its equations are
-        exact to rounding.  Returns (z, multipliers): z with its law clipped
-        at 0 (the extra entries keep their rounding, which a difference of
-        two of them needs), and the rows' multipliers -y, clipped at 0.
-        Raises ``NotCertified`` when the objective decreases without bound,
-        which no caller's program can."""
+        basis is solved once more for z, and the duals y of its equations
+        are the ones ``_pivot_to_optimum`` solved it for, so both are exact
+        to rounding.  Returns (z, multipliers): z with its law clipped at 0
+        (the extra entries keep their rounding, which a difference of two of
+        them needs), and the rows' multipliers -y, clipped at 0.  Raises
+        ``NotCertified`` when the objective decreases without bound, which no
+        caller's program can."""
         a, basis, n_extra, size = self.a, self.basis, self.n_extra, self.size
         cost = np.zeros(a.shape[1])
         cost[:size] = objective
-        _pivot_to_optimum(a, self.rhs, cost, basis)
+        duals = _pivot_to_optimum(a, self.rhs, cost, basis)
         z = np.zeros(a.shape[1])
         z[basis] = _solve_basis(a[:, basis], self.rhs)
-        duals = _solve_basis(a[:, basis].T, cost[basis])
         np.maximum(z[n_extra:size], 0.0, out=z[n_extra:size])
         return z[:size], np.maximum(-duals[:-1], 0.0)
 
@@ -508,9 +511,10 @@ def _solve_basis(b: FloatArray, rhs: FloatArray) -> FloatArray:
         raise NotCertified(f"the simplex reached a singular basis ({exc})") from None
 
 
-def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: FloatArray) -> None:
+def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: FloatArray) -> FloatArray:
     """Move ``basis`` (row i's basic column of the equations a z = rhs, in
-    place) to one that minimizes cost @ z over z >= 0.
+    place) to one that minimizes cost @ z over z >= 0, and return the duals
+    y of the final basis, B^T y = cost[basis].
 
     Every step solves the basis B afresh from ``a`` for the duals y and the
     entering column, so rounding does not build up along the pivots.  The
@@ -543,25 +547,25 @@ def _pivot_to_optimum(a: FloatArray, rhs: FloatArray, cost: FloatArray, basis: F
 
     seen, bland = set(), False
     while True:
-        if basis.tobytes() in seen:
-            if bland:
-                return
-            seen, bland = set(), True
-        seen.add(basis.tobytes())
         b = a[:, basis]
         y = _solve_basis(b.T, cost[basis])
+        if basis.tobytes() in seen:
+            if bland:
+                return y
+            seen, bland = set(), True
+        seen.add(basis.tobytes())
         reduced = cost - y @ a
         reduced[basis] = 0.0
         negative = reduced < 0.0
         j = int(negative.argmax())
         if not negative[j]:
-            return
+            return y
         rounding = None
         if bland or reduced[j] >= -FACE_TOL:
             rounding = rounding_of(b, y)
             entering = np.flatnonzero(reduced < -(rounding if bland else np.minimum(rounding, FACE_TOL)))
             if entering.size == 0:
-                return
+                return y
             j = int(entering[0])
         column, x = _solve_basis(b, np.column_stack([a[:, j], rhs])).T
         reach = np.flatnonzero(column > FACE_TOL * max(1.0, np.abs(column).max()))
@@ -629,17 +633,17 @@ def _newton_step(
 
 def _frank_wolfe(
     objective: _Objective,
-    cost_rows: FloatArray,
-    budgets: FloatArray,
+    polytope: _Polytope,
     score: FloatArray,
     atoms: FloatArray | None = None,
     weights: FloatArray | None = None,
 ) -> tuple[FloatArray, float, float, FloatArray]:
-    """Maximize objective(p) over {p in simplex : cost_rows @ p <= budgets}
-    by pairwise Frank-Wolfe, from the given atoms and weights, or else from
-    the best vertex for the linear objective ``score``.  The rows come from
-    ``_check_budgets`` (no cost is off its budget by ``FACE_TOL`` or less), or
-    are ``_finish``'s one zero row at budget 0, whose polytope is the simplex.
+    """Maximize objective(p) over the budget polytope {p in simplex :
+    rows @ p <= budgets} by pairwise Frank-Wolfe, from the given atoms and
+    weights, or else from the best vertex for the linear objective
+    ``score``.  The polytope comes from ``_check_budgets`` (no cost is off
+    its budget by ``FACE_TOL`` or less), or is ``_finish``'s one zero row at
+    budget 0, the simplex.
 
     The law is kept as a convex combination of polytope vertices (atoms).
     Each step moves weight from the atom of least score to the best vertex,
@@ -647,14 +651,15 @@ def _frank_wolfe(
     that depends on the number of rows: with one it reads the best vertex
     off the upper concave hull of (cost(x), score(x)) (``_budget_vertex``;
     at a zero row that is the first best letter), and with several it solves
-    a linear program (``_LinearProgram``).  Its phase 1 runs once per call
-    of this routine, and every linear step, the final dual bound's too,
-    re-optimizes it for the new score from the last optimal basis.  Each
-    also returns the rows' multipliers lam >= 0.  The objective is
+    the polytope's linear program (``_Polytope.program``).  Its phase 1 ran
+    once, when the budget rule built the polytope, and every linear step,
+    the final dual bound's too, re-optimizes it for the new score from the
+    last optimal basis, also across calls on one polytope.  Each also
+    returns the rows' multipliers lam >= 0.  The objective is
     I(p) = p . score(p) with gradient score - 1, so by concavity and weak
     duality its maximum is at most
-    max_x [score(x) - lam . (cost_rows[:, x] - budgets)] for any such lam:
-    the dual bound.
+    max_x [score(x) - lam . (rows[:, x] - budgets)] for any such lam: the
+    dual bound.
 
     With three or more atoms each pairwise step is followed by a Newton step
     on the atom weights (``_newton_step``).  Pairwise steps alone balance an
@@ -668,9 +673,9 @@ def _frank_wolfe(
     ``NotCertified``.
     """
     n = objective.n_inputs
-    excess = cost_rows - budgets[:, None]
-    if cost_rows.shape[0] == 1:
-        cost, budget = cost_rows[0], float(budgets[0])
+    excess = polytope.excess
+    if excess.shape[0] == 1:
+        cost, budget = polytope.rows[0], float(polytope.budgets[0])
         order = np.argsort(cost, kind="stable")
 
         def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -681,12 +686,7 @@ def _frank_wolfe(
             return v, np.array([lam])
 
     else:
-        # For a law v, cost_rows @ v <= budgets is excess @ v <= 0, the
-        # homogeneous form the program takes; a cost snapped onto its budget
-        # has an excess of exactly zero.  Only the score changes between
-        # linear steps, so phase 1 runs once, here, and each step starts
-        # phase 2 from the last step's optimal basis.
-        program = _LinearProgram(excess)
+        program = polytope.program
 
         def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
             return program.solve(-score)
@@ -736,19 +736,67 @@ def _frank_wolfe(
     return p, value, float(maximum(score - best_vertex(score)[1] @ excess)), score
 
 
-def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArray, FloatArray]:
+@dataclass(frozen=True, eq=False)
+class _Polytope:
+    """The budget polytope {p in simplex : rows @ p <= budgets} of one
+    checked budget set (``_check_budgets``), shared by every solve on it:
+    ``compound_cd`` runs all its Kelley rounds on one.
+
+    ``rows`` are the costs with every cost within ``FACE_TOL`` of its budget
+    snapped onto it, and ``excess`` is rows - budgets[:, None], so a law p
+    meets the budgets when excess @ p <= 0, the homogeneous form the linear
+    program takes; a snapped cost's excess is exactly zero.  ``program`` and
+    ``face`` are built on first use and kept.
+    """
+
+    rows: FloatArray
+    budgets: FloatArray
+    excess: FloatArray
+
+    @functools.cached_property
+    def program(self) -> _LinearProgram:
+        """The ``_LinearProgram`` of the excess rows, past its phase 1, which
+        raises ``InfeasibleDistortion`` (and keeps nothing) when no law meets
+        them.  Frank-Wolfe re-optimizes it from its last basis at every
+        linear step, across calls too."""
+        return _LinearProgram(self.excess)
+
+    @functools.cached_property
+    def face(self) -> tuple[FloatArray, _Polytope] | None:
+        """None unless a budget is on its row's cheapest cost (where the
+        snap puts costs within ``FACE_TOL``).  Then every law of the
+        polytope lies on the letters that are on each such budget, and the
+        face is (those letters, as a mask; the polytope of the other rows
+        on them).  ``InfeasibleDistortion`` when no letter is on all of
+        them."""
+        floor = self.budgets <= self.rows.min(axis=1)
+        if not floor.any():
+            return None
+        on = (self.rows[floor] == self.budgets[floor][:, None]).all(axis=0)
+        if not on.any():
+            raise InfeasibleDistortion("the budgets at their cheapest costs share no letter")
+        return on, _Polytope(self.rows[~floor][:, on], self.budgets[~floor], self.excess[~floor][:, on])
+
+
+def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     """The budget rule of every budgeted entry point: cost_rows @ p <= budgets.
 
     A non-finite cost or a NaN budget raises ``ValueError``; a +inf budget
-    constrains nothing, so its row is dropped.  ``InfeasibleDistortion`` is
-    raised when a budget lies more than ``FACE_TOL`` below its row's
-    cheapest letter or, with several rows, when the game min_p max_j
-    (cost_j . p - budget_j) is above ``FACE_TOL``: no input law meets them
-    all.  Its ``d_min`` is the least common budget when the budgets are
-    equal (the cheapest letter for one row, else the game value of the
-    costs), and None otherwise.  Returns the rows and budgets left, every
-    cost within ``FACE_TOL`` of its budget snapped onto it: pairing such a
-    letter across the budget would divide by a rounding-level difference.
+    constrains nothing, so its row is dropped.  Every cost within
+    ``FACE_TOL`` of its budget is snapped onto it: pairing such a letter
+    across the budget would divide by a rounding-level difference.
+    ``InfeasibleDistortion`` is raised when a budget lies more than
+    ``FACE_TOL`` below its row's cheapest letter or, with several rows, when
+    the phase 1 of the snapped polytope's program does not pass them and the
+    game min_p max_j (cost_j . p - budget_j) is above ``FACE_TOL``: no input
+    law meets them all.  Its ``d_min`` is the least common budget when the
+    budgets are equal (the cheapest letter for one row, else the game value
+    of the costs), and None otherwise.  The game runs only on the sets that
+    phase 1 rejects or faults on.  One it puts within ``FACE_TOL`` is
+    returned, as every other set is, as the ``_Polytope`` of the rows and
+    budgets left; a solve on it raises ``InfeasibleDistortion`` with no
+    ``d_min`` where it reaches the polytope's face or program and finds it
+    empty.
     """
     if np.isnan(budgets).any():
         raise ValueError(f"budget is NaN: {budgets.tolist()}")
@@ -765,10 +813,12 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArr
         reason = f"budget {budgets[j]} is below the cheapest letter's cost"
         if budgets.size > 1:
             reason = f"row {j}: {reason} {cheapest[j]}"
-    elif kept.size > 1 and _matrix_game(rows - kept[:, None])[0] > FACE_TOL:
-        reason = "no input law meets every budget"
     else:
-        return np.where(np.abs(rows - kept[:, None]) <= FACE_TOL, kept[:, None], rows), kept
+        snapped = np.where(np.abs(rows - kept[:, None]) <= FACE_TOL, kept[:, None], rows)
+        polytope = _Polytope(snapped, kept, snapped - kept[:, None])
+        if kept.size < 2 or _phase_one_passes(polytope) or _matrix_game(rows - kept[:, None])[0] <= FACE_TOL:
+            return polytope
+        reason = "no input law meets every budget"
     d_min = None
     if np.all(kept == kept[0]):
         d_min = float(rows[0].min()) if kept.size == 1 else _matrix_game(rows)[0]
@@ -776,41 +826,45 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> tuple[FloatArr
     raise InfeasibleDistortion(reason, d_min=d_min)
 
 
+def _phase_one_passes(polytope: _Polytope) -> bool:
+    """Whether the phase 1 of the polytope's program finds a law; the
+    program is then kept.  False also where the simplex faults
+    (``NotCertified``): the game decides then, and a solve that needs the
+    program runs phase 1 again."""
+    try:
+        polytope.program
+    except (InfeasibleDistortion, NotCertified):
+        return False
+    return True
+
+
 def _solve_budget(
-    objective: _Objective, cost_rows: FloatArray, budgets: FloatArray
+    objective: _Objective, polytope: _Polytope
 ) -> tuple[FloatArray, float, float, bool, str | None]:
-    """Maximize the objective subject to cost_rows @ p <= budgets, for
-    rows and budgets returned by ``_check_budgets``.
+    """Maximize the objective on a budget polytope of ``_check_budgets``.
 
     Returns (law, value, dual bound, constraint_active, warning).  A budget
-    on its row's cheapest cost (where the snap puts costs within FACE_TOL)
-    confines the law to the letters on it, on which the other rows are
-    solved; ``InfeasibleDistortion`` is raised when no letter is on every
-    such budget.  Otherwise the objective's unconstrained law (its one
-    ``_ascend``) is returned if it meets every budget.  If not, pairwise
-    Frank-Wolfe solves on the budget polytope, started from the best vertex
-    for the unconstrained law's scores.  Either way the law comes with a
-    certified gap, and one rule flags it: a gap above ``STALL_CERT`` is
-    named in the warning.
+    on its row's cheapest cost confines the law to the polytope's face, on
+    which the other rows are solved.  Otherwise the objective's
+    unconstrained law (its one ``_ascend``) is returned if it meets every
+    budget.  If not, pairwise Frank-Wolfe solves on the polytope, started
+    from the best vertex for the unconstrained law's scores.  Either way the
+    law comes with a certified gap, and one rule flags it: a gap above
+    ``STALL_CERT`` is named in the warning.
     """
-    floor = budgets <= cost_rows.min(axis=1)
-    if floor.any():
-        rows = cost_rows[floor]
-        face = (rows == budgets[floor][:, None]).all(axis=0)
-        if not face.any():
-            raise InfeasibleDistortion("the budgets at their cheapest costs share no letter")
-        q, value, bound, _, warning = _solve_budget(
-            objective.restrict(face), cost_rows[~floor][:, face], budgets[~floor]
-        )
-        p = np.zeros(face.size)
-        p[face] = q
+    face = polytope.face
+    if face is not None:
+        on, rest = face
+        q, value, bound, _, warning = _solve_budget(objective.restrict(on), rest)
+        p = np.zeros(on.size)
+        p[on] = q
         return p, value, bound, True, warning
 
     p, cert, _, value, score = objective.unconstrained()
     bound = value + cert
-    active = bool((cost_rows @ p > budgets).any())
+    active = bool((polytope.rows @ p > polytope.budgets).any())
     if active:
-        p, value, bound, _ = _frank_wolfe(objective, cost_rows, budgets, score)
+        p, value, bound, _ = _frank_wolfe(objective, polytope, score)
     warning = None
     if bound - value > STALL_CERT:
         warning = f"solver stopped with gap {bound - value:.3g} above stall_cert"
@@ -924,8 +978,7 @@ def multi_constraint_point(model: ChannelModel, constraints: Sequence[CostConstr
 
 def _point(objective: _Objective, cost_rows: FloatArray, budgets: FloatArray) -> CDPoint:
     """The point under cost_rows @ p <= budgets, solved on this objective."""
-    rows, kept = _check_budgets(cost_rows, budgets)
-    p, value, _, active, warning = _solve_budget(objective, rows, kept)
+    p, value, _, active, warning = _solve_budget(objective, _check_budgets(cost_rows, budgets))
     return CDPoint(float(budgets[0]), max(0.0, value), InputDistribution(p), active, warning)
 
 

@@ -115,6 +115,12 @@ def test_input_distribution_validates():
         cd.InputDistribution([-0.1, 1.1])
 
 
+def test_input_distribution_has_the_length_of_its_alphabet():
+    assert len(cd.InputDistribution([0.25, 0.75])) == 2
+    point = cd.capacity_distortion_point(cd.block_multiplicative_model(0.3, 3), 0.1)
+    assert len(point.optimizer) == 8
+
+
 # ---------------------------------------------------------------------------
 # estimator
 # ---------------------------------------------------------------------------

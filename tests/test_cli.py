@@ -140,8 +140,8 @@ def test_finisher_ending_below_its_start_raises_and_exits_4(tmp_path, monkeypatc
     budget = 0.5 * (d_min + d_max)
     frank_wolfe = solver._frank_wolfe
 
-    def lowered(objective, cost_rows, budgets, score, atoms, weights):
-        p, _, bound, q_score = frank_wolfe(objective, cost_rows, budgets, score, atoms, weights)
+    def lowered(objective, polytope, score, atoms, weights):
+        p, _, bound, q_score = frank_wolfe(objective, polytope, score, atoms, weights)
         start = weights @ atoms / weights.sum()
         return p, float(start @ objective.scores(start)) - 1e-6, bound, q_score
 

@@ -309,12 +309,50 @@ def test_compound_mixes_its_laws_to_certify_in_few_rounds(monkeypatch):
     assert len(calls) <= 6
 
 
+def _count_rounds_and_games(monkeypatch):
+    rounds, games = [], []
+    solve_weighted, game = extensions._solve_weighted, extensions._game
+    monkeypatch.setattr(extensions, "_solve_weighted", lambda *args: rounds.append(1) or solve_weighted(*args))
+    monkeypatch.setattr(extensions, "_game", lambda payoff: games.append(1) or game(payoff))
+    return rounds, games
+
+
+def test_compound_certified_in_its_first_round_builds_no_game(monkeypatch):
+    # The uniform law finds the first prior worst, and the law solved at it
+    # leaves that prior the worst within the gap: one round, and no Kelley
+    # game, whose one column would only mix that law with weight 1.
+    rounds, games = _count_rounds_and_games(monkeypatch)
+    result = cd.compound_cd(_two_prior_family(), 0.05)
+    assert len(rounds) == 1
+    assert games == []
+    assert result.gap <= extensions.GAP_TOL
+    assert result.worst_theta == 0
+
+
+def test_compound_starts_at_the_prior_the_uniform_law_finds_worst(monkeypatch):
+    # The K = 7 block channel under three priors, the one with the least
+    # state-1 mass last.  Taking the pure priors in index order, rounds 1
+    # and 2 solve at priors that are not the worst, and the third
+    # certifies; starting at the uniform law's worst prior, the first does.
+    block = cd.block_multiplicative_model(0.3, 7)
+    family = cd.CompoundFamily(block.transition, ([0.7, 0.3], [0.8, 0.2], [0.9, 0.1]), block.distortion)
+    rounds, games = _count_rounds_and_games(monkeypatch)
+    result = cd.compound_cd(family, 0.1)
+    assert len(rounds) == 1
+    assert games == []
+    assert result.worst_theta == 2
+    assert result.gap <= extensions.GAP_TOL
+    for model in family.models:
+        assert cd.mutual_information(model, result.optimizer.probs) >= result.value
+
+
 def test_kelley_game_runs_phase_one_once(monkeypatch):
     # At GAP_TOL = 1e-10 the outer family takes 16 rounds.  The Kelley game
-    # grows by one column a round and re-optimizes from its last basis, so
-    # of the game programs (two extra entries, t+ and t-) only the budget
-    # rule's feasibility game, a `_matrix_game`, and the first round's run
-    # phase 1; Frank-Wolfe's programs have no extra entry.
+    # grows by one column a round and re-optimizes from its last basis,
+    # so of the game programs (two extra entries, t+ and t-) only the first
+    # round's runs phase 1.  The budget polytope's program (no extra entry)
+    # decides feasibility in its phase 1, so the budget rule plays no game,
+    # and every round's Frank-Wolfe re-optimizes that one program.
     monkeypatch.setattr(extensions, "GAP_TOL", 1e-10)
     monkeypatch.setattr(extensions, "MAX_OUTER", 40)
     built, solved = [], []
@@ -339,9 +377,10 @@ def test_kelley_game_runs_phase_one_once(monkeypatch):
     result = cd.compound_cd(_outer_family(), OUTER_FAMILY_BUDGET)
     assert result.gap <= 1e-10
     assert len(rounds) >= 10
-    assert len(budget_games) == 1
-    assert built.count(2) - len(budget_games) == 1
-    assert solved.count(2) - len(budget_games) == len(rounds)
+    assert len(budget_games) == 0
+    assert built.count(2) == 1
+    assert built.count(0) == 1
+    assert solved.count(2) == len(rounds)
 
 
 _weights = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)

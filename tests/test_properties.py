@@ -118,10 +118,10 @@ def test_one_budget_multiplier_bound_is_the_best_vertex_score(model, frac, data)
     # D)], the bound the solver certifies with; it is the polytope's best
     # vertex score, here at the scores of a random law.
     cost = cd.optimal_estimator(model).cost_vector
-    rows, budgets = solver._check_budgets(
+    polytope = solver._check_budgets(
         cost[None, :], np.array([cost.min() + frac * (cost.max() - cost.min())])
     )
-    cost, budget = rows[0], float(budgets[0])
+    cost, budget = polytope.rows[0], float(polytope.budgets[0])
     p = np.array(data.draw(st.lists(_weights, min_size=cost.size, max_size=cost.size)))
     pyx = model.output_given_input
     score = _kl_rows(pyx, (p / p.sum()) @ pyx)
@@ -381,8 +381,8 @@ def test_several_budgets_solve_below_their_own_dual_bound(case):
     # so it holds to rounding however loosely the program is solved.
     model, rows, budgets = case
     assume(solver._matrix_game(rows - budgets[:, None])[0] <= 1e-12)
-    rows, budgets = solver._check_budgets(rows, budgets)
-    _, value, bound, _, _ = solver._solve_budget(solver._Objective([(1.0, model)]), rows, budgets)
+    polytope = solver._check_budgets(rows, budgets)
+    _, value, bound, _, _ = solver._solve_budget(solver._Objective([(1.0, model)]), polytope)
     assert bound >= value - 1e-14
 
 

@@ -200,6 +200,31 @@ def test_frank_wolfe_certifies_a_binding_point_in_few_score_evaluations(monkeypa
     assert abs(point.optimizer.probs @ cost - budget) <= 1e-12
 
 
+def test_frank_wolfe_stops_when_its_best_vertex_is_its_away_atom(monkeypatch):
+    # Any multiplier lam >= 0 gives a valid dual bound, so one raised by 1
+    # leaves the binding scalar point uncertified.  Frank-Wolfe starts on
+    # the optimal vertex, which stays its best vertex and is its only atom,
+    # the away atom too: a pairwise step there moves nothing, so it stops
+    # before any line search, with the optimal law and a loose bound.  The
+    # unconstrained ascent, whose finisher steps, runs first, unpatched.
+    model = cd.scalar_multiplicative_model(0.3)
+    objective = solver._Objective([(1.0, model)])
+    objective.unconstrained()
+    budget_vertex = solver._budget_vertex
+
+    def loose(cost, order, score, budget):
+        x, y, alpha, lam = budget_vertex(cost, order, score, budget)
+        return x, y, alpha, lam + 1.0
+
+    monkeypatch.setattr(solver, "_budget_vertex", loose)
+    line_searches = _count_calls(monkeypatch, solver, "_line_search")
+    point = solver._point(objective, cd.optimal_estimator(model).cost_vector[None, :], np.array([0.05]))
+    assert line_searches[0] == 0
+    assert point.constraint_active
+    assert "above stall_cert" in point.convergence_warning
+    assert abs(point.capacity - cd.scalar_cd_closed_form(0.3, 0.05)[0]) <= 1e-12
+
+
 def test_iteration_cap_binds_frank_wolfe_alone(monkeypatch):
     # A cap below BA_PREFIX leaves the ascent's updates as they are, so its
     # iteration-cap flag stays False.
@@ -388,10 +413,9 @@ def test_flat_block_curve_solves_every_budget_on_the_cheapest_face(monkeypatch, 
 def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch):
     # The same tied block channel, with the d* row given twice, so every
     # Frank-Wolfe step is a linear program.  Pairwise steps alone need 345
-    # of them; with the Newton step, 9.  The count of phase 2 solves also
-    # holds the budget rule's one feasibility game.  Frank-Wolfe runs phase
-    # 1 once and re-optimizes that program at every step; the game builds
-    # its own program and solves it once.
+    # of them; with the Newton step, 9.  The budget rule runs the phase 1 of
+    # the polytope's one program, which finds a law, so it plays no game;
+    # Frank-Wolfe re-optimizes that program at every step.
     model = cd.block_multiplicative_model(BLOCK_TIE_R, 2)
     cost = cd.optimal_estimator(model).cost_vector
     d_min, d_max = cd.feasible_range(model)
@@ -402,8 +426,8 @@ def test_tied_letters_need_few_linear_programs_under_several_budgets(monkeypatch
     newton_steps = _count_calls(monkeypatch, solver, "_newton_step")
     point = cd.multi_constraint_point(model, [cd.CostConstraint(cost, budget)] * 2)
     assert calls[0] < 20
-    assert games[0] == 1
-    assert phase_one[0] - games[0] == 1
+    assert games[0] == 0
+    assert phase_one[0] == 1
     assert newton_steps[0] >= 1
     assert point.convergence_warning is None
     assert point.constraint_active
@@ -668,6 +692,29 @@ def test_matrix_game_is_exact_where_a_basis_recurs():
     assert abs(float(np.min(row @ payoff)) - value) <= 1e-15
 
 
+def test_pivots_end_where_a_basis_recurs_under_blands_rule(monkeypatch):
+    # Bland's rule cannot cycle in exact arithmetic, and no float program
+    # met so far revisits a basis under it (about 10^6 random and perturbed
+    # games).  A basis solve rounded to two significant digits does: this
+    # game's phase 2 revisits a basis under the first rule, then another
+    # under Bland's, and the pivots must end there instead of cycling.
+    game = solver._game(np.array([[-0.5, 0.1, -0.1], [0.9, -0.3, 0.1]]))
+    solve_basis = solver._solve_basis
+    calls = [0]
+
+    def two_digits(b, rhs):
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise RuntimeError("the pivots cycle")
+        x = solve_basis(b, rhs)
+        magnitude = np.floor(np.log10(np.where(x == 0.0, 1.0, np.abs(x))))
+        return np.round(x / 10.0 ** (magnitude - 1)) * 10.0 ** (magnitude - 1)
+
+    monkeypatch.setattr(solver, "_solve_basis", two_digits)
+    solver._game_laws(game)
+    assert calls[0] < 50
+
+
 def test_linear_program_with_no_feasible_law_raises():
     with pytest.raises(cd.InfeasibleConstraints, match="no law meets the rows"):
         solver._LinearProgram(np.array([[1.0, 0.5]]))
@@ -690,6 +737,41 @@ def test_singular_basis_is_a_solver_fault_or_a_solve():
     except cd.NotCertified:
         return
     assert (rows @ point.optimizer.probs <= 0.3 + 1e-12).all()
+
+
+def test_phase_one_decides_feasibility_at_the_snap():
+    # Draw 4308 of ``tools/stress.py --seed 3``.  Letter 2 costs exactly
+    # 1e-12 under both budgets of 0, so the snap puts it on both and it
+    # meets them; the game on the rows as given reads 1.0000000000000002e-12,
+    # above FACE_TOL by rounding.  Phase 1 on the snapped rows decides.
+    rows = np.array([[1e-07, 1e-05, 1e-12, 1e-07, 1e-09, 0.0], [0.1, 1e-09, 1e-12, 0.0, 1e-05, 1e-07]])
+    assert solver._matrix_game(rows)[0] > solver.FACE_TOL
+    model = cd.validate_channel(np.random.default_rng(4308).dirichlet(np.ones(3), size=(6, 2)), [0.5, 0.5],
+                                1.0 - np.eye(2))
+    point = cd.multi_constraint_point(model, [cd.CostConstraint(row, 0.0) for row in rows])
+    assert point.constraint_active
+    assert point.optimizer.probs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def test_phase_one_fault_leaves_the_verdict_to_the_game():
+    # Draw 63468 of ``tools/stress.py --seed 2``.  The phase 1 of the budget
+    # polytope's program reaches a singular basis on these rows; the game
+    # then finds the set feasible, and the unconstrained law meets both
+    # budgets, so the point needs no program at all.
+    model = cd.validate_channel(
+        [[[0.12431182995923547, 0.8756881700407645], [0.13637220294354221, 0.8636277970564578]],
+         [[0.41167399909280844, 0.5883260009071917], [0.9274592245857551, 0.07254077541424492]],
+         [[0.025602975493413133, 0.9743970245065869], [0.278920202039497, 0.721079797960503]],
+         [[0.9885334448622379, 0.01146655513776208], [0.8733719377079544, 0.12662806229204562]]],
+        [0.7649218532348223, 0.23507814676517771], 1.0 - np.eye(2))
+    rows = np.array([[0.001, 0.0, 0.001, 1e-07], [1e-07, 1.0, 1e-09, 1e-05]])
+    budgets = np.array([0.0007, 0.30000000070000005])
+    with pytest.raises(cd.NotCertified, match="singular"):
+        solver._LinearProgram(rows - budgets[:, None])
+    point = cd.multi_constraint_point(model, [cd.CostConstraint(row, b) for row, b in zip(rows, budgets)])
+    assert not point.constraint_active
+    assert (rows @ point.optimizer.probs <= budgets).all()
+    assert point.capacity == cd.capacity_distortion_point(model, math.inf).capacity
 
 
 def test_frank_wolfe_law_off_the_simplex_is_a_solver_fault(monkeypatch):

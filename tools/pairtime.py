@@ -1,6 +1,7 @@
 """Time two checkouts of capdist against each other, op by op, in one process.
 
     python tools/pairtime.py PARENT CHANGE --workload points --ops 128 --reps 8
+    python tools/pairtime.py PARENT CHANGE --workload outer --ops 48 --reps 8 --label compound_cd
 
 Each checkout's ``src/capdist`` is copied into a temporary directory as the
 packages ``capdist_a`` (PARENT) and ``capdist_b`` (CHANGE), and each side's
@@ -13,6 +14,11 @@ CHANGE / PARENT CPU; the script prints each rep's totals and the ratios'
 median, min and max.  Alternating within one process pairs both sides with
 the same machine state, so a ratio holds steady where whole-process totals
 of one checkout swing by half.  An op that raises is reported and exits 1.
+
+``--label PREFIX`` times only those of the first N ops whose label starts
+with PREFIX (the alternation follows their order), and also prints each
+one's CHANGE / PARENT CPU summed over the reps, and the median of these
+per-op ratios.  No op matching exits 2.
 
 BLAS runs one thread, as in the benchmark worker.
 """
@@ -69,7 +75,8 @@ def _timed(op) -> tuple[float, str | None]:
     return time.thread_time() - start, None
 
 
-def pair(parent: Path, change: Path, workload: str, seed: int, n_ops: int, reps: int) -> int:
+def pair(parent: Path, change: Path, workload: str, seed: int, n_ops: int, reps: int,
+         label: str | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for package, root in (("capdist_a", parent), ("capdist_b", change)):
             shutil.copytree(root / "src" / "capdist", Path(tmp) / package,
@@ -77,14 +84,21 @@ def pair(parent: Path, change: Path, workload: str, seed: int, n_ops: int, reps:
         sys.path.insert(0, tmp)
         ops = {"a": side_ops(parent, "capdist_a", workload, seed),
                "b": side_ops(change, "capdist_b", workload, seed)}
+        chosen = [i for i in range(n_ops)
+                  if label is None or ops["a"][i % len(ops["a"])].label.startswith(label)]
+        if not chosen:
+            print(f"no op of the first {n_ops} has a label starting with {label!r}", file=sys.stderr)
+            return 2
+        per_op = {i: {"a": 0.0, "b": 0.0} for i in chosen}
         ratios, errors = [], 0
         for rep in range(reps):
             total = {"a": 0.0, "b": 0.0}
-            for i in range(n_ops):
-                for side in ("ab" if i % 2 == 0 else "ba"):
+            for k, i in enumerate(chosen):
+                for side in ("ab" if k % 2 == 0 else "ba"):
                     op = ops[side][i % len(ops[side])]
                     seconds, error = _timed(op)
                     total[side] += seconds
+                    per_op[i][side] += seconds
                     if error is not None:
                         errors += 1
                         print(f"rep {rep} op {i} {op.label} ({side}): {error}", file=sys.stderr)
@@ -92,7 +106,17 @@ def pair(parent: Path, change: Path, workload: str, seed: int, n_ops: int, reps:
             ratios.append(ratio)
             print(f"rep {rep}: parent {1e3 * total['a']:.1f} ms, change {1e3 * total['b']:.1f} ms,"
                   f" ratio {ratio:.4f}", flush=True)
-    print(f"{workload} seed {seed}, {n_ops} ops x {reps} reps: change/parent CPU ratio median"
+    if label is not None:
+        op_ratios = []
+        for i in chosen:
+            a, b = per_op[i]["a"], per_op[i]["b"]
+            op_ratios.append(b / a if a > 0 else float("nan"))
+            print(f"op {i} {ops['a'][i % len(ops['a'])].label}: parent {1e3 * a:.2f} ms,"
+                  f" change {1e3 * b:.2f} ms, ratio {op_ratios[-1]:.4f}")
+        print(f"{label}: {len(chosen)} ops, per-op change/parent CPU ratio median"
+              f" {statistics.median(op_ratios):.4f}")
+    timed = f"{len(chosen)} of {n_ops}" if label is not None else f"{n_ops}"
+    print(f"{workload} seed {seed}, {timed} ops x {reps} reps: change/parent CPU ratio median"
           f" {statistics.median(ratios):.4f} (min {min(ratios):.4f}, max {max(ratios):.4f})")
     return 1 if errors else 0
 
@@ -105,8 +129,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--ops", type=int, default=128, help="ops per rep")
     parser.add_argument("--reps", type=int, default=4)
+    parser.add_argument("--label", metavar="PREFIX", help="time only the ops whose label starts with PREFIX")
     args = parser.parse_args(argv)
-    return pair(args.parent.resolve(), args.change.resolve(), args.workload, args.seed, args.ops, args.reps)
+    return pair(args.parent.resolve(), args.change.resolve(), args.workload, args.seed, args.ops, args.reps,
+                args.label)
 
 
 if __name__ == "__main__":
