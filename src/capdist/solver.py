@@ -5,12 +5,14 @@ The core is a multiplicatively-updated ascent on the input distribution
 pairwise Frank-Wolfe routine finishes every solve the ascent leaves
 uncertified: on the simplex when the ascent stalls short of its
 certificate or has made ``BA_PREFIX`` updates, and on the budget polytope
-{p in simplex : A p <= b} when the unconstrained law breaks a budget.  A
+{p in simplex : A p <= b} when the unconstrained law breaks a budget.
+``compound_cd``'s Kelley rounds run that routine alone, with no ascent.  A
 budget at its cheapest cost confines the law to the cheapest letters.
 The linear step reads a concave hull for one budget (the simplex is one
-zero cost row at budget 0, where the hull's vertex is the best letter) and
-solves a small linear program for several; each also gives the budgets'
-multipliers, from which one Lagrangian dual bound certifies the result.
+zero cost row at budget 0, ``_simplex``, where the hull's vertex is the
+best letter) and solves a small linear program for several; each also
+gives the budgets' multipliers, from which one Lagrangian dual bound
+certifies the result.
 Pairwise steps move weight between two atoms at a time, so where the
 optimum lies inside the hull of three or more atoms (tied letters) a
 Newton step on the atom weights follows each of them.  A vectorized grid
@@ -335,11 +337,7 @@ def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[Fl
     value = float(p @ score)
     held = (p > MASS_FLOOR).nonzero()[0]
     atoms = (held[:, None] == np.arange(p.size)).astype(np.float64)
-    # A zero cost row at budget 0 puts every letter on its budget, so the
-    # hull's best vertex is the first best letter, with multiplier 0.
-    zero = np.zeros((1, p.size))
-    simplex = _Polytope(zero, np.zeros(1), zero)
-    q, q_value, bound, q_score = _frank_wolfe(objective, simplex, score, atoms, p[held] / p[held].sum())
+    q, q_value, bound, q_score = _frank_wolfe(objective, _simplex(p.size), score, atoms, p[held] / p[held].sum())
     if q_value < value - 1e-12:
         raise SolverNonmonotone(f"finisher returned below its start: {value!r} -> {q_value!r}")
     return q, bound - q_value, q_value, q_score
@@ -642,8 +640,8 @@ def _frank_wolfe(
     rows @ p <= budgets} by pairwise Frank-Wolfe, from the given atoms and
     weights, or else from the best vertex for the linear objective
     ``score``.  The polytope comes from ``_check_budgets`` (no cost is off
-    its budget by ``FACE_TOL`` or less), or is ``_finish``'s one zero row at
-    budget 0, the simplex.
+    its budget by ``FACE_TOL`` or less), from its ``restrict``, or is the
+    simplex (``_simplex``).
 
     The law is kept as a convex combination of polytope vertices (atoms).
     Each step moves weight from the atom of least score to the best vertex,
@@ -746,7 +744,8 @@ class _Polytope:
     snapped onto it, and ``excess`` is rows - budgets[:, None], so a law p
     meets the budgets when excess @ p <= 0, the homogeneous form the linear
     program takes; a snapped cost's excess is exactly zero.  ``program`` and
-    ``face`` are built on first use and kept.
+    ``face`` are built on first use and kept.  Every solve on it runs where
+    ``restrict`` puts it.
     """
 
     rows: FloatArray
@@ -776,6 +775,47 @@ class _Polytope:
         if not on.any():
             raise InfeasibleDistortion("the budgets at their cheapest costs share no letter")
         return on, _Polytope(self.rows[~floor][:, on], self.budgets[~floor], self.excess[~floor][:, on])
+
+    def restrict(self, objective: _Objective) -> tuple[_Objective, _Polytope, FloatArray | None]:
+        """(objective, polytope, letters): the problem on the letters that
+        every law of this polytope uses.  Off a face that is this polytope,
+        with letters None.  On one it is the objective on the face's letters
+        (``_Objective.restrict``) and the face's polytope, restricted again
+        while that has a face; letters masks the letters kept, and ``_lift``
+        puts a law on them back.  A polytope left with no row is the simplex
+        (``_simplex``), whose one linear step is the best letter.
+        """
+        polytope, letters = self, None
+        while polytope.face is not None:
+            on, polytope = polytope.face
+            objective = objective.restrict(on)
+            if letters is None:
+                letters = on
+            else:
+                letters = letters.copy()
+                letters[letters] = on
+        if polytope.rows.shape[0] == 0:
+            polytope = _simplex(objective.n_inputs)
+        return objective, polytope, letters
+
+
+def _simplex(n: int) -> _Polytope:
+    """The simplex on n letters as a budget polytope: one zero cost row at
+    budget 0 puts every letter on its budget, so the hull's best vertex is
+    the first best letter, with multiplier 0.  It is solved on as it is;
+    its ``face`` would be itself."""
+    zero = np.zeros((1, n))
+    return _Polytope(zero, np.zeros(1), zero)
+
+
+def _lift(q: FloatArray, letters: FloatArray | None) -> FloatArray:
+    """The law q on the letters of a ``_Polytope.restrict`` mask, with zeros
+    on the others; q itself when the mask is None (no face)."""
+    if letters is None:
+        return q
+    p = np.zeros(letters.size)
+    p[letters] = q
+    return p
 
 
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
@@ -843,32 +883,27 @@ def _solve_budget(
 ) -> tuple[FloatArray, float, float, bool, str | None]:
     """Maximize the objective on a budget polytope of ``_check_budgets``.
 
-    Returns (law, value, dual bound, constraint_active, warning).  A budget
-    on its row's cheapest cost confines the law to the polytope's face, on
-    which the other rows are solved.  Otherwise the objective's
-    unconstrained law (its one ``_ascend``) is returned if it meets every
-    budget.  If not, pairwise Frank-Wolfe solves on the polytope, started
-    from the best vertex for the unconstrained law's scores.  Either way the
-    law comes with a certified gap, and one rule flags it: a gap above
-    ``STALL_CERT`` is named in the warning.
+    Returns (law, value, dual bound, constraint_active, warning).  The
+    solve runs where ``_Polytope.restrict`` puts it: a budget on its row's
+    cheapest cost confines the law to the polytope's face, which binds, and
+    the other rows are solved on it.  There the objective's unconstrained
+    law (its one ``_ascend``) is returned if it meets every budget.  If not,
+    pairwise Frank-Wolfe solves on the polytope, started from the best
+    vertex for the unconstrained law's scores.  Either way the law comes
+    with a certified gap, and one rule flags it: a gap above ``STALL_CERT``
+    is named in the warning.  ``compound_cd``'s rounds skip the ascent and
+    run Frank-Wolfe alone (``extensions._solve_weighted``).
     """
-    face = polytope.face
-    if face is not None:
-        on, rest = face
-        q, value, bound, _, warning = _solve_budget(objective.restrict(on), rest)
-        p = np.zeros(on.size)
-        p[on] = q
-        return p, value, bound, True, warning
-
+    objective, polytope, letters = polytope.restrict(objective)
     p, cert, _, value, score = objective.unconstrained()
     bound = value + cert
-    active = bool((polytope.rows @ p > polytope.budgets).any())
-    if active:
+    breaks = bool((polytope.rows @ p > polytope.budgets).any())
+    if breaks:
         p, value, bound, _ = _frank_wolfe(objective, polytope, score)
     warning = None
     if bound - value > STALL_CERT:
         warning = f"solver stopped with gap {bound - value:.3g} above stall_cert"
-    return p, value, bound, active, warning
+    return _lift(p, letters), value, bound, breaks or letters is not None, warning
 
 
 def capacity_distortion_point(model: ChannelModel, budget: float) -> CDPoint:

@@ -198,9 +198,10 @@ def test_compound_single_prior_matches_the_plain_solver():
 
 def test_compound_single_prior_reports_the_gap_of_its_solve(monkeypatch):
     # The first |X| = 8 library channel of the ``points`` workload, at 50 %
-    # of [d_min, d_max].  Two Frank-Wolfe steps per solve leave its point a
-    # gap of about 4e-3; one prior goes through the same rounds as several,
-    # so the gap is reported, not replaced by 0.
+    # of [d_min, d_max].  One round of two Frank-Wolfe steps leaves a gap of
+    # about 5e-3; one prior goes through the same rounds as several, so the
+    # gap is reported, not replaced by 0.  (Two such rounds certify: the
+    # second starts from the first one's law.)
     lib = np.random.default_rng(8011136)
     nx, ns, ny = int(lib.integers(2, 9)), int(lib.integers(2, 4)), int(lib.integers(2, 7))
     transition = lib.dirichlet(np.ones(ny), size=(nx, ns))
@@ -208,9 +209,119 @@ def test_compound_single_prior_reports_the_gap_of_its_solve(monkeypatch):
     d_min, d_max = cd.feasible_range(model)
     family = cd.CompoundFamily(model.transition, (model.state_prior,), model.distortion)
     monkeypatch.setattr(solver, "BA_MAX_ITER", 2)
-    monkeypatch.setattr(extensions, "MAX_OUTER", 5)
+    monkeypatch.setattr(extensions, "MAX_OUTER", 1)
     with pytest.raises(cd.NotCertified):
         cd.compound_cd(family, 0.5 * (d_min + d_max))
+
+
+def _count_ascents(monkeypatch):
+    ascents = []
+    ascend = solver._ascend
+    monkeypatch.setattr(solver, "_ascend", lambda objective: ascents.append(1) or ascend(objective))
+    return ascents
+
+
+def test_compound_runs_no_ascent_on_a_binding_budget(monkeypatch):
+    # The budget binds, so an unconstrained ascent's law would only pick
+    # Frank-Wolfe's first vertex; each round runs Frank-Wolfe alone.
+    ascents = _count_ascents(monkeypatch)
+    result = cd.compound_cd(_two_prior_family(), 0.05)
+    assert ascents == []
+    assert result.gap <= extensions.GAP_TOL
+    assert abs(result.value - COMPOUND_VALUE_AT_005) < 1e-6
+
+
+def test_compound_starts_each_later_round_from_the_last_rounds_law(monkeypatch):
+    # The 17th library family at 30 % of its budget range takes several
+    # rounds.  Every one starts Frank-Wolfe from one atom of weight 1, and
+    # every one after the first from the law the round before returned.
+    family = _outer_family(17)
+    rows = _cost_rows(family)
+    lo = solver._matrix_game(rows)[0]
+    starts, laws = [], []
+    frank_wolfe, solve_weighted = solver._frank_wolfe, extensions._solve_weighted
+
+    def recording_frank_wolfe(objective, polytope, score, atoms=None, weights=None):
+        starts.append(None if atoms is None else (atoms.copy(), weights.copy()))
+        return frank_wolfe(objective, polytope, score, atoms, weights)
+
+    def recording_solve(*args):
+        laws.append(solve_weighted(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(solver, "_frank_wolfe", recording_frank_wolfe)
+    monkeypatch.setattr(extensions, "_solve_weighted", recording_solve)
+    result = cd.compound_cd(family, lo + 0.3 * (float(rows.max()) - lo))
+    assert result.gap <= extensions.GAP_TOL
+    assert len(laws) >= 2
+    assert len(starts) == len(laws)
+    assert all(atoms.shape == (1, rows.shape[1]) and weights.tolist() == [1.0] for atoms, weights in starts)
+    for (atoms, _), (law, _) in zip(starts[1:], laws):
+        assert np.array_equal(atoms[0], law)
+
+
+def test_compound_starts_from_the_uniform_law_on_the_free_letters(monkeypatch):
+    # The K = 7 block channel's 127 letters other than 0 reveal the state,
+    # so they cost nothing, and the optimum is the uniform law on them.
+    # Frank-Wolfe started there certifies it at once; from a vertex it
+    # added one letter a step, 1,445 score evaluations, against 47 for the
+    # ascent-first solve.
+    block = cd.block_multiplicative_model(0.3, 7)
+    family = cd.CompoundFamily(block.transition, ([0.7, 0.3], [0.8, 0.2], [0.9, 0.1]), block.distortion)
+    ascents = _count_ascents(monkeypatch)
+    evaluations = []
+    scores = solver._Objective.scores
+    monkeypatch.setattr(solver._Objective, "scores", lambda objective, p: evaluations.append(1) or scores(objective, p))
+    result = cd.compound_cd(family, 0.1)
+    assert ascents == []
+    assert len(evaluations) <= 5
+    assert result.gap <= 1e-12
+    assert result.optimizer.probs[0] == 0.0
+    assert np.allclose(result.optimizer.probs[1:], 1.0 / 127, rtol=0.0, atol=1e-15)
+
+
+# A face that keeps no row: letters 0 and 1 reveal the state (y = s and
+# y = s + 1), so they cost 0 under both priors, and letter 2's output is
+# uniform over Y.  At budget 0, and within FACE_TOL above it, the face keeps
+# letters 0 and 1.
+FREE_FACE = [
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+    [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+    [[0.25] * 4, [0.25] * 4],
+]
+# A face that keeps a row: under the first prior letters 0 and 1 both cost
+# 0.21 (letter 2 costs 0.3), so at 0.21, and within FACE_TOL above it, the
+# face keeps them.  The second prior's row stays, costing 0.4 and 0.12 on
+# them, and binds: p0 = 9 / 28.
+BINDING_FACE = [
+    [[1.0, 0.0, 0.0, 0.0], [0.7, 0.3, 0.0, 0.0]],
+    [[0.0, 0.0, 0.7, 0.3], [0.0, 0.0, 0.0, 1.0]],
+    [[0.25] * 4, [0.25] * 4],
+]
+
+
+@pytest.mark.parametrize("transition, budget, rows, value", [
+    (FREE_FACE, 0.0, 0, 0.3575038278840843),
+    (FREE_FACE, 5e-13, 0, 0.3575038278840843),
+    (BINDING_FACE, 0.21, 1, 0.6279415887399058),
+    (BINDING_FACE, 0.21 + 5e-13, 1, 0.6279415887412402),
+])
+def test_compound_solves_on_the_face_with_no_ascent(monkeypatch, transition, budget, rows, value):
+    family = cd.CompoundFamily(transition, ([0.7, 0.3], [0.4, 0.6]), HAMMING2)
+    polytope = solver._check_budgets(_cost_rows(family), np.full(2, budget))
+    on, rest = polytope.face
+    assert on.tolist() == [True, True, False] and rest.rows.shape == (rows, 2)
+    sizes = []
+    frank_wolfe = solver._frank_wolfe
+    monkeypatch.setattr(solver, "_frank_wolfe", lambda objective, *args: sizes.append(objective.n_inputs)
+                        or frank_wolfe(objective, *args))
+    ascents = _count_ascents(monkeypatch)
+    result = cd.compound_cd(family, budget)
+    assert ascents == []
+    assert sizes and set(sizes) == {2}
+    assert abs(result.value - value) <= 1e-12  # the value before rounds ran Frank-Wolfe alone
+    assert result.gap <= extensions.GAP_TOL
+    assert result.optimizer.probs[2] == 0.0
 
 
 def test_compound_infeasible_budget_raises():

@@ -47,6 +47,25 @@ def test_replay_records_ops_and_diff_reports_changes(tmp_path):
     assert "op 1 " in diff.stdout and "fields: capacity" in diff.stdout and "(+3)" in diff.stdout
 
 
+def test_replay_counts_linear_program_solves_and_diff_reads_a_missing_count_as_absent(tmp_path):
+    # The first several op is a binding 2-row point: its Frank-Wolfe solves
+    # the budget polytope's program at every linear step.
+    run = _replay("several", "--seed", "5", "--ops", "1")
+    assert run.returncode == 0, run.stderr
+    line = json.loads(run.stdout)
+    solves = line["counts"]["lp_solves"]
+    assert solves > 0
+    # A record made before lp_solves was counted lacks the key.
+    older = dict(line, counts={k: v for k, v in line["counts"].items() if k != "lp_solves"})
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old_path.write_text(json.dumps(older) + "\n")
+    new_path.write_text(run.stdout)
+    diff = _replay("--diff", str(old_path), str(new_path))
+    assert diff.returncode == 0, diff.stdout + diff.stderr
+    assert f"lp_solves: absent -> {solves}" in diff.stdout
+    assert "0 difference(s)" in diff.stdout
+
+
 def test_blocks_corpus_passes_its_checks_and_a_missing_support_fails():
     run = _replay("blocks", "--seed", "5", "--ops", "8")
     assert run.returncode == 0, run.stderr

@@ -651,6 +651,21 @@ def test_budgets_that_no_law_on_the_face_meets_raise_infeasible_distortion():
     assert exc.value.d_min is None
 
 
+def test_a_face_within_a_face_solves_on_the_letters_both_keep():
+    # The first budget keeps letters 0-2; on them the second row's cheapest
+    # cost, 0.3, is its budget, which keeps letters 1 and 2.  The point is
+    # the unconstrained one of the channel on those two letters.
+    model = cd.validate_channel(np.random.default_rng(3).dirichlet(np.ones(3), size=(4, 2)),
+                                [0.6, 0.4], HAMMING)
+    constraints = [cd.CostConstraint([0.0, 0.0, 0.0, 1.0], 0.0),
+                   cd.CostConstraint([0.5, 0.3, 0.3, 0.2], 0.3)]
+    point = cd.multi_constraint_point(model, constraints)
+    sub = cd.validate_channel(model.transition[1:3], model.state_prior, model.distortion)
+    assert point.constraint_active
+    assert point.optimizer.probs[[0, 3]].tolist() == [0.0, 0.0]
+    assert point.capacity == cd.capacity_distortion_point(sub, math.inf).capacity
+
+
 def test_multi_constraint_requires_a_constraint():
     with pytest.raises(ValueError):
         cd.multi_constraint_point(cd.scalar_multiplicative_model(0.4), [])

@@ -5,15 +5,16 @@ in order (cycling, as the benchmark worker does), with no deadline and no
 timing, and writes one JSON line per op to stdout:
 
     {"op": i, "label": ..., "fields": {field: hash}, "check": None or why,
-     "counts": {"scores": n, "_frank_wolfe": n, "_ascend": n}}
+     "counts": {"scores": n, "_frank_wolfe": n, "_ascend": n, "lp_solves": n}}
 
 ``fields`` hashes each field of the result (a dataclass; anything else is
 one field, ``value``): arrays by dtype, shape and bytes, floats by their
 hex form, containers item by item.  An op that raises has ``"error"`` in
 place of ``fields``.  ``counts`` are the op's calls of
-``solver._Objective.scores``, ``solver._frank_wolfe`` and
-``solver._ascend``.  The totals and the replay's CPU time go to stderr.
-Exit status 1 when an op raised or failed its check.
+``solver._Objective.scores``, ``solver._frank_wolfe``, ``solver._ascend``
+and ``solver._LinearProgram.solve`` (``lp_solves``: the linear steps on
+several rows, and the Kelley games).  The totals and the replay's CPU
+time go to stderr.  Exit status 1 when an op raised or failed its check.
 
     python tools/replay.py points --seed 5 --ops 128 > change.jsonl
     python tools/replay.py --diff parent.jsonl change.jsonl
@@ -27,9 +28,10 @@ holds besides its fields; and ``several``, points under 2 and 3 budgets
 re-optimized at every step, checked against scipy's HiGHS.
 
 ``--diff`` prints each op whose label, fields, check or error changed and
-the count deltas, and exits 1 if anything differs.  Compare two checkouts
-by running each one's copy of this script; it imports the ``src`` and
-``perfbench`` next to it.
+the count deltas, and exits 1 if anything differs.  A count that a file
+made by an older copy of this script lacks reads as absent and is not
+compared.  Compare two checkouts by running each one's copy of this
+script; it imports the ``src`` and ``perfbench`` next to it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNTED = ("scores", "_frank_wolfe", "_ascend")
+COUNTED = ("scores", "_frank_wolfe", "_ascend", "lp_solves")
 WORKLOADS = ("points", "outer", "large", "wide", "blocks", "several")
 # wide: budgeted points on Dirichlet(0.3) channels with |S| = 3 and |Y| = 8,
 # at these fractions of [d_min, d_max]; then simulate on a |X| = 4, |S| = 2,
@@ -95,11 +97,11 @@ def field_hashes(result) -> dict[str, str]:
 def _install_counters(counts: dict[str, int]) -> None:
     from capdist import solver
 
-    def counting(owner, name):
+    def counting(owner, name, key=None):
         target = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[key or name] += 1
             return target(*args, **kwargs)
 
         setattr(owner, name, wrapper)
@@ -107,6 +109,7 @@ def _install_counters(counts: dict[str, int]) -> None:
     counting(solver._Objective, "scores")
     counting(solver, "_frank_wolfe")
     counting(solver, "_ascend")
+    counting(solver._LinearProgram, "solve", "lp_solves")
 
 
 def dual_bound(a: np.ndarray, b: np.ndarray) -> float:
@@ -379,8 +382,11 @@ def diff(path_a: str, path_b: str) -> int:
                 if old.get(k) != new.get(k):
                     print(f"    {k}: {old.get(k)!r} -> {new.get(k)!r}")
     for name in COUNTED:
-        before = sum(line["counts"][name] for line in a)
-        after = sum(line["counts"][name] for line in b)
+        before, after = (sum(line["counts"][name] for line in lines)
+                         if all(name in line["counts"] for line in lines) else None for lines in (a, b))
+        if before is None or after is None:
+            print(f"{name}: {'absent' if before is None else before} -> {'absent' if after is None else after}")
+            continue
         changed += before != after
         print(f"{name}: {before} -> {after} ({after - before:+d})")
     print(f"{changed} difference(s) over {min(len(a), len(b))} ops")
