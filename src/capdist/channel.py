@@ -11,6 +11,7 @@ routine, for one input law or a batch).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +32,9 @@ PROB_TOL = 1e-9
 
 # Cap on the entries of a dense super-symbol transition |X|^K |S| |Y|^K:
 # 2**25 float64 entries are 256 MiB.  Binary channels with one binary state
-# stay within it up to K = 12.
+# stay within it up to K = 12.  On a block that ``block_to_super_symbol``
+# maps (``_MAPPED_PAGE_SHARE``) the 256 MiB are address space, not resident
+# memory: only the pages its scatter writes are committed.
 DENSE_ENTRY_CAP = 2**25
 
 # A channel whose P(y | x) has at most this share of nonzero entries keeps
@@ -63,6 +66,27 @@ SUPPORT_DENSITY = 1 / 64
 # and 99.1 ms in runs, 41.8 and 110.4 ms written whole (process CPU, median
 # of 11 alternated builds, 2-vCPU x86-64 VM).
 _RUN_ENTRIES = 2**15
+
+# ``block_to_super_symbol`` puts a block's tensor on a private anonymous
+# mapping, advised off huge pages, when every state is scattered and the
+# cells they write number at most this share of the tensor's pages; any
+# other tensor comes from ``np.zeros`` or ``np.empty``.  numpy advises huge
+# pages for arrays of 4 MiB or more, so under a THP mode of ``madvise`` each
+# 2 MiB region that a scatter touches is committed whole; on the mapping a
+# written 4 KiB page is committed alone, and a read of an untouched one maps
+# the kernel's zero page.  The scalar family writes every page at K = 9,
+# half at K = 10, a quarter at K = 11 and an eighth at K = 12.  One build in
+# a fresh process took 10-33 ms of thread CPU and 62 MB of peak RSS growth
+# on huge pages at K = 11, 9.5-10.6 ms and 16 MB mapped; 34-183 ms and
+# 254 MB at K = 12, 19-26 ms and 32 MB mapped (6 alternated runs, 2-vCPU
+# x86-64 VM, THP mode ``madvise``).  A full read and the release cost more,
+# since they take the pages one by one: at K = 11 a read took 9.7-10.2 ms
+# against 6.7-8.0, and a release 0.9 ms, 1.4 ms after a full read, against
+# 0.15 ms on huge pages.  At K <= 10 the mapping saves little and
+# loses glibc's heap reuse across builds: repeated K = 9 and 10 builds in
+# one process took 0.6 and 1.2-1.7 ms from ``np.zeros``, 1.8-2.1 and
+# 3.9-5.3 ms mapped.
+_MAPPED_PAGE_SHARE = 1 / 4
 
 FloatArray = NDArray[np.float64]
 
@@ -506,13 +530,14 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
     same bits either way for factors as ``validate_channel`` stores them; a
     raw factor with negative, -0.0 or non-finite entries gets +0.0 off its
     nonzeros' products when scattered.  The tensor is zeroed only when some
-    state is scattered.  Build plus one full read of the scalar family
-    (r = 0.3) took 1.1, 3.1 and 18.9 ms at K = 9, 10 and 11 scattered,
-    against 2.3, 7.3 and 41.9 ms strided (process CPU, median of 15
-    alternated runs, 2-vCPU x86-64 VM); what is left at K = 11 is mostly
-    first touch of the fresh 64 MiB tensor.  Rows are not renormalized: a
-    raw ``ChannelModel`` whose rows miss 1 gives a block whose rows miss it
-    too.
+    state is scattered.  When every state is, and the cells they write are
+    at most ``_MAPPED_PAGE_SHARE`` of the tensor's pages, the zeroed tensor
+    is a private anonymous mapping kept off huge pages, so that only the
+    pages the scatter writes are resident: the scalar family at K = 11
+    commits 16 MB of its 64 MiB, and at K = 12 32 MB of 256 MiB, and a
+    read of the untouched pages maps the kernel's zero page.  Rows
+    are not renormalized: a raw ``ChannelModel`` whose rows miss 1 gives a
+    block whose rows miss it too.
 
     When the state powers have at most ``SUPPORT_DENSITY`` of P(y | x)'s
     cells as candidates, the product cells of each factor's nonzeros, the
@@ -540,8 +565,17 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
     # so does the scan's count, and both give the same support.
     candidates = np.count_nonzero(model.transition, axis=(0, 2)) ** block_len
     sparse = candidates <= sparse_cells
-    # Only a scattered state needs the cells it leaves to be zero.
-    transition = (np.zeros if sparse.any() else np.empty)((nx**block_len, ns, n_cols))
+    shape = (nx**block_len, ns, n_cols)
+    nbytes = 8 * entries
+    if (sparse.all() and hasattr(mmap, "MAP_PRIVATE")
+            and candidates.sum() <= _MAPPED_PAGE_SHARE * nbytes / mmap.PAGESIZE):
+        pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+        transition = np.frombuffer(pages).reshape(shape)
+    else:
+        # Only a scattered state needs the cells it leaves to be zero.
+        transition = (np.zeros if sparse.any() else np.empty)(shape)
     step = max(1, _RUN_ENTRIES // (nx * n_cols))  # rows of level K - 1 per run
     flat = []
     for s in range(ns):

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import mmap
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +17,7 @@ import pytest
 import capdist as cd
 
 HAMMING2 = [[0.0, 1.0], [1.0, 0.0]]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _random_channel(rng, nx, ns, ny):
@@ -536,12 +544,15 @@ def test_block_builder_peak_memory_is_within_twice_the_tensor():
     assert peak <= 2 * model.transition.nbytes
 
 
-def test_sparse_block_build_peak_memory_is_the_tensor_plus_1mib():
+def test_sparse_block_build_peak_memory_is_under_1mib():
     # Each state of the K = 11 multiplicative block scatters the 2**11
     # products of its factor's 2 nonzeros: the index and value arrays, and
     # the support gathered from them, are O(2**K), not a level of the power.
-    # A K = 7 build first takes the one-time imports (np.unique's of numpy.ma,
-    # about 1 MiB) out of the count.
+    # The 64 MiB tensor lies on an anonymous mapping (``_MAPPED_PAGE_SHARE``),
+    # which tracemalloc does not see, so the peak is those arrays alone
+    # (about 0.4 MiB); ``test_sparse_block_build_commits_only_its_written_pages``
+    # bounds the tensor's resident pages.  A K = 7 build first takes the
+    # one-time imports (np.unique's of numpy.ma, about 1 MiB) out of the count.
     import tracemalloc
 
     cd.block_multiplicative_model(0.3, 7)
@@ -552,7 +563,55 @@ def test_sparse_block_build_peak_memory_is_the_tensor_plus_1mib():
     finally:
         tracemalloc.stop()
     assert "_support" in vars(model)
-    assert peak <= model.transition.nbytes + 2**20
+    assert peak <= 2**20
+
+
+# One build in a fresh interpreter: its growth of the peak resident set, in
+# bytes, after a K = 7 build has taken the imports.
+_BUILD_RSS_GROWTH = """
+import resource, sys
+import capdist as cd
+cd.block_multiplicative_model(0.3, 7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+model = cd.block_multiplicative_model(0.3, int(sys.argv[1]))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("block_len", [11, 12])
+def test_sparse_block_build_commits_only_its_written_pages(block_len):
+    # The scalar family's two states write 2**K cells each, so at most
+    # 2**(K+1) pages: a quarter of the K = 11 tensor's 64 MiB and an eighth
+    # of the K = 12 tensor's 256 MiB.  ``np.zeros`` on huge pages makes the
+    # whole tensor resident (63 and 255 MB).
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _BUILD_RSS_GROWTH, str(block_len)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) <= 2 * 2 ** (block_len + 1) * mmap.PAGESIZE
+
+
+def _mapped(array) -> bool:
+    """Whether the array's memory is an ``mmap`` (np.frombuffer keeps a memoryview of it)."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+def test_mapped_block_tensor_is_the_strided_fill_read_only_and_copies_bit_for_bit():
+    for family in (cd.scalar_multiplicative_model, cd.additive_mod2_model):
+        base = family(0.3)
+        # K = 10 writes half its pages, and keeps np.zeros with its heap reuse.
+        assert not _mapped(cd.block_to_super_symbol(base, 10).transition)
+        built = cd.block_to_super_symbol(base, 11)
+        assert _mapped(built.transition) == hasattr(mmap, "MAP_PRIVATE")
+        data = built.transition.tobytes()
+        assert data == _strided_block(base, 11).transition.tobytes()
+        assert not built.transition.flags.writeable
+        with pytest.raises(ValueError):
+            built.transition[0, 0, 0] = 1.0
+        assert copy.deepcopy(built).transition.tobytes() == data
+        assert pickle.loads(pickle.dumps(built)).transition.tobytes() == data
 
 
 def test_estimator_and_row_terms_peak_memory_at_k10():

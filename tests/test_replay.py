@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,9 @@ def test_replay_records_ops_and_diff_reports_changes(tmp_path):
     assert [line["op"] for line in lines] == [0, 1]
     assert all(line["check"] is None and "capacity" in line["fields"] for line in lines)
     assert sum(line["counts"]["scores"] for line in lines) > 0
+    # The totals line ends with the CPU time and the peak resident set.
+    totals = re.search(r"points seed 5: 2 ops, 0 failed, .*, ([\d.]+) s CPU, ([\d.]+) MB peak RSS$", run.stderr.strip())
+    assert totals and float(totals[1]) >= 0 and float(totals[2]) > 0
 
     same, changed = tmp_path / "same.jsonl", tmp_path / "changed.jsonl"
     same.write_text(run.stdout)

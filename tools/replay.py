@@ -13,8 +13,9 @@ hex form, containers item by item.  An op that raises has ``"error"`` in
 place of ``fields``.  ``counts`` are the op's calls of
 ``solver._Objective.scores``, ``solver._frank_wolfe``, ``solver._ascend``
 and ``solver._LinearProgram.solve`` (``lp_solves``: the linear steps on
-several rows, and the Kelley games).  The totals and the replay's CPU
-time go to stderr.  Exit status 1 when an op raised or failed its check.
+several rows, and the Kelley games).  The totals, the replay's CPU time
+and the process's peak resident set (``ru_maxrss``, in MB) go to stderr.
+Exit status 1 when an op raised or failed its check.
 
     python tools/replay.py points --seed 5 --ops 128 > change.jsonl
     python tools/replay.py --diff parent.jsonl change.jsonl
@@ -42,6 +43,7 @@ import functools
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -354,8 +356,9 @@ def record(workload: str, seed: int, n_ops: int) -> int:
             totals[name] += counts[name]
         print(json.dumps(line), flush=True)
     cpu = time.process_time() - start
-    print(f"{workload} seed {seed}: {n_ops} ops, {failed} failed, counts {totals}, {cpu:.2f} s CPU",
-          file=sys.stderr)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    print(f"{workload} seed {seed}: {n_ops} ops, {failed} failed, counts {totals}, {cpu:.2f} s CPU, "
+          f"{peak:.1f} MB peak RSS", file=sys.stderr)
     return 1 if failed else 0
 
 
