@@ -60,12 +60,11 @@ LN2 = math.log(2.0)
 
 CSV_HEADER = "D,capacity_nats,capacity_bits,constraint_active"
 
-# Each builder pops its parameters by name; a missing one raises KeyError.
+# Each builder reads its parameters through get(name, type).
 _PRESETS = {
-    "scalar_multiplicative": lambda params: analytic.scalar_multiplicative_model(float(params.pop("r"))),
-    "block_multiplicative": lambda params: analytic.block_multiplicative_model(
-        float(params.pop("r")), int(params.pop("K"))),
-    "additive_mod2": lambda params: analytic.additive_mod2_model(float(params.pop("r"))),
+    "scalar_multiplicative": lambda get: analytic.scalar_multiplicative_model(get("r", float)),
+    "block_multiplicative": lambda get: analytic.block_multiplicative_model(get("r", float), get("K", int)),
+    "additive_mod2": lambda get: analytic.additive_mod2_model(get("r", float)),
 }
 
 
@@ -84,10 +83,18 @@ def _parse_preset(text: str) -> ChannelModel:
             raise ValueError(f"preset parameter {tok!r} is not key=value")
         key, _, val = tok.partition("=")
         params[key] = val
-    try:
-        model = _PRESETS[name](params)
-    except KeyError as exc:
-        raise ValueError(f"preset {name!r} requires {exc.args[0]}=") from None
+
+    def get(key: str, kind: type):
+        if key not in params:
+            raise ValueError(f"preset {name!r} requires {key}=")
+        value = params.pop(key)
+        try:
+            return kind(value)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"preset {name!r}: parameter {key}={value} is not {what}") from None
+
+    model = _PRESETS[name](get)
     if params:
         raise ValueError(f"preset {name!r}: unexpected parameters {sorted(params)}")
     return model
@@ -131,6 +138,9 @@ def load_spec(path_or_preset: str) -> tuple[ChannelModel, np.ndarray | None]:
         sizes = doc.get("sizes", {})
         if not isinstance(sizes, dict):
             raise ValueError("field 'sizes' must be an object such as {\"x\": 2, \"y\": 2, \"s\": 2}")
+        for axis in "xys":
+            if sizes.get(axis) is not None and type(sizes[axis]) is not int:
+                raise ValueError(f"field 'sizes.{axis}' must be an integer")
         model = validate_channel(
             *(_floats(doc[field], field) for field in ("transition", "state_prior", "distortion")),
             input_size=sizes.get("x"),

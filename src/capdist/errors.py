@@ -43,8 +43,9 @@ class InfeasibleDistortion(InfeasibleConstraints):
     when the budgets differ.  A set that the budget rule's game puts within
     ``FACE_TOL`` of feasible carries no ``d_min`` either, where a solve finds
     it empty: budgets at their rows' cheapest costs that share no letter, or
-    other rows that no law on those letters meets (the budget polytope's
-    linear program fails its phase 1)."""
+    other rows that no law on those letters meets (a budget below its row's
+    cheapest cost on them, or the budget polytope's linear program fails
+    its phase 1)."""
 
     def __init__(self, message: str, d_min: float | None = None):
         super().__init__(message)

@@ -256,14 +256,14 @@ def _solve_weighted(
     objective, face, letters = polytope.restrict(_Objective(list(zip(weights, models))))
     if law is None:
         free = (face.excess <= 0.0).all(axis=0)
-        if not free.any():
+        if free.any():
+            law = free / np.count_nonzero(free)
+        else:
             n = objective.n_inputs
-            p, _, bound, _ = solver._frank_wolfe(objective, face, objective.scores(np.full(n, 1.0 / n)))
-            return _lift(p, letters), bound
-        law = free / np.count_nonzero(free)
+            law = face.vertex(objective.scores(np.full(n, 1.0 / n)))[0]
     elif letters is not None:
         law = law[letters]
-    p, _, bound, _ = solver._frank_wolfe(objective, face, None, law[None, :], np.ones(1))
+    p, _, bound, _ = solver._frank_wolfe(objective, face, law[None, :], np.ones(1))
     return _lift(p, letters), bound
 
 

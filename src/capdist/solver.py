@@ -8,11 +8,11 @@ certificate or has made ``BA_PREFIX`` updates, and on the budget polytope
 {p in simplex : A p <= b} when the unconstrained law breaks a budget.
 ``compound_cd``'s Kelley rounds run that routine alone, with no ascent.  A
 budget at its cheapest cost confines the law to the cheapest letters.
-The linear step reads a concave hull for one budget (the simplex is one
-zero cost row at budget 0, ``_simplex``, where the hull's vertex is the
-best letter) and solves a small linear program for several; each also
-gives the budgets' multipliers, from which one Lagrangian dual bound
-certifies the result.
+The polytope owns the linear step (``_Polytope.vertex``): the best letter
+on the simplex, the polytope with no rows (``_simplex``), a concave hull
+for one budget and a small linear program for several; each also gives
+the budgets' multipliers, from which one Lagrangian dual bound certifies
+the result.
 Pairwise steps move weight between two atoms at a time, so where the
 optimum lies inside the hull of three or more atoms (tied letters) a
 Newton step on the atom weights follows each of them.  A vectorized grid
@@ -337,7 +337,7 @@ def _finish(objective: _Objective, p: FloatArray, score: FloatArray) -> tuple[Fl
     value = float(p @ score)
     held = (p > MASS_FLOOR).nonzero()[0]
     atoms = (held[:, None] == np.arange(p.size)).astype(np.float64)
-    q, q_value, bound, q_score = _frank_wolfe(objective, _simplex(p.size), score, atoms, p[held] / p[held].sum())
+    q, q_value, bound, q_score = _frank_wolfe(objective, _simplex(p.size), atoms, p[held] / p[held].sum())
     if q_value < value - 1e-12:
         raise SolverNonmonotone(f"finisher returned below its start: {value!r} -> {q_value!r}")
     return q, bound - q_value, q_value, q_score
@@ -630,30 +630,18 @@ def _newton_step(
 
 
 def _frank_wolfe(
-    objective: _Objective,
-    polytope: _Polytope,
-    score: FloatArray,
-    atoms: FloatArray | None = None,
-    weights: FloatArray | None = None,
+    objective: _Objective, polytope: _Polytope, atoms: FloatArray, weights: FloatArray
 ) -> tuple[FloatArray, float, float, FloatArray]:
     """Maximize objective(p) over the budget polytope {p in simplex :
     rows @ p <= budgets} by pairwise Frank-Wolfe, from the given atoms and
-    weights, or else from the best vertex for the linear objective
-    ``score``.  The polytope comes from ``_check_budgets`` (no cost is off
+    weights.  The polytope comes from ``_check_budgets`` (no cost is off
     its budget by ``FACE_TOL`` or less), from its ``restrict``, or is the
     simplex (``_simplex``).
 
     The law is kept as a convex combination of polytope vertices (atoms).
-    Each step moves weight from the atom of least score to the best vertex,
-    as far as the line search puts it.  The linear step is the only part
-    that depends on the number of rows: with one it reads the best vertex
-    off the upper concave hull of (cost(x), score(x)) (``_budget_vertex``;
-    at a zero row that is the first best letter), and with several it solves
-    the polytope's linear program (``_Polytope.program``).  Its phase 1 ran
-    once, when the budget rule built the polytope, and every linear step,
-    the final dual bound's too, re-optimizes it for the new score from the
-    last optimal basis, also across calls on one polytope.  Each also
-    returns the rows' multipliers lam >= 0.  The objective is
+    Each step moves weight from the atom of least score to the best vertex
+    (``_Polytope.vertex``), as far as the line search puts it.  The vertex
+    comes with the rows' multipliers lam >= 0.  The objective is
     I(p) = p . score(p) with gradient score - 1, so by concavity and weak
     duality its maximum is at most
     max_x [score(x) - lam . (rows[:, x] - budgets)] for any such lam: the
@@ -670,33 +658,13 @@ def _frank_wolfe(
     linear-program vertices off the simplex can give, raises
     ``NotCertified``.
     """
-    n = objective.n_inputs
     excess = polytope.excess
-    if excess.shape[0] == 1:
-        cost, budget = polytope.rows[0], float(polytope.budgets[0])
-        order = np.argsort(cost, kind="stable")
-
-        def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
-            x, y, alpha, lam = _budget_vertex(cost, order, score, budget)
-            v = np.zeros(n)
-            v[x] += alpha
-            v[y] += 1.0 - alpha
-            return v, np.array([lam])
-
-    else:
-        program = polytope.program
-
-        def best_vertex(score: FloatArray) -> tuple[FloatArray, FloatArray]:
-            return program.solve(-score)
-
-    if atoms is None:
-        atoms, weights = best_vertex(score)[0][None, :], np.ones(1)
     p = weights @ atoms
     score = objective.scores(p)
     value = float(p @ score)
     maximum = np.maximum.reduce  # np.max's ufunc, without its wrapper
     for _ in range(BA_MAX_ITER):
-        v, lam = best_vertex(score)
+        v, lam = polytope.vertex(score)
         if maximum(score - lam @ excess) - value <= CERT_TOL:
             break
         atom_scores = atoms @ score
@@ -731,7 +699,7 @@ def _frank_wolfe(
         raise NotCertified(f"Frank-Wolfe's law sums to {p.sum():.17g}: a vertex is off the simplex")
     score = objective.scores(p)
     value = float(p @ score)
-    return p, value, float(maximum(score - best_vertex(score)[1] @ excess)), score
+    return p, value, float(maximum(score - polytope.vertex(score)[1] @ excess)), score
 
 
 @dataclass(frozen=True, eq=False)
@@ -743,9 +711,9 @@ class _Polytope:
     ``rows`` are the costs with every cost within ``FACE_TOL`` of its budget
     snapped onto it, and ``excess`` is rows - budgets[:, None], so a law p
     meets the budgets when excess @ p <= 0, the homogeneous form the linear
-    program takes; a snapped cost's excess is exactly zero.  ``program`` and
-    ``face`` are built on first use and kept.  Every solve on it runs where
-    ``restrict`` puts it.
+    program takes; a snapped cost's excess is exactly zero.  ``order``,
+    ``program`` and ``face`` are built on first use and kept.  Every solve
+    on it runs where ``restrict`` puts it.
     """
 
     rows: FloatArray
@@ -753,12 +721,35 @@ class _Polytope:
     excess: FloatArray
 
     @functools.cached_property
+    def order(self) -> FloatArray:
+        """The letters sorted by the one row's cost, which the hull reads."""
+        return np.argsort(self.rows[0], kind="stable")
+
+    @functools.cached_property
     def program(self) -> _LinearProgram:
         """The ``_LinearProgram`` of the excess rows, past its phase 1, which
         raises ``InfeasibleDistortion`` (and keeps nothing) when no law meets
-        them.  Frank-Wolfe re-optimizes it from its last basis at every
-        linear step, across calls too."""
+        them."""
         return _LinearProgram(self.excess)
+
+    def vertex(self, score: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """(v, lam): the polytope's best vertex v for the linear objective
+        score . v, and the rows' multipliers lam >= 0.  With no row it is the
+        first best letter, with no multiplier; with one it is read off the
+        upper concave hull of (cost(x), score(x)) (``_budget_vertex``); with
+        several it solves the polytope's ``program``, whose phase 1 ran once,
+        when the budget rule built the polytope.  Each solve re-optimizes it
+        from its last optimal basis, also across Frank-Wolfe calls."""
+        n = self.rows.shape[1]
+        if self.rows.shape[0] == 0:
+            return np.eye(1, n, int(np.argmax(score)))[0], np.zeros(0)
+        if self.rows.shape[0] == 1:
+            x, y, alpha, lam = _budget_vertex(self.rows[0], self.order, score, float(self.budgets[0]))
+            v = np.zeros(n)
+            v[x] += alpha
+            v[y] += 1.0 - alpha
+            return v, np.array([lam])
+        return self.program.solve(-score)
 
     @functools.cached_property
     def face(self) -> tuple[FloatArray, _Polytope] | None:
@@ -766,9 +757,13 @@ class _Polytope:
         snap puts costs within ``FACE_TOL``).  Then every law of the
         polytope lies on the letters that are on each such budget, and the
         face is (those letters, as a mask; the polytope of the other rows
-        on them).  ``InfeasibleDistortion`` when no letter is on all of
-        them."""
-        floor = self.budgets <= self.rows.min(axis=1)
+        on them).  ``InfeasibleDistortion`` when a budget is below its row's
+        cheapest cost, which only a face's rows can be, or when no letter
+        is on every budget at its cheapest cost."""
+        cheapest = self.rows.min(axis=1)
+        if (self.budgets < cheapest).any():
+            raise InfeasibleDistortion("no input law meets every budget")
+        floor = self.budgets == cheapest
         if not floor.any():
             return None
         on = (self.rows[floor] == self.budgets[floor][:, None]).all(axis=0)
@@ -782,30 +777,20 @@ class _Polytope:
         with letters None.  On one it is the objective on the face's letters
         (``_Objective.restrict``) and the face's polytope, restricted again
         while that has a face; letters masks the letters kept, and ``_lift``
-        puts a law on them back.  A polytope left with no row is the simplex
-        (``_simplex``), whose one linear step is the best letter.
+        puts a law on them back.
         """
         polytope, letters = self, None
         while polytope.face is not None:
             on, polytope = polytope.face
             objective = objective.restrict(on)
-            if letters is None:
-                letters = on
-            else:
-                letters = letters.copy()
-                letters[letters] = on
-        if polytope.rows.shape[0] == 0:
-            polytope = _simplex(objective.n_inputs)
+            letters = on if letters is None else _lift(on, letters) > 0.0
         return objective, polytope, letters
 
 
 def _simplex(n: int) -> _Polytope:
-    """The simplex on n letters as a budget polytope: one zero cost row at
-    budget 0 puts every letter on its budget, so the hull's best vertex is
-    the first best letter, with multiplier 0.  It is solved on as it is;
-    its ``face`` would be itself."""
-    zero = np.zeros((1, n))
-    return _Polytope(zero, np.zeros(1), zero)
+    """The simplex on n letters: the budget polytope with no rows."""
+    empty = np.zeros((0, n))
+    return _Polytope(empty, np.zeros(0), empty)
 
 
 def _lift(q: FloatArray, letters: FloatArray | None) -> FloatArray:
@@ -899,7 +884,7 @@ def _solve_budget(
     bound = value + cert
     breaks = bool((polytope.rows @ p > polytope.budgets).any())
     if breaks:
-        p, value, bound, _ = _frank_wolfe(objective, polytope, score)
+        p, value, bound, _ = _frank_wolfe(objective, polytope, polytope.vertex(score)[0][None, :], np.ones(1))
     warning = None
     if bound - value > STALL_CERT:
         warning = f"solver stopped with gap {bound - value:.3g} above stall_cert"

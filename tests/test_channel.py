@@ -467,28 +467,19 @@ def test_block_support_from_the_factors_is_the_scans():
     _assert_support_is_the_scans(built)
 
 
-def _strided_block(model, block_len):
-    """The builder's strided fill before sparse states were scattered,
-    copied verbatim: every state's power written by ``_strided_kron_into``."""
+def _kron_block(model, block_len):
+    """The block channel by definition, apart from the builder: each state's
+    slice is the Kronecker power of P(. | ., s), chained left to right by
+    ``np.kron`` from a 1 x 1 one, the products the builder's strided fill
+    and scatter take."""
     nx, ns, ny = model.transition.shape
     transition = np.empty((nx**block_len, ns, ny**block_len))
-    step = max(1, cd.channel._RUN_ENTRIES // (nx * ny**block_len))  # rows of level K - 1 per run
     for s in range(ns):
-        mat = model.transition[:, s, :]
-        power = np.ones((1, 1))  # the Kronecker power of mat built so far
-        for level in range(1, block_len):
-            power = _strided_kron_into(np.empty((nx**level, ny**level)), power, mat)
-        for lo in range(0, len(power), step):
-            _strided_kron_into(transition[lo * nx : (lo + step) * nx, s, :], power[lo : lo + step], mat)
+        power = np.ones((1, 1))
+        for _ in range(block_len):
+            power = np.kron(power, model.transition[:, s, :])
+        transition[:, s, :] = power
     return cd.channel.ChannelModel(transition, model.state_prior, model.distortion)
-
-
-def _strided_kron_into(out, power, mat):
-    nx, ny = mat.shape
-    for k in range(nx):
-        for l in range(ny):
-            np.multiply(power, mat[k, l], out=out[k::nx, l::ny])
-    return out
 
 
 def test_block_tensor_from_factor_products_is_the_strided_fill():
@@ -520,11 +511,11 @@ def test_block_tensor_from_factor_products_is_the_strided_fill():
               for K in (9, 10, 11)]
     scattered = 0
     for base, K in cases:
-        built, strided = cd.block_to_super_symbol(base, K), _strided_block(base, K)
-        assert built.transition.tobytes() == strided.transition.tobytes(), K
+        built, reference = cd.block_to_super_symbol(base, K), _kron_block(base, K)
+        assert built.transition.tobytes() == reference.transition.tobytes(), K
         _assert_support_is_the_scans(built)
-        cost, strided_cost = cd.optimal_estimator(built).cost_vector, cd.optimal_estimator(strided).cost_vector
-        assert cost.tobytes() == strided_cost.tobytes(), K
+        cost, reference_cost = cd.optimal_estimator(built).cost_vector, cd.optimal_estimator(reference).cost_vector
+        assert cost.tobytes() == reference_cost.tobytes(), K
         scattered += any(np.count_nonzero(base.transition[:, s]) ** K
                          <= cd.channel.SUPPORT_DENSITY * (base.input_size * base.output_size) ** K
                          for s in range(base.state_size))
@@ -606,7 +597,7 @@ def test_mapped_block_tensor_is_the_strided_fill_read_only_and_copies_bit_for_bi
         built = cd.block_to_super_symbol(base, 11)
         assert _mapped(built.transition) == hasattr(mmap, "MAP_PRIVATE")
         data = built.transition.tobytes()
-        assert data == _strided_block(base, 11).transition.tobytes()
+        assert data == _kron_block(base, 11).transition.tobytes()
         assert not built.transition.flags.writeable
         with pytest.raises(ValueError):
             built.transition[0, 0, 0] = 1.0

@@ -140,8 +140,8 @@ def test_finisher_ending_below_its_start_raises_and_exits_4(tmp_path, monkeypatc
     budget = 0.5 * (d_min + d_max)
     frank_wolfe = solver._frank_wolfe
 
-    def lowered(objective, polytope, score, atoms, weights):
-        p, _, bound, q_score = frank_wolfe(objective, polytope, score, atoms, weights)
+    def lowered(objective, polytope, atoms, weights):
+        p, _, bound, q_score = frank_wolfe(objective, polytope, atoms, weights)
         start = weights @ atoms / weights.sum()
         return p, float(start @ objective.scores(start)) - 1e-6, bound, q_score
 
@@ -449,6 +449,8 @@ def test_preset_errors_exit_2_naming_the_problem(tmp_path, capsys):
         ("block_multiplicative r=0.3", "requires K="),
         ("additive_mod2 r=0.2 K=3", "unexpected parameters ['K']"),
         (str(bogus), "unknown preset 'bogus r=0.2'"),
+        ("scalar_multiplicative r=abc", "preset 'scalar_multiplicative': parameter r=abc is not a number"),
+        ("block_multiplicative r=0.3 K=2.5", "preset 'block_multiplicative': parameter K=2.5 is not an integer"),
     ]
     for spec, problem in cases:
         code = cli.main(["point", spec, "--distortion", "0.1"])
@@ -463,10 +465,12 @@ def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
     # Each of these once ended in a traceback with exit 1 (an AttributeError
     # or TypeError in load_spec or the compound family); a null priors list
     # once meant the model's own prior, and a ragged or wrong-length one
-    # exited 0 outside `compound`.
+    # exited 0 outside `compound`.  A size given as a string once read
+    # "declared size x=2 but tensors imply 2".
     shapes = [
         ("sizes", "2", "'sizes'"),
         ("sizes", [2, 2, 2], "'sizes'"),
+        ("sizes", {"x": "2"}, "field 'sizes.x' must be an integer"),
         ("transition", [[{"a": 1}]], "'transition'"),
         ("compound", {"priors": [[0.7, {"a": 1}]]}, "'compound.priors[0]'"),
         ("compound", {"priors": 5}, "'compound'"),

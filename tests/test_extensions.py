@@ -241,9 +241,9 @@ def test_compound_starts_each_later_round_from_the_last_rounds_law(monkeypatch):
     starts, laws = [], []
     frank_wolfe, solve_weighted = solver._frank_wolfe, extensions._solve_weighted
 
-    def recording_frank_wolfe(objective, polytope, score, atoms=None, weights=None):
-        starts.append(None if atoms is None else (atoms.copy(), weights.copy()))
-        return frank_wolfe(objective, polytope, score, atoms, weights)
+    def recording_frank_wolfe(objective, polytope, atoms, weights):
+        starts.append((atoms.copy(), weights.copy()))
+        return frank_wolfe(objective, polytope, atoms, weights)
 
     def recording_solve(*args):
         laws.append(solve_weighted(*args))

@@ -225,6 +225,40 @@ def test_frank_wolfe_stops_when_its_best_vertex_is_its_away_atom(monkeypatch):
     assert abs(point.capacity - cd.scalar_cd_closed_form(0.3, 0.05)[0]) <= 1e-12
 
 
+def test_the_simplex_is_the_polytope_with_no_rows():
+    # Scores with ties: the vertex is the first best letter, as np.argmax
+    # picks it, with no multiplier, and the simplex has no face.
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 5, 64):
+        score = rng.choice([0.0, 0.5, 1.0], size=n)
+        simplex = solver._simplex(n)
+        v, lam = simplex.vertex(score)
+        assert v.tobytes() == np.eye(n)[np.argmax(score)].tobytes()
+        assert lam.size == 0
+        assert simplex.face is None
+
+
+def test_a_one_row_polytopes_vertex_is_the_hulls():
+    # Budgets off the cheapest cost, so the polytope has no face; each
+    # polytope answers several scores on its one cached cost order.
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 8, 40):
+        cost = rng.choice([0.0, 0.1, 0.5, 1.0], size=n)
+        cost[:2] = 0.0, 1.0
+        polytope = solver._check_budgets(cost[None, :], np.array([rng.uniform(0.1, 0.9)]))
+        assert polytope.face is None
+        row, budget = polytope.rows[0], float(polytope.budgets[0])
+        for _ in range(5):
+            score = rng.choice([0.0, 0.3, 1.0, rng.normal()], size=n)
+            x, y, alpha, lam = solver._budget_vertex(row, np.argsort(row, kind="stable"), score, budget)
+            want = np.zeros(n)
+            want[x] += alpha
+            want[y] += 1.0 - alpha
+            v, got_lam = polytope.vertex(score)
+            assert v.tobytes() == want.tobytes()
+            assert got_lam.tolist() == [lam]
+
+
 def test_iteration_cap_binds_frank_wolfe_alone(monkeypatch):
     # A cap below BA_PREFIX leaves the ascent's updates as they are, so its
     # iteration-cap flag stays False.
@@ -636,6 +670,21 @@ def test_budgets_at_their_cheapest_costs_sharing_no_letter_raise_infeasible_dist
     constraints = [cd.CostConstraint([0.0, 2e-12], 0.0), cd.CostConstraint([2e-12, 0.0], 0.0)]
     with pytest.raises(cd.InfeasibleDistortion, match="share no letter") as exc:
         cd.multi_constraint_point(model, constraints)
+    assert exc.value.d_min is None
+
+
+def test_a_face_row_below_its_cheapest_cost_raises_that_no_law_meets_the_budgets():
+    # Draw 16676 of tools/stress.py --seed 3.  The first two budgets sit on
+    # their rows' cheapest costs, whose letters (after the snap) share only
+    # letter 3.  There the third row costs 1.000000000001, above its budget
+    # of 0.3: no law meets it, though no budget is at its cheapest cost.
+    model = cd.validate_channel(np.full((6, 1, 2), 0.5), [1.0], [[0.0]])
+    rows = [[1e-09, 0.0, 9.99999999999e-10, 9.99999999999e-13, 1e-12, 1e-05],
+            [1.000000000001, 1.000000000001, 1e-12, 1e-12, 1.000000000001e-12, 0.0],
+            [1e-09, 1e-09, 0.001000000000001, 1.000000000001, 0.000999999999999, 1.000000000001]]
+    budgets = [0.0, 0.0, 0.30000000070030003]
+    with pytest.raises(cd.InfeasibleDistortion, match="no input law meets every budget") as exc:
+        cd.multi_constraint_point(model, [cd.CostConstraint(row, b) for row, b in zip(rows, budgets)])
     assert exc.value.d_min is None
 
 
