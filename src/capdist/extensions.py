@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import solver
 from .channel import (
     ChannelModel,
     FloatArray,
@@ -35,9 +34,9 @@ from .solver import (
     _check_budgets,
     _game,
     _game_laws,
-    _lift,
     _Objective,
     _Polytope,
+    _solve_budget,
     capacity_distortion_point,
 )
 
@@ -138,7 +137,7 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     if isinstance(route, CpudResult):
         return route
     d_min = float(np.min(cost_vector))
-    d_max_letter = float(np.max(cost_vector))
+    hi = float(np.max(cost_vector))
     if model.input_size == 1:
         return CpudResult(0.0, InputDistribution(np.ones(1)), "sup-definition")
 
@@ -147,14 +146,15 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     def ratio(budget: float) -> float:
         return point(budget).capacity / budget
 
-    if d_max_letter <= d_min + FACE_TOL:
+    if hi <= d_min + FACE_TOL:
         # Uniform cost: every input law spends d_min, so the sup sits there.
         pt = point(d_min)
         return CpudResult(pt.capacity / d_min, pt.optimizer, "sup-definition")
 
-    hi = d_max_letter
-    # Balance curvature bias against solver noise when probing near zero.
-    lo = max(1e-6 * hi, 2e-5) if d_min <= FACE_TOL else d_min
+    # With a free letter the grid starts at a share of the dearest letter's
+    # cost, so it samples the same profile at any scale of the distortion;
+    # the share balances curvature bias against solver noise near zero.
+    lo = 1e-4 * hi if d_min <= FACE_TOL else d_min
     grid = np.unique(
         np.concatenate(
             [
@@ -234,37 +234,22 @@ class CompoundResult:
 def _solve_weighted(
     models: Sequence[ChannelModel], weights: FloatArray, polytope: _Polytope, law: FloatArray | None = None
 ) -> tuple[FloatArray, float]:
-    """Maximize sum_i w_i I_i(p) over the budget polytope.
+    """Maximize sum_i w_i I_i(p) over the budget polytope: one Kelley round.
 
-    Pairwise Frank-Wolfe (``solver._frank_wolfe``) on a polytope returned
-    by ``_check_budgets``, or on its face (``_Polytope.restrict``), with no
-    unconstrained ascent: its dual bound certifies the weighted optimum
-    whether or not a budget binds.  It starts from ``law``, a law of the
-    polytope such as the last round's, as its one atom.  Without one it
-    starts from the uniform law on the letters that meet every budget on
-    their own, also one atom, and where no letter does, from the best
-    vertex for the uniform law's scores.  A start inside the polytope
-    matters where the optimum spreads over many letters: on the K = 7 block
-    channel, whose optimum is uniform on its 127 free letters, Frank-Wolfe
-    from a vertex adds one letter a step (1,445 score evaluations, against
-    2).  Returns (p, dual_bound): p meets every budget, and dual_bound is
-    an upper bound on the constrained optimum (by concavity and weak
-    duality, the Lagrangian bound at the returned law's gradient and the
-    budgets' multipliers).  Frank-Wolfe is looked up on ``solver`` at each
-    call, so that a wrapper put there counts these calls too.
+    The weighted objective solved by ``solver._solve_budget`` from a start
+    law, ``law`` (such as the last round's) or else ``_Polytope.start``'s,
+    so by pairwise Frank-Wolfe alone, with no unconstrained ascent.
+    Returns (p, dual_bound): p meets every budget, and dual_bound is an
+    upper bound on the constrained optimum (by concavity and weak duality,
+    the Lagrangian bound at the returned law's gradient and the budgets'
+    multipliers).  It stays a function of its own because perfbench's
+    tracer counts the rounds by wrapping it.
     """
-    objective, face, letters = polytope.restrict(_Objective(list(zip(weights, models))))
+    objective = _Objective(list(zip(weights, models)))
     if law is None:
-        free = (face.excess <= 0.0).all(axis=0)
-        if free.any():
-            law = free / np.count_nonzero(free)
-        else:
-            n = objective.n_inputs
-            law = face.vertex(objective.scores(np.full(n, 1.0 / n)))[0]
-    elif letters is not None:
-        law = law[letters]
-    p, _, bound, _ = solver._frank_wolfe(objective, face, law[None, :], np.ones(1))
-    return _lift(p, letters), bound
+        law = polytope.start(objective)
+    p, _, bound, _, _ = _solve_budget(objective, polytope, law)
+    return p, bound
 
 
 def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
@@ -274,13 +259,15 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     prior's budget, equals min over prior weights w of the convex dual
     g(w) = max_p sum_theta w_theta I_theta(p) (Sion's minimax theorem).
     Kelley's cutting planes minimize g.  Each round solves the weighted
-    problem at one w by pairwise Frank-Wolfe alone (``_solve_weighted``),
+    problem at one w through the point solve, ``solver._solve_budget``,
+    given a start law (``_solve_weighted``), so by pairwise Frank-Wolfe
     with no unconstrained ascent, whether or not the budget binds: the
-    first round starts from the uniform law on the letters that meet every
-    budget (or, with none, from a vertex), and every later one from the
-    last round's law.  The law p_k a round returns gives the cut
-    g >= w . v_k, with v_k = (I_theta(p_k))_theta, and its dual bound is an
-    upper bound on the max-min value.  The next w minimizes max_k w . v_k,
+    first round starts from ``_Polytope.start`` (the uniform law on the
+    letters that meet every budget, or, with none, a vertex), and every
+    later one from the last round's law.  The law p_k a round returns
+    gives the cut g >= w . v_k, with v_k = (I_theta(p_k))_theta, and its
+    dual bound is an upper bound on the max-min value.  The next w
+    minimizes max_k w . v_k,
     a matrix game whose other player mixes the laws: p = sum_k a_k p_k meets
     every budget and, each I_theta being concave, is worth at least the
     game value under every prior.  The first round solves at the pure

@@ -123,6 +123,30 @@ def test_input_distribution_validates():
         cd.InputDistribution([-0.1, 1.1])
 
 
+def test_malformed_inputs_raise_their_documented_errors():
+    model = cd.scalar_multiplicative_model(0.4)
+    with pytest.raises(cd.DimensionMismatch, match="must be a vector"):
+        cd.InputDistribution([[0.5, 0.5]])
+    nan = np.array(model.transition)
+    nan[0, 0, 0] = math.nan
+    with pytest.raises(cd.NotAProbability, match="non-finite entry"):
+        cd.validate_channel(nan, model.state_prior, HAMMING2)
+    with pytest.raises(cd.DimensionMismatch, match="rank-3"):
+        cd.validate_channel(model.transition[0], model.state_prior, HAMMING2)
+    with pytest.raises(cd.DimensionMismatch, match="length 3, expected 2"):
+        cd.mutual_information(model, [0.2, 0.3, 0.5])
+    with pytest.raises(cd.DimensionMismatch, match="outside alphabet"):
+        cd.output_marginal(model, 2)
+    with pytest.raises(cd.DimensionMismatch, match="outside alphabet"):
+        cd.output_marginal(model, -1)
+    with pytest.raises(cd.DimensionMismatch, match="outside alphabet"):
+        cd.state_posterior(model, 2, 0)
+    with pytest.raises(cd.DimensionMismatch, match="outside alphabet"):
+        cd.state_posterior(model, 0, 2)
+    with pytest.raises(cd.DimensionMismatch, match="block_len"):
+        cd.block_to_super_symbol(model, 0)
+
+
 def test_input_distribution_has_the_length_of_its_alphabet():
     assert len(cd.InputDistribution([0.25, 0.75])) == 2
     point = cd.capacity_distortion_point(cd.block_multiplicative_model(0.3, 3), 0.1)

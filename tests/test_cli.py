@@ -461,6 +461,19 @@ def test_preset_errors_exit_2_naming_the_problem(tmp_path, capsys):
         assert line.startswith("error:") and problem in line, line
 
 
+def test_nan_transition_entry_exits_2(tmp_path, capsys):
+    # Python's json module reads a bare NaN; the channel's check rejects it.
+    spec = tmp_path / "nan.json"
+    spec.write_text('{"transition": [[[NaN, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]], '
+                    '"state_prior": [0.6, 0.4], "distortion": [[0.0, 1.0], [1.0, 0.0]]}')
+    code = cli.main(["point", str(spec), "--distortion", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and "non-finite" in line, line
+
+
 def test_malformed_spec_shapes_exit_2_in_every_subcommand(tmp_path, capsys):
     # Each of these once ended in a traceback with exit 1 (an AttributeError
     # or TypeError in load_spec or the compound family); a null priors list

@@ -126,6 +126,27 @@ def test_sup_definition_agrees_with_ratio_route():
         assert abs(sup.value - ratio.value) / ratio.value < 1e-3
 
 
+def _scaled(model, scale):
+    return cd.validate_channel(model.transition, model.state_prior, np.asarray(model.distortion) * scale)
+
+
+@pytest.mark.parametrize("name, model", [
+    ("scalar r=1e-3", cd.scalar_multiplicative_model(1e-3)),
+    ("scalar r=1e-5", cd.scalar_multiplicative_model(1e-5)),
+    ("r=0.3, Hamming x 1e-3", _scaled(cd.scalar_multiplicative_model(0.3), 1e-3)),
+    ("r=0.3, Hamming x 1e-6", _scaled(cd.scalar_multiplicative_model(0.3), 1e-6)),
+    ("r=0.3, Hamming x 1e3", _scaled(cd.scalar_multiplicative_model(0.3), 1e3)),
+])
+def test_sup_definition_agrees_with_ratio_route_at_any_cost_scale(name, model):
+    # With a free letter the sup route's grid must start at a share of the
+    # dearest letter's cost: a low end fixed in distortion units climbs
+    # toward that cost as it falls (r = 1e-5 read 63 % under the ratio
+    # route with a low end of 2e-5) and past it at small scales.
+    ratio = cd.cpud_ratio_formula(model).value
+    sup = cd.cpud_sup_definition(model).value
+    assert abs(sup - ratio) / ratio < 1e-3  # the benchmark's CPUD_SUP_TOL
+
+
 def test_sup_definition_detects_infinite_cases():
     mod2 = cd.cpud_sup_definition(cd.additive_mod2_model(0.3))
     assert math.isinf(mod2.value)
@@ -322,6 +343,35 @@ def test_compound_solves_on_the_face_with_no_ascent(monkeypatch, transition, bud
     assert abs(result.value - value) <= 1e-12  # the value before rounds ran Frank-Wolfe alone
     assert result.gap <= extensions.GAP_TOL
     assert result.optimizer.probs[2] == 0.0
+
+
+# A face reached again by later Kelley rounds: letters 0 and 1 reveal the
+# state (y = s, or y = 0 against y in {1, 2}), so at budget 0 the face keeps
+# them and no row.  The first round's law leaves a prior worse off than the
+# other by more than GAP_TOL, so a second round starts from that law, put
+# on the face.
+LATER_ROUND_FACE = [
+    [[1.0, 0.0, 0.0], [0.0, 2.0 / 3.0, 1.0 / 3.0]],
+    [[1.0, 0.0, 0.0], [0.0, 0.9, 0.1]],
+    [[0.16, 0.03, 0.81], [0.24, 0.57, 0.19]],
+]
+
+
+def test_compound_later_rounds_start_on_the_face(monkeypatch):
+    family = cd.CompoundFamily(LATER_ROUND_FACE, ([0.7, 0.3], [0.2, 0.8]), HAMMING2)
+    assert solver._check_budgets(_cost_rows(family), np.zeros(2)).face[0].tolist() == [True, True, False]
+    starts = []
+    real = extensions._solve_weighted
+    monkeypatch.setattr(extensions, "_solve_weighted",
+                        lambda models, weights, polytope, law=None: starts.append(law)
+                        or real(models, weights, polytope, law))
+    result = cd.compound_cd(family, 0.0)
+    assert len(starts) >= 2
+    assert starts[0] is None and all(law is not None for law in starts[1:])
+    assert result.optimizer.probs[2] == 0.0
+    assert result.gap <= extensions.GAP_TOL
+    assert result.value >= _grid_max_min(family, 0.0) - 1e-12
+    assert result.value <= _compound_lp_bound(family, 0.0, result.optimizer.probs) + 1e-7
 
 
 def test_compound_infeasible_budget_raises():

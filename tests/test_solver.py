@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -519,6 +520,32 @@ def test_curve_rejects_bad_grids():
         cd.cd_curve(model, 0)
     with pytest.raises(ValueError):
         cd.cd_curve(model, [])
+
+
+@pytest.mark.parametrize("capacity, problem", [
+    # The capacity falls 2 CURVE_TOL a budget step, then 0.5 CURVE_TOL,
+    # which is rounding, not a fault.
+    (lambda b: 1.0 - 40 * solver.CURVE_TOL * b, "decreased"),
+    (lambda b: 1.0 - 10 * solver.CURVE_TOL * b, None),
+    # The middle point lies 2 CURVE_TOL under the chord of its neighbours,
+    # then 0.5 CURVE_TOL.
+    (lambda b: b - 2 * solver.CURVE_TOL * (b == 0.05), "concavity"),
+    (lambda b: b - 0.5 * solver.CURVE_TOL * (b == 0.05), None),
+], ids=["falls", "falls-within-tol", "convex", "convex-within-tol"])
+def test_curve_checks_its_capacities_along_the_budgets(monkeypatch, capacity, problem):
+    # Every point's capacity replaced by capacity(budget).
+    point = solver._point
+
+    def replaced(objective, cost_rows, budgets):
+        return dataclasses.replace(point(objective, cost_rows, budgets), capacity=capacity(float(budgets[0])))
+
+    monkeypatch.setattr(solver, "_point", replaced)
+    model = cd.scalar_multiplicative_model(0.3)
+    if problem is None:
+        cd.cd_curve(model, [0.0, 0.05, 0.1])
+    else:
+        with pytest.raises(cd.SolverNonmonotone, match=problem):
+            cd.cd_curve(model, [0.0, 0.05, 0.1])
 
 
 def _dirichlet_channel(seed):
