@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelModel, block_to_super_symbol, validate_channel
+from .channel import ChannelModel, _is_integer, block_to_super_symbol, validate_channel
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -34,8 +34,8 @@ def _check_r(r: float, *, allow_zero: bool = False, upper: float = 1.0) -> None:
 
 def _check_block(r: float, block_len: int) -> None:
     _check_r(r, upper=0.5)
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
+    if not _is_integer(block_len) or block_len < 1:
+        raise ValueError(f"block_len must be >= 1 and an integer, got {block_len}")
 
 
 # ---------------------------------------------------------------------------

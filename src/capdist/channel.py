@@ -414,6 +414,12 @@ def validate_channel(
     return ChannelModel(transition, state_prior, distortion)
 
 
+def _is_integer(size) -> bool:
+    """Whether a size (a block length, a sample count) is an int or a numpy
+    integer: a float, even an integral one, or a bool is not."""
+    return isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+
+
 def _as_probs(px, size: int) -> FloatArray:
     if isinstance(px, InputDistribution):
         probs = px.probs
@@ -545,8 +551,8 @@ def block_to_super_symbol(model: ChannelModel, block_len: int) -> ChannelModel:
     those cells, the same support a scan of the tensor finds;
     otherwise the scan runs on first use.
     """
-    if block_len < 1:
-        raise DimensionMismatch("block_len must be >= 1")
+    if not _is_integer(block_len) or block_len < 1:
+        raise DimensionMismatch(f"block_len must be an integer >= 1, got {block_len}")
     nx, ns, ny = model.transition.shape
     # With |X| |Y| >= 2 the count passes the cap by K = the cap's bit length,
     # so a longer block is counted at that length: a lower bound that stays

@@ -30,12 +30,12 @@ from .channel import (
 )
 from .errors import NoZeroCostLetter, NotCertified
 from .solver import (
-    FACE_TOL,
     _check_budgets,
     _game,
     _game_laws,
     _Objective,
     _Polytope,
+    _snap,
     _solve_budget,
     capacity_distortion_point,
 )
@@ -76,7 +76,8 @@ class CpudResult:
 
 
 def _ratio_route(model: ChannelModel, cost_vector: FloatArray, method: str) -> CpudResult | FloatArray | None:
-    """What the free letters (cost at most ``FACE_TOL``) decide.
+    """What the free letters (cost on the budget 0, by the budget rule's
+    ``_snap``) decide.
 
     None without a free letter.  The infinite result with two or more
     (communicate over them at vanishing cost), or with exactly one, x0, when
@@ -85,7 +86,7 @@ def _ratio_route(model: ChannelModel, cost_vector: FloatArray, method: str) -> C
     solver's scores at the point mass on x0.  Both read P(y|x) in the
     model's own format (``ChannelModel._pyx``).
     """
-    free = np.flatnonzero(cost_vector <= FACE_TOL)
+    free = np.flatnonzero(_snap(cost_vector, 0.0) == 0.0)
     if free.size == 0:
         return None
     if free.size >= 2:
@@ -116,7 +117,7 @@ def cpud_ratio_formula(model: ChannelModel) -> CpudResult:
         )
     if isinstance(route, CpudResult):
         return route
-    others = cost_vector > FACE_TOL
+    others = _snap(cost_vector, 0.0) > 0.0
     ratios = np.zeros(model.input_size)
     ratios[others] = route[others] / cost_vector[others]
     best = int(np.argmax(ratios))
@@ -146,7 +147,7 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     def ratio(budget: float) -> float:
         return point(budget).capacity / budget
 
-    if hi <= d_min + FACE_TOL:
+    if _snap(hi, d_min) == d_min:
         # Uniform cost: every input law spends d_min, so the sup sits there.
         pt = point(d_min)
         return CpudResult(pt.capacity / d_min, pt.optimizer, "sup-definition")
@@ -154,7 +155,7 @@ def cpud_sup_definition(model: ChannelModel) -> CpudResult:
     # With a free letter the grid starts at a share of the dearest letter's
     # cost, so it samples the same profile at any scale of the distortion;
     # the share balances curvature bias against solver noise near zero.
-    lo = 1e-4 * hi if d_min <= FACE_TOL else d_min
+    lo = 1e-4 * hi if route is not None else d_min
     grid = np.unique(
         np.concatenate(
             [

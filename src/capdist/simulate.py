@@ -29,6 +29,7 @@ from .channel import (
     ChannelModel,
     FloatArray,
     _as_probs,
+    _is_integer,
     _risk,
     optimal_estimator,
     state_posterior,
@@ -97,8 +98,8 @@ def simulate(model: ChannelModel, px, n: int, seed: int) -> SimulationReport:
     is their plug-in estimate, in nats.  Only the drawn (x, s) rows are read:
     time and memory are O(min(n, |X||S|) |Y|) plus the (|X|, |Y|) count table.
     """
-    if not 1 <= n <= np.iinfo(np.int64).max:
-        raise ValueError(f"need between 1 and 2**63 - 1 samples, got {n}")
+    if not _is_integer(n) or not 1 <= n <= np.iinfo(np.int64).max:
+        raise ValueError(f"need an integer between 1 and 2**63 - 1 samples, got {n}")
     probs = _as_probs(px, model.input_size)
     policy = optimal_estimator(model)
     gen_x, gen_s, gen_y = _streams(seed)
@@ -182,8 +183,8 @@ def check_factorization(
     ``posterior_fn`` substitutes the single-letter posterior (test hook for
     deliberately corrupted inputs); default is the model's own.
     """
-    if block_len < 1 or block_len > MAX_BLOCK_LEN:
-        raise AlphabetTooLarge(f"block_len must be in [1, {MAX_BLOCK_LEN}]")
+    if not _is_integer(block_len) or not 1 <= block_len <= MAX_BLOCK_LEN:
+        raise AlphabetTooLarge(f"block_len must be an integer in [1, {MAX_BLOCK_LEN}], got {block_len}")
     if model.state_size**block_len > MAX_STATE_BLOCKS:
         raise AlphabetTooLarge(
             f"|S|^block_len = {model.state_size}**{block_len} exceeds {MAX_STATE_BLOCKS}"

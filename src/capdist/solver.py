@@ -48,7 +48,7 @@ from .errors import (
     SolverNonmonotone,
 )
 
-# A cost within FACE_TOL of its budget counts as on it (``_check_budgets``).
+# A cost within FACE_TOL of its budget counts as on it (``_snap``).
 FACE_TOL = 1e-12
 
 # Least mass that makes a letter a starting atom when an uncertified ascent
@@ -112,13 +112,16 @@ class CDCurve:
 @dataclass(frozen=True, eq=False)
 class CostConstraint:
     """A linear budget sum_x p(x) cost_vector[x] <= budget, with finite costs
-    (else ``ValueError``); a cost within ``FACE_TOL`` of it counts as on it."""
+    (else ``ValueError``); a cost within ``FACE_TOL`` of it counts as on it.
+    A cost_vector that is not a vector raises ``DimensionMismatch``."""
 
     cost_vector: FloatArray
     budget: float
 
     def __post_init__(self):
         vec = np.array(self.cost_vector, dtype=np.float64)  # not the caller's array
+        if vec.ndim != 1:
+            raise DimensionMismatch(f"cost_vector must be a vector, got shape {vec.shape}")
         vec.setflags(write=False)
         object.__setattr__(self, "cost_vector", vec)
 
@@ -823,21 +826,29 @@ def _lift(q: FloatArray, letters: FloatArray | None) -> FloatArray:
     return p
 
 
+def _snap(costs: FloatArray | float, budgets: FloatArray | float) -> FloatArray:
+    """The costs with each one on its budget, within ``FACE_TOL`` of it,
+    replaced by that budget: the one tolerance test of a cost against a
+    budget.  A cost is on its budget exactly when its snap equals it, and
+    every test after the snap compares costs and budgets exactly."""
+    return np.where(np.abs(costs - budgets) <= FACE_TOL, budgets, costs)
+
+
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     """The budget rule of every budgeted entry point: cost_rows @ p <= budgets.
 
     A non-finite cost or a NaN budget raises ``ValueError``; a +inf budget
-    constrains nothing, so its row is dropped.  Every cost within
-    ``FACE_TOL`` of its budget is snapped onto it: pairing such a letter
-    across the budget would divide by a rounding-level difference.
-    ``InfeasibleDistortion`` is raised when a budget lies more than
-    ``FACE_TOL`` below its row's cheapest letter or, with several rows, when
-    the phase 1 of the snapped polytope's program does not pass them and the
-    game min_p max_j (cost_j . p - budget_j) is above ``FACE_TOL``: no input
+    constrains nothing, so its row is dropped.  Every cost on its budget
+    (within ``FACE_TOL``) is snapped onto it (``_snap``): pairing such a
+    letter across the budget would divide by a rounding-level difference.
+    ``InfeasibleDistortion`` is raised when a budget lies below its row's
+    cheapest letter, snapped, or, with several rows, when the phase 1 of
+    the snapped polytope's program does not pass them and the game
+    min_p max_j (cost_j . p - budget_j), snapped onto 0, is above it: no input
     law meets them all.  Its ``d_min`` is the least common budget when the
     budgets are equal (the cheapest letter for one row, else the game value
     of the costs), and None otherwise.  The game runs only on the sets that
-    phase 1 rejects or faults on.  One it puts within ``FACE_TOL`` is
+    phase 1 rejects or faults on.  One it puts on 0 is
     returned, as every other set is, as the ``_Polytope`` of the rows and
     budgets left; a solve on it raises ``InfeasibleDistortion`` with no
     ``d_min`` where it reaches the polytope's face or program and finds it
@@ -847,21 +858,20 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
         raise ValueError(f"budget is NaN: {budgets.tolist()}")
     if not np.isfinite(cost_rows).all():
         raise ValueError("every cost entry must be finite")
-    cheapest = cost_rows.min(axis=1)
-    # The difference the snap tests, so a kept budget at or below its row's
+    snapped = _snap(cost_rows, budgets[:, None])
+    # Compared after the snap, so a kept budget at or below its row's
     # cheapest letter always has that letter snapped onto it.
-    short = (cheapest - budgets > FACE_TOL).nonzero()[0]
+    short = (snapped.min(axis=1) > budgets).nonzero()[0]
     finite = budgets < np.inf
-    rows, kept = cost_rows[finite], budgets[finite]
+    rows, kept, snapped = cost_rows[finite], budgets[finite], snapped[finite]
     if short.size:
         j = int(short[0])
         reason = f"budget {budgets[j]} is below the cheapest letter's cost"
         if budgets.size > 1:
-            reason = f"row {j}: {reason} {cheapest[j]}"
+            reason = f"row {j}: {reason} {cost_rows[j].min()}"
     else:
-        snapped = np.where(np.abs(rows - kept[:, None]) <= FACE_TOL, kept[:, None], rows)
         polytope = _Polytope(snapped, kept, snapped - kept[:, None])
-        if kept.size < 2 or _phase_one_passes(polytope) or _matrix_game(rows - kept[:, None])[0] <= FACE_TOL:
+        if kept.size < 2 or _phase_one_passes(polytope) or _snap(_matrix_game(rows - kept[:, None])[0], 0.0) <= 0.0:
             return polytope
         reason = "no input law meets every budget"
     d_min = None
@@ -1050,8 +1060,8 @@ def grid_search_capacity(model: ChannelModel, budget: float, step: float | None 
     Only tiny input alphabets are supported (2 or 3 letters); the default
     step is 1e-4 for two letters and 1e-2 for three, giving an O(step)
     approximation from below; a step outside (0, 1] raises ``ValueError``.
-    ``_check_budgets`` checks the budget, and a grid law at most
-    ``FACE_TOL`` above it counts as feasible.
+    ``_check_budgets`` checks the budget, and a grid law whose cost is at
+    most the budget once snapped (``_snap``) counts as feasible.
     """
     if model.input_size > 3:
         raise AlphabetTooLarge("grid search supports input alphabets of size 2 or 3")
@@ -1064,7 +1074,7 @@ def grid_search_capacity(model: ChannelModel, budget: float, step: float | None 
     if model.input_size == 1:
         return 0.0
     grid = _simplex_grid(model.input_size, step)
-    feasible = grid @ cost_vector - budget <= FACE_TOL
+    feasible = _snap(grid @ cost_vector, budget) <= budget
     return float(np.max(batch_mutual_information(model, grid[feasible])))
 
 

@@ -156,6 +156,10 @@ def test_block_closed_form_domain():
         cd.block_cd_closed_form(0.3, 2, -0.1)
     with pytest.raises(ValueError):
         cd.block_cd_closed_form(0.6, 2, 0.1)
+    # The block length is an integer: an integral float or a bool is not one.
+    for block_len in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            cd.block_cd_closed_form(0.3, block_len, 0.1)
 
 
 # ---------------------------------------------------------------------------

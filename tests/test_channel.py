@@ -145,6 +145,15 @@ def test_malformed_inputs_raise_their_documented_errors():
         cd.state_posterior(model, 0, 2)
     with pytest.raises(cd.DimensionMismatch, match="block_len"):
         cd.block_to_super_symbol(model, 0)
+    # A size is an integer: an integral float or a bool is not one.
+    for block_len in (2.0, 1.5, True):
+        with pytest.raises(cd.DimensionMismatch, match="block_len must be an integer"):
+            cd.block_to_super_symbol(model, block_len)
+    # A cost is a vector: a scalar or a one-row matrix names its shape.
+    with pytest.raises(cd.DimensionMismatch, match=r"must be a vector, got shape \(\)"):
+        cd.multi_constraint_point(model, [cd.CostConstraint(0.5, 1.0)])
+    with pytest.raises(cd.DimensionMismatch, match=r"must be a vector, got shape \(1, 2\)"):
+        cd.multi_constraint_point(model, [cd.CostConstraint([[0.4, 0.0]], 1.0)])
 
 
 def test_input_distribution_has_the_length_of_its_alphabet():

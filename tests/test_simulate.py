@@ -168,6 +168,10 @@ def test_simulate_memory_is_linear_in_samples():
 def test_simulate_rejects_empty_run():
     with pytest.raises(ValueError):
         cd.simulate(cd.scalar_multiplicative_model(0.4), [0.5, 0.5], n=0, seed=0)
+    # The sample count is an integer: an integral float or a bool is not one.
+    for n in (10.5, 10.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            cd.simulate(cd.scalar_multiplicative_model(0.4), [0.5, 0.5], n=n, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +295,9 @@ def test_factorization_guards_block_size():
         cd.check_factorization(model, [0.5, 0.5], block_len=5, trials=1, seed=0)
     with pytest.raises(cd.AlphabetTooLarge):
         cd.check_factorization(model, [0.5, 0.5], block_len=0, trials=1, seed=0)
+    for block_len in (1.5, 2.0, True):
+        with pytest.raises(cd.AlphabetTooLarge, match="integer"):
+            cd.check_factorization(model, [0.5, 0.5], block_len=block_len, trials=1, seed=0)
     rng = np.random.default_rng(0)
     transition = rng.random((2, 4, 2)) + 0.1
     transition /= transition.sum(axis=2, keepdims=True)
