@@ -37,13 +37,15 @@ class InfeasibleConstraints(CapdistError):
 
 class InfeasibleDistortion(InfeasibleConstraints):
     """A budget set that no input law meets, raised by every budgeted entry
-    point (a NaN budget raises ``ValueError``).  ``d_min`` is the least
-    budget all rows could share: the cheapest letter's cost for one row,
-    min over input laws of the dearest row's cost for several, and None
-    when the budgets differ.  A set that the budget rule's game puts within
-    ``FACE_TOL`` of feasible carries no ``d_min`` either, where a solve finds
-    it empty: budgets at their rows' cheapest costs that share no letter, or
-    other rows that no law on those letters meets (a budget below its row's
+    point (a NaN budget raises ``ValueError``).  The budget rule
+    (``solver._check_budgets``) raises it before any solve; no solve on a
+    set the rule accepts does.  ``d_min`` is the least budget all rows
+    could share: the cheapest letter's cost for one row, min over input
+    laws of the dearest row's cost for several, and None when the budgets
+    differ.  A set that the rule's game puts within ``FACE_TOL`` of
+    feasible carries no ``d_min`` either, where the rule finds it empty:
+    budgets at their rows' cheapest costs that share no letter, or other
+    rows that no law on those letters meets (a budget below its row's
     cheapest cost on them, or the budget polytope's linear program fails
     its phase 1)."""
 

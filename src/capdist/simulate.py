@@ -181,10 +181,14 @@ def check_factorization(
     blocks is computed by brute-force enumeration of the joint law, and
     checked entrywise against prod_i P(s_i | x_i, y_i) to within 1e-10.
     ``posterior_fn`` substitutes the single-letter posterior (test hook for
-    deliberately corrupted inputs); default is the model's own.
+    deliberately corrupted inputs); default is the model's own.  ``trials``
+    must be an integer of at least 1 (else ``ValueError``): with none, a
+    pass would check nothing.
     """
     if not _is_integer(block_len) or not 1 <= block_len <= MAX_BLOCK_LEN:
         raise AlphabetTooLarge(f"block_len must be an integer in [1, {MAX_BLOCK_LEN}], got {block_len}")
+    if not _is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
     if model.state_size**block_len > MAX_STATE_BLOCKS:
         raise AlphabetTooLarge(
             f"|S|^block_len = {model.state_size}**{block_len} exceeds {MAX_STATE_BLOCKS}"

@@ -8,8 +8,9 @@ certificate or has made ``BA_PREFIX`` updates, and on the budget polytope
 {p in simplex : A p <= b} when the unconstrained law breaks a budget.
 One budgeted solve (``_solve_budget``) serves every budgeted entry point;
 given a start law, as ``compound_cd``'s Kelley rounds give it, it runs that
-routine alone, with no ascent.  A budget at its cheapest cost confines the
-law to the cheapest letters.
+routine alone, with no ascent.  The budget rule (``_check_budgets``)
+decides every budget set once: a budget at its cheapest cost confines the
+law to the cheapest letters, and the rule returns the polytope on them.
 The polytope owns the linear step (``_Polytope.vertex``): the best letter
 on the simplex, the polytope with no rows (``_simplex``), a concave hull
 for one budget and a small linear program for several; each also gives
@@ -185,9 +186,12 @@ class _Objective:
             total += weight * (q / np.maximum(weights @ q, 1e-300)) @ q.T
         return total
 
-    def restrict(self, keep: FloatArray) -> _Objective:
+    def restrict(self, keep: FloatArray | None) -> _Objective:
         """The objective on the letters where ``keep`` is true, built once
-        per face, so that budgets solved on one face share its ascent."""
+        per face, so that budgets solved on one face share its ascent; the
+        objective itself where ``keep`` is None (no face)."""
+        if keep is None:
+            return self
         key = keep.tobytes()
         if key not in self._faces:
             restricted = copy.copy(self)
@@ -434,9 +438,10 @@ class _LinearProgram:
     basis or basic at 1, never basic at 0, and basic it raises
     ``InfeasibleDistortion`` with no ``d_min`` (no law meets the rows).
     That is the budget rule's feasibility test for several rows: the
-    program of a budget polytope's excess rows (``_Polytope.program``) runs
-    its phase 1 once, in ``_check_budgets``; a matrix game's rows always
-    admit a law.  Only the objective changes between ``solve`` calls, so
+    program of the excess rows left on a budget polytope's face
+    (``_Polytope.program``) runs its phase 1 once, in ``_check_budgets``,
+    which catches the raise; a matrix game's rows always admit a law.
+    Only the objective changes between ``solve`` calls, so
     each one's optimal basis stays feasible and the next phase 2 starts from
     it (simplex reoptimization): every Frank-Wolfe step on a polytope, in
     every solve on it, re-optimizes its one program.  A letter appended by
@@ -640,8 +645,8 @@ def _frank_wolfe(
     """Maximize objective(p) over the budget polytope {p in simplex :
     rows @ p <= budgets} by pairwise Frank-Wolfe, from the given atoms and
     weights.  The polytope comes from ``_check_budgets`` (no cost is off
-    its budget by ``FACE_TOL`` or less), from its ``restrict``, or is the
-    simplex (``_simplex``).
+    its budget by ``FACE_TOL`` or less, and the objective and the atoms are
+    on its ``letters``), or is the simplex (``_simplex``).
 
     The law is kept as a convex combination of polytope vertices (atoms).
     Each step moves weight from the atom of least score to the best vertex
@@ -710,20 +715,24 @@ def _frank_wolfe(
 @dataclass(frozen=True, eq=False)
 class _Polytope:
     """The budget polytope {p in simplex : rows @ p <= budgets} of one
-    checked budget set (``_check_budgets``), shared by every solve on it:
-    ``compound_cd`` runs all its Kelley rounds on one.
+    budget set, as the budget rule (``_check_budgets``) returns it, shared
+    by every solve on it: ``compound_cd`` runs all its Kelley rounds on one.
 
     ``rows`` are the costs with every cost within ``FACE_TOL`` of its budget
     snapped onto it, and ``excess`` is rows - budgets[:, None], so a law p
     meets the budgets when excess @ p <= 0, the homogeneous form the linear
-    program takes; a snapped cost's excess is exactly zero.  ``order``,
-    ``program`` and ``face`` are built on first use and kept.  Every solve
-    on it runs where ``restrict`` puts it.
+    program takes; a snapped cost's excess is exactly zero.  Where a budget
+    is on its row's cheapest cost, every law lies on the letters on it, and
+    the polytope is held on that face: ``letters`` masks the letters kept in
+    the full alphabet (None off a face), and the rows, budgets and excess
+    are the other rows on them.  ``order`` and ``program`` are built on
+    first use and kept.
     """
 
     rows: FloatArray
     budgets: FloatArray
     excess: FloatArray
+    letters: FloatArray | None = None
 
     @functools.cached_property
     def order(self) -> FloatArray:
@@ -732,9 +741,10 @@ class _Polytope:
 
     @functools.cached_property
     def program(self) -> _LinearProgram:
-        """The ``_LinearProgram`` of the excess rows, past its phase 1, which
-        raises ``InfeasibleDistortion`` (and keeps nothing) when no law meets
-        them."""
+        """The ``_LinearProgram`` of the excess rows, past its phase 1.  The
+        budget rule runs it for every polytope of two or more rows, so it
+        finds a law here; only a phase 1 that faults (``NotCertified``), on
+        a set the rule's game let through, runs again, and faults again."""
         return _LinearProgram(self.excess)
 
     def vertex(self, score: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -756,58 +766,22 @@ class _Polytope:
             return v, np.array([lam])
         return self.program.solve(-score)
 
-    @functools.cached_property
-    def face(self) -> tuple[FloatArray, _Polytope] | None:
-        """None unless a budget is on its row's cheapest cost (where the
-        snap puts costs within ``FACE_TOL``).  Then every law of the
-        polytope lies on the letters that are on each such budget, and the
-        face is (those letters, as a mask; the polytope of the other rows
-        on them).  ``InfeasibleDistortion`` when a budget is below its row's
-        cheapest cost, which only a face's rows can be, or when no letter
-        is on every budget at its cheapest cost."""
-        cheapest = self.rows.min(axis=1)
-        if (self.budgets < cheapest).any():
-            raise InfeasibleDistortion("no input law meets every budget")
-        floor = self.budgets == cheapest
-        if not floor.any():
-            return None
-        on = (self.rows[floor] == self.budgets[floor][:, None]).all(axis=0)
-        if not on.any():
-            raise InfeasibleDistortion("the budgets at their cheapest costs share no letter")
-        return on, _Polytope(self.rows[~floor][:, on], self.budgets[~floor], self.excess[~floor][:, on])
-
-    def restrict(self, objective: _Objective) -> tuple[_Objective, _Polytope, FloatArray | None]:
-        """(objective, polytope, letters): the problem on the letters that
-        every law of this polytope uses.  Off a face that is this polytope,
-        with letters None.  On one it is the objective on the face's letters
-        (``_Objective.restrict``) and the face's polytope, restricted again
-        while that has a face; letters masks the letters kept, and ``_lift``
-        puts a law on them back.
-        """
-        polytope, letters = self, None
-        while polytope.face is not None:
-            on, polytope = polytope.face
-            objective = objective.restrict(on)
-            letters = on if letters is None else _lift(on, letters) > 0.0
-        return objective, polytope, letters
-
     def start(self, objective: _Objective) -> FloatArray:
-        """A law of this polytope to start Frank-Wolfe from: the uniform law
-        on the letters that meet every budget on their own, and where no
-        letter does, the best vertex for the uniform law's scores.  A letter
-        meets every budget here exactly when it does on the face, so only
-        the vertex is found where ``restrict`` puts the problem, and lifted
-        back.  A start inside the polytope matters where the optimum spreads
-        over many letters: on the K = 7 block channel, whose optimum is
-        uniform on its 127 free letters, Frank-Wolfe from a vertex adds one
-        letter a step (1,445 score evaluations, against 2).
+        """A law of this polytope, in the full alphabet, to start Frank-Wolfe
+        from: the uniform law on the letters that meet every budget on their
+        own, and where no letter does, the best vertex for the uniform law's
+        scores under the objective on ``letters``.  A start inside the
+        polytope matters where the optimum spreads over many letters: on the
+        K = 7 block channel, whose optimum is uniform on its 127 free
+        letters, Frank-Wolfe from a vertex adds one letter a step (1,445
+        score evaluations, against 2).
         """
         free = (self.excess <= 0.0).all(axis=0)
         if free.any():
-            return free / np.count_nonzero(free)
-        objective, polytope, letters = self.restrict(objective)
+            return _lift(free / np.count_nonzero(free), self.letters)
+        objective = objective.restrict(self.letters)
         n = objective.n_inputs
-        return _lift(polytope.vertex(objective.scores(np.full(n, 1.0 / n)))[0], letters)
+        return _lift(self.vertex(objective.scores(np.full(n, 1.0 / n)))[0], self.letters)
 
 
 def _simplex(n: int) -> _Polytope:
@@ -817,7 +791,7 @@ def _simplex(n: int) -> _Polytope:
 
 
 def _lift(q: FloatArray, letters: FloatArray | None) -> FloatArray:
-    """The law q on the letters of a ``_Polytope.restrict`` mask, with zeros
+    """The law q on the letters of a ``_Polytope.letters`` mask, with zeros
     on the others; q itself when the mask is None (no face)."""
     if letters is None:
         return q
@@ -836,23 +810,29 @@ def _snap(costs: FloatArray | float, budgets: FloatArray | float) -> FloatArray:
 
 def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     """The budget rule of every budgeted entry point: cost_rows @ p <= budgets.
+    It decides every set, and returns one that some law meets as its
+    ``_Polytope``, put on its face (``_face``).
 
     A non-finite cost or a NaN budget raises ``ValueError``; a +inf budget
     constrains nothing, so its row is dropped.  Every cost on its budget
     (within ``FACE_TOL``) is snapped onto it (``_snap``): pairing such a
     letter across the budget would divide by a rounding-level difference.
-    ``InfeasibleDistortion`` is raised when a budget lies below its row's
-    cheapest letter, snapped, or, with several rows, when the phase 1 of
-    the snapped polytope's program does not pass them and the game
-    min_p max_j (cost_j . p - budget_j), snapped onto 0, is above it: no input
-    law meets them all.  Its ``d_min`` is the least common budget when the
-    budgets are equal (the cheapest letter for one row, else the game value
-    of the costs), and None otherwise.  The game runs only on the sets that
-    phase 1 rejects or faults on.  One it puts on 0 is
-    returned, as every other set is, as the ``_Polytope`` of the rows and
-    budgets left; a solve on it raises ``InfeasibleDistortion`` with no
-    ``d_min`` where it reaches the polytope's face or program and finds it
-    empty.
+    A budget below its row's cheapest letter, snapped, raises
+    ``InfeasibleDistortion``.  Otherwise the set is put on its face, and
+    where two or more rows are left there, the phase 1 of their program
+    runs, the one program that every solve on the polytope re-optimizes.
+    Where the face is empty, or phase 1 ends infeasible or faults
+    (``NotCertified``), the game min_p max_j (cost_j . p - budget_j) on the
+    costs as given decides.  Snapped onto 0 and above it, it raises
+    ``InfeasibleDistortion``: no input law meets them all.  On 0 it raises
+    the face's or phase 1's own ``InfeasibleDistortion``, with no
+    ``d_min``, and after a fault returns the polytope, whose program a
+    solve that needs it builds again.  The ``d_min`` of a budget below its
+    cheapest letter or of a game above 0 is the least common budget when
+    the budgets are equal (the cheapest letter for one row, else the game
+    value of the costs), and None otherwise.  So a polytope the rule
+    returns always has a law, and no solve on it raises
+    ``InfeasibleDistortion``.
     """
     if np.isnan(budgets).any():
         raise ValueError(f"budget is NaN: {budgets.tolist()}")
@@ -870,9 +850,16 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
         if budgets.size > 1:
             reason = f"row {j}: {reason} {cost_rows[j].min()}"
     else:
-        polytope = _Polytope(snapped, kept, snapped - kept[:, None])
-        if kept.size < 2 or _phase_one_passes(polytope) or _snap(_matrix_game(rows - kept[:, None])[0], 0.0) <= 0.0:
+        try:
+            polytope = _face(snapped, kept)
+            if polytope.budgets.size > 1:
+                polytope.program  # phase 1, kept for every solve on the polytope
             return polytope
+        except (InfeasibleDistortion, NotCertified) as exc:
+            if _snap(_matrix_game(rows - kept[:, None])[0], 0.0) <= 0.0:
+                if isinstance(exc, NotCertified):
+                    return polytope
+                raise
         reason = "no input law meets every budget"
     d_min = None
     if np.all(kept == kept[0]):
@@ -881,16 +868,27 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     raise InfeasibleDistortion(reason, d_min=d_min)
 
 
-def _phase_one_passes(polytope: _Polytope) -> bool:
-    """Whether the phase 1 of the polytope's program finds a law; the
-    program is then kept.  False also where the simplex faults
-    (``NotCertified``): the game decides then, and a solve that needs the
-    program runs phase 1 again."""
-    try:
-        polytope.program
-    except (InfeasibleDistortion, NotCertified):
-        return False
-    return True
+def _face(rows: FloatArray, budgets: FloatArray, letters: FloatArray | None = None) -> _Polytope:
+    """The ``_Polytope`` of snapped rows and their budgets, on its face.
+
+    Where a budget is on its row's cheapest cost, every law lies on the
+    letters on each such budget, so the face is that of the other rows
+    restricted to those letters; ``letters`` masks the letters left in the
+    full alphabet.  ``InfeasibleDistortion``, with no ``d_min``, when a
+    budget is below its row's cheapest cost on the letters left, which only
+    a face's rows can be, or when no letter is on every budget at its
+    cheapest cost.
+    """
+    cheapest = rows.min(axis=1)
+    if (budgets < cheapest).any():
+        raise InfeasibleDistortion("no input law meets every budget")
+    floor = budgets == cheapest
+    if not floor.any():
+        return _Polytope(rows, budgets, rows - budgets[:, None], letters)
+    on = (rows[floor] == budgets[floor][:, None]).all(axis=0)
+    if not on.any():
+        raise InfeasibleDistortion("the budgets at their cheapest costs share no letter")
+    return _face(rows[~floor][:, on], budgets[~floor], on if letters is None else _lift(on, letters) > 0.0)
 
 
 def _solve_budget(
@@ -899,28 +897,31 @@ def _solve_budget(
     """Maximize the objective on a budget polytope of ``_check_budgets``.
 
     Returns (law, value, dual bound, constraint_active, warning).  The
-    solve runs where ``_Polytope.restrict`` puts it: a budget on its row's
-    cheapest cost confines the law to the polytope's face, which binds, and
-    the other rows are solved on it.  Without a start law, the objective's
-    unconstrained law (its one ``_ascend``) is returned if it meets every
-    budget; if not, the start is the best vertex for that law's scores, and
-    the constraint is active.  With a start law, such as
-    ``_Polytope.start``'s or a Kelley round's last law, there is no ascent,
-    and the constraint counts as active.  Pairwise Frank-Wolfe runs from
-    the start, put on the face, as its one atom; its dual bound certifies
-    the optimum whether or not a budget binds.  Either way the law comes
-    with a certified gap, and one rule flags it: a gap above
-    ``STALL_CERT`` is named in the warning.
+    solve runs on the polytope's ``letters``, with the objective restricted
+    to them: a budget on its row's cheapest cost confines the law to that
+    face, which binds, and the other rows are solved on it.  Without a
+    start law, the objective's unconstrained law (its one ``_ascend``) is
+    returned if it meets every budget; if not, the start is the best vertex
+    for that law's scores, and the constraint is active.  With a start law
+    in the full alphabet, such as ``_Polytope.start``'s or a Kelley round's
+    last law, there is no ascent, and the constraint counts as active.
+    Pairwise Frank-Wolfe runs from the start, on the face, as its one atom;
+    its dual bound certifies the optimum whether or not a budget binds.
+    Either way the law comes with a certified gap, and one rule flags it: a
+    gap above ``STALL_CERT`` is named in the warning.  The law returned is
+    in the full alphabet.
     """
-    objective, polytope, letters = polytope.restrict(objective)
+    letters = polytope.letters
+    objective = objective.restrict(letters)
     if law is None:
         p, cert, _, value, score = objective.unconstrained()
         bound = value + cert
         if (polytope.rows @ p > polytope.budgets).any():
-            law = _lift(polytope.vertex(score)[0], letters)
+            law = polytope.vertex(score)[0]
+    elif letters is not None:
+        law = law[letters]
     if law is not None:
-        start = law if letters is None else law[letters]
-        p, value, bound, _ = _frank_wolfe(objective, polytope, start[None, :], np.ones(1))
+        p, value, bound, _ = _frank_wolfe(objective, polytope, law[None, :], np.ones(1))
     warning = None
     if bound - value > STALL_CERT:
         warning = f"solver stopped with gap {bound - value:.3g} above stall_cert"

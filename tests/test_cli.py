@@ -177,6 +177,20 @@ def test_curve_grid_roundtrip(tmp_path, capsys):
     assert cli.format_curve_rows(rows) == out_file.read_text()
 
 
+def test_curve_file_reader_skips_blank_lines_and_rejects_bad_ones(tmp_path):
+    path = tmp_path / "curve.csv"
+    row = "0.05,0.1,0.14426950408889633,true"
+    path.write_text(f"{cli.CSV_HEADER}\n\n{row}\n\n")
+    assert cli.read_curve_csv(str(path)) == [(0.05, 0.1, 0.14426950408889633, True)]
+    path.write_text(f"D,capacity\n{row}\n")
+    with pytest.raises(ValueError, match="bad curve file header"):
+        cli.read_curve_csv(str(path))
+    for bad in ("0.05,0.1,0.14", "0.05,0.1,0.14,yes"):
+        path.write_text(f"{cli.CSV_HEADER}\n{bad}\n")
+        with pytest.raises(ValueError, match="bad curve row"):
+            cli.read_curve_csv(str(path))
+
+
 def test_curve_d_list_skips_infeasible_budgets(tmp_path, capsys):
     doc = _scalar_doc()
     # Both letters mute the channel: every letter costs 0.4, so d_min = 0.4.

@@ -330,8 +330,7 @@ BINDING_FACE = [
 def test_compound_solves_on_the_face_with_no_ascent(monkeypatch, transition, budget, rows, value):
     family = cd.CompoundFamily(transition, ([0.7, 0.3], [0.4, 0.6]), HAMMING2)
     polytope = solver._check_budgets(_cost_rows(family), np.full(2, budget))
-    on, rest = polytope.face
-    assert on.tolist() == [True, True, False] and rest.rows.shape == (rows, 2)
+    assert polytope.letters.tolist() == [True, True, False] and polytope.rows.shape == (rows, 2)
     sizes = []
     frank_wolfe = solver._frank_wolfe
     monkeypatch.setattr(solver, "_frank_wolfe", lambda objective, *args: sizes.append(objective.n_inputs)
@@ -359,7 +358,7 @@ LATER_ROUND_FACE = [
 
 def test_compound_later_rounds_start_on_the_face(monkeypatch):
     family = cd.CompoundFamily(LATER_ROUND_FACE, ([0.7, 0.3], [0.2, 0.8]), HAMMING2)
-    assert solver._check_budgets(_cost_rows(family), np.zeros(2)).face[0].tolist() == [True, True, False]
+    assert solver._check_budgets(_cost_rows(family), np.zeros(2)).letters.tolist() == [True, True, False]
     starts = []
     real = extensions._solve_weighted
     monkeypatch.setattr(extensions, "_solve_weighted",

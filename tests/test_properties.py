@@ -118,10 +118,8 @@ def test_one_budget_multiplier_bound_is_the_best_vertex_score(model, frac, data)
     # D)], the bound the solver certifies with; it is the polytope's best
     # vertex score, here at the scores of a random law.
     cost = cd.optimal_estimator(model).cost_vector
-    polytope = solver._check_budgets(
-        cost[None, :], np.array([cost.min() + frac * (cost.max() - cost.min())])
-    )
-    cost, budget = polytope.rows[0], float(polytope.budgets[0])
+    budget = float(cost.min() + frac * (cost.max() - cost.min()))
+    cost = solver._snap(cost, budget)  # the costs as the budget rule snaps them
     p = np.array(data.draw(st.lists(_weights, min_size=cost.size, max_size=cost.size)))
     pyx = model.output_given_input
     score = _kl_rows(pyx, (p / p.sum()) @ pyx)

@@ -304,3 +304,13 @@ def test_factorization_guards_block_size():
     wide_state = cd.validate_channel(transition, np.full(4, 0.25), rng.random((4, 4)))
     with pytest.raises(cd.AlphabetTooLarge):
         cd.check_factorization(wide_state, [0.5, 0.5], block_len=4, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("trials", [1.5, True, 0, -3])
+def test_factorization_guards_trials(trials):
+    # A float ended in a TypeError from range, True ran one trial and
+    # reported trials=True, and 0 or fewer trials passed having checked
+    # nothing.
+    model = cd.scalar_multiplicative_model(0.4)
+    with pytest.raises(ValueError, match="trials"):
+        cd.check_factorization(model, [0.5, 0.5], block_len=2, trials=trials, seed=0)

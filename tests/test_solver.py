@@ -236,7 +236,7 @@ def test_the_simplex_is_the_polytope_with_no_rows():
         v, lam = simplex.vertex(score)
         assert v.tobytes() == np.eye(n)[np.argmax(score)].tobytes()
         assert lam.size == 0
-        assert simplex.face is None
+        assert simplex.letters is None
 
 
 def test_a_one_row_polytopes_vertex_is_the_hulls():
@@ -247,7 +247,7 @@ def test_a_one_row_polytopes_vertex_is_the_hulls():
         cost = rng.choice([0.0, 0.1, 0.5, 1.0], size=n)
         cost[:2] = 0.0, 1.0
         polytope = solver._check_budgets(cost[None, :], np.array([rng.uniform(0.1, 0.9)]))
-        assert polytope.face is None
+        assert polytope.letters is None
         row, budget = polytope.rows[0], float(polytope.budgets[0])
         for _ in range(5):
             score = rng.choice([0.0, 0.3, 1.0, rng.normal()], size=n)
@@ -382,6 +382,21 @@ def test_point_just_above_d_min_lands_on_the_budget():
     assert point.convergence_warning is None
     assert abs(point.optimizer.probs @ cost - budget) <= 1e-12
     assert abs(point.capacity - exact) <= 1e-9
+
+
+def test_an_ascent_step_that_lowers_the_objective_raises():
+    # A test objective whose second scores call lowers p . score by 1.5:
+    # the first update must not be taken as an ascent.
+    class Falling:
+        n_inputs = 2
+        calls = 0
+
+        def scores(self, p):
+            self.calls += 1
+            return np.array([1.0, 0.0]) if self.calls == 1 else np.array([-1.0, -1.0])
+
+    with pytest.raises(cd.SolverNonmonotone, match="ascent step lowered the objective"):
+        solver._ascend(Falling())
 
 
 def test_stalled_ascent_point_needs_few_score_evaluations(monkeypatch):
@@ -691,12 +706,15 @@ def test_multi_constraint_rejects_a_non_finite_cost(entry):
 
 def test_budgets_at_their_cheapest_costs_sharing_no_letter_raise_infeasible_distortion():
     # Each budget sits on its row's cheapest letter, and the two letters
-    # differ.  The budget rule's game reads 1e-12 <= FACE_TOL and lets the
-    # set through; only the face of the cheapest letters shows it empty.
+    # differ.  The budget rule's game reads 1e-12 <= FACE_TOL, so the empty
+    # face of the cheapest letters gives the rule's verdict, with no d_min.
     model = cd.validate_channel([[[0.9, 0.1]], [[0.2, 0.8]]], [1.0], [[0.0]])
     constraints = [cd.CostConstraint([0.0, 2e-12], 0.0), cd.CostConstraint([2e-12, 0.0], 0.0)]
     with pytest.raises(cd.InfeasibleDistortion, match="share no letter") as exc:
         cd.multi_constraint_point(model, constraints)
+    assert exc.value.d_min is None
+    with pytest.raises(cd.InfeasibleDistortion, match="share no letter") as exc:
+        solver._check_budgets(np.array([[0.0, 2e-12], [2e-12, 0.0]]), np.zeros(2))
     assert exc.value.d_min is None
 
 
@@ -705,6 +723,7 @@ def test_a_face_row_below_its_cheapest_cost_raises_that_no_law_meets_the_budgets
     # their rows' cheapest costs, whose letters (after the snap) share only
     # letter 3.  There the third row costs 1.000000000001, above its budget
     # of 0.3: no law meets it, though no budget is at its cheapest cost.
+    # The game reads within FACE_TOL, so the rule raises with no d_min.
     model = cd.validate_channel(np.full((6, 1, 2), 0.5), [1.0], [[0.0]])
     rows = [[1e-09, 0.0, 9.99999999999e-10, 9.99999999999e-13, 1e-12, 1e-05],
             [1.000000000001, 1.000000000001, 1e-12, 1e-12, 1.000000000001e-12, 0.0],
@@ -713,17 +732,24 @@ def test_a_face_row_below_its_cheapest_cost_raises_that_no_law_meets_the_budgets
     with pytest.raises(cd.InfeasibleDistortion, match="no input law meets every budget") as exc:
         cd.multi_constraint_point(model, [cd.CostConstraint(row, b) for row, b in zip(rows, budgets)])
     assert exc.value.d_min is None
+    with pytest.raises(cd.InfeasibleDistortion, match="no input law meets every budget") as exc:
+        solver._check_budgets(np.array(rows), np.array(budgets))
+    assert exc.value.d_min is None
 
 
 def test_budgets_that_no_law_on_the_face_meets_raise_infeasible_distortion():
     # Letter 2 sits 1e-9 off the first row's floor, so the budget rule's
-    # game reads about 1e-17 <= FACE_TOL and lets the set through.  On the
-    # face {0, 1} the other rows need p0 <= 0.3 and p0 >= 0.3 + 1e-8, and
-    # Frank-Wolfe's program fails its phase 1.
+    # game reads about 1e-17 <= FACE_TOL.  On the face {0, 1} the other
+    # rows need p0 <= 0.3 and p0 >= 0.3 + 1e-8, and the program the rule
+    # builds there fails its phase 1.
     constraints = [cd.CostConstraint([0.0, 0.0, 1e-9], 0.0), cd.CostConstraint([1.0, 0.0, 0.0], 0.3),
                    cd.CostConstraint([0.0, 1.0, 0.0], 0.7 - 1e-8)]
     with pytest.raises(cd.InfeasibleDistortion, match="no law meets the rows") as exc:
         cd.multi_constraint_point(_three_letter_model(), constraints)
+    assert exc.value.d_min is None
+    with pytest.raises(cd.InfeasibleDistortion, match="no law meets the rows") as exc:
+        solver._check_budgets(np.stack([c.cost_vector for c in constraints]),
+                              np.array([c.budget for c in constraints]))
     assert exc.value.d_min is None
 
 

@@ -13,15 +13,20 @@ draw entrywise by a choice of {1, 1 + 1e-12, 1 - 1e-12}; and budgets
 ``lo + rng.choice([0, 1e-12, 1e-9, 0.3, 0.7], size=m) * (rows.max(1) -
 lo)`` with ``lo = rows.min(1)``.  Entries of 1e-12 to 1e-5 and budgets
 within 1e-12 of a row's cheapest cost put the simplex and the ``FACE_TOL``
-snap on their edges.  One ``multi_constraint_point`` call solves each draw,
-with numpy's ``RuntimeWarning`` raised as an error.
+snap on their edges.  The budget rule, ``solver._check_budgets``, first
+decides each draw's rows and budgets, then one ``multi_constraint_point``
+call solves the draw, both with numpy's ``RuntimeWarning`` raised as an
+error.
 
 Prints one line per draw, for diffing two checkouts' runs: ``i point``
 with the capacity's hex form, a hash of the law, ``constraint_active`` and
 the warning; or ``i`` and the exception's type, its ``d_min`` for
 ``InfeasibleDistortion``, and its message.  Then one ``# count`` line per
 outcome class.  An exception that is no ``CapdistError`` (every one of
-which has a documented exit code) is undocumented, and the run exits 1.
+which has a documented exit code) is undocumented, and so is an
+``InfeasibleDistortion`` from the point call on a set that the budget rule
+accepted: the rule decides every set, so a set it accepts has a law.  Each
+undocumented draw is named on stderr, and the run exits 1.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import capdist as cd  # noqa: E402
+from capdist import solver  # noqa: E402
 
 
 def draw(rng: np.random.Generator, i: int):
@@ -60,16 +66,24 @@ def draw(rng: np.random.Generator, i: int):
 
 
 def outcome(model, rows: np.ndarray, budgets: np.ndarray) -> tuple[str, str, bool]:
-    """(class, line, documented) of one ``multi_constraint_point`` call."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+    """(class, line, documented) of one ``multi_constraint_point`` call,
+    after the budget rule on the same rows and budgets."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            solver._check_budgets(rows, budgets)
+            accepted = True
+        except Exception:  # noqa: BLE001 - the point call below records it
+            accepted = False
+        try:
             point = cd.multi_constraint_point(
                 model, [cd.CostConstraint(row, float(b)) for row, b in zip(rows, budgets)])
-    except Exception as exc:  # noqa: BLE001 - every raise is a recorded outcome
-        kind = type(exc).__name__
-        d_min = f" d_min={exc.d_min!r}" if isinstance(exc, cd.InfeasibleDistortion) else ""
-        return kind, f"{kind}{d_min}: {exc}", isinstance(exc, cd.CapdistError)
+        except Exception as exc:  # noqa: BLE001 - every raise is a recorded outcome
+            kind = type(exc).__name__
+            infeasible = isinstance(exc, cd.InfeasibleDistortion)
+            d_min = f" d_min={exc.d_min!r}" if infeasible else ""
+            documented = isinstance(exc, cd.CapdistError) and not (accepted and infeasible)
+            return kind, f"{kind}{d_min}: {exc}", documented
     law = hashlib.sha256(point.optimizer.probs.tobytes()).hexdigest()[:16]
     line = f"point {point.capacity.hex()} {law} {point.constraint_active} {point.convergence_warning!r}"
     return "point", line, True
@@ -83,7 +97,9 @@ def run(seed: int, n_draws: int) -> int:
     for i in range(n_draws):
         kind, line, documented = outcome(*draw(rng, i))
         counts[kind] += 1
-        undocumented += not documented
+        if not documented:
+            undocumented += 1
+            print(f"draw {i}: undocumented {line}", file=sys.stderr)
         print(f"{i} {line}")
     for kind, n in sorted(counts.items()):
         print(f"# {kind} {n}")
