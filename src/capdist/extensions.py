@@ -278,8 +278,9 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     whose column law is the mix a and whose row duals are w.  Each round's
     cut is then one more column of the same program (column generation;
     Gilmore & Gomory, 1961), which leaves the last optimal basis feasible:
-    phase 1 runs once per call, every later round re-optimizes from the
-    last basis, and the basis has n_theta + 1 rows however many rounds run.
+    the game starts from its first cut, whose column -v_1 <= 0 meets every
+    row, with no phase 1, every later round re-optimizes from the last
+    basis, and the basis has n_theta + 1 rows however many rounds run.
     A call whose first round certifies builds no game: one law's mix is 1.
 
     The result is the mixed law, its value min_theta I_theta(p), and a gap
@@ -290,7 +291,7 @@ def compound_cd(family: CompoundFamily, budget: float) -> CompoundResult:
     infeasible one raises ``InfeasibleDistortion`` whose ``d_min`` is
     min_p max_theta d*_theta . p.  Every round solves on the one budget
     polytope it returns, so the polytope's linear program, for several
-    priors, runs its phase 1 once per call, and each round's Frank-Wolfe
+    priors, is built once per call, and each round's Frank-Wolfe
     re-optimizes it from the last round's basis.
     """
     models = family.models

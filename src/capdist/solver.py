@@ -429,8 +429,13 @@ class _LinearProgram:
     it left tiny pivots, and four times as many games with entries of 1e-12
     to 1e-5 raised.  An entry of a row below the rounding unit of the row's
     largest is taken as zero: a degenerate pivot on it would leave a basis
-    too ill-conditioned to read.  The constructor runs phase 1, which adds
-    one artificial variable for sum(p) = 1 and minimizes it.  While that
+    too ill-conditioned to read.  Where a letter's entries are all at most
+    0, the first such letter starts basic in the row sum(p) = 1, at 1, with
+    each slack at minus its entry: a feasible basis read off the rows (a
+    crash start), with no phase 1.  A budget polytope with a letter that
+    meets every budget starts so, and so does every Kelley game, whose cut
+    columns are -I(p) <= 0.  Otherwise the constructor runs phase 1, which
+    adds one artificial variable for sum(p) = 1 and minimizes it.  While that
     variable is basic, the basis solves B x = e with e its own column, so
     it sits at 1 and every other basic variable at 0; an entering column
     that reaches another row then pivots there at ratio 0, and one that
@@ -439,15 +444,16 @@ class _LinearProgram:
     ``InfeasibleDistortion`` with no ``d_min`` (no law meets the rows).
     That is the budget rule's feasibility test for several rows: the
     program of the excess rows left on a budget polytope's face
-    (``_Polytope.program``) runs its phase 1 once, in ``_check_budgets``,
-    which catches the raise; a matrix game's rows always admit a law.
+    (``_Polytope.program``) is built once, in ``_check_budgets``, which
+    catches the raise; a matrix game's rows always admit a law.
     Only the objective changes between ``solve`` calls, so
     each one's optimal basis stays feasible and the next phase 2 starts from
     it (simplex reoptimization): every Frank-Wolfe step on a polytope, in
     every solve on it, re-optimizes its one program.  A letter appended by
     ``add_column`` is nonbasic at 0, so the basis stays primal feasible too,
-    and phase 1 runs once however many columns are added.  Every basis is
-    solved by ``_solve_basis``.
+    and the start is made once however many columns are added.  Every basis
+    is solved by ``_solve_basis``; a solve that ends on the last solve's
+    basis, with no column added since, hands back that solve's z.
     """
 
     def __init__(self, rows: FloatArray, n_extra: int = 0):
@@ -463,11 +469,16 @@ class _LinearProgram:
         rhs = np.zeros(m + 1)
         rhs[m] = 1.0
         basis = np.arange(size, art + 1)
-        _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis)
-        if art in basis:
-            raise InfeasibleDistortion("no law meets the rows: phase 1 ends at 1")
+        free = (a[:m, n_extra:size] <= 0.0).all(axis=0).nonzero()[0]
+        if free.size:
+            basis[m] = n_extra + free[0]  # at 1, each slack at minus its entry
+        else:
+            _pivot_to_optimum(a, rhs, np.eye(1, art + 1, art)[0], basis)
+            if art in basis:
+                raise InfeasibleDistortion("no law meets the rows: phase 1 ends at 1")
         self.a, self.rhs, self.basis = a[:, :art], rhs, basis
         self.n_extra, self.size = n_extra, size
+        self._last = None, None  # the last solve's basis, as bytes, and z
 
     def add_column(self, column: FloatArray) -> None:
         """Append a letter with this column of the rows, after the last.
@@ -483,24 +494,30 @@ class _LinearProgram:
         self.a = np.insert(self.a, size, np.append(column, 1.0), axis=1)
         self.basis[self.basis >= size] += 1
         self.size = size + 1
+        self._last = None, None
 
     def solve(self, objective: FloatArray) -> tuple[FloatArray, FloatArray]:
         """Phase 2: minimize objective @ z from the last basis.  The final
-        basis is solved once more for z, and the duals y of its equations
+        basis is solved once more for z, unless it is the last solve's,
+        whose z (the same doubles) is kept, and the duals y of its equations
         are the ones ``_pivot_to_optimum`` solved it for, so both are exact
-        to rounding.  Returns (z, multipliers): z with its law clipped at 0
-        (the extra entries keep their rounding, which a difference of two of
-        them needs), and the rows' multipliers -y, clipped at 0.  Raises
-        ``NotCertified`` when the objective decreases without bound, which no
-        caller's program can."""
+        to rounding.  Returns (z, multipliers): z, read-only, with its law
+        clipped at 0 (the extra entries keep their rounding, which a
+        difference of two of them needs), and the rows' multipliers -y,
+        clipped at 0.  Raises ``NotCertified`` when the objective decreases
+        without bound, which no caller's program can."""
         a, basis, n_extra, size = self.a, self.basis, self.n_extra, self.size
         cost = np.zeros(a.shape[1])
         cost[:size] = objective
         duals = _pivot_to_optimum(a, self.rhs, cost, basis)
-        z = np.zeros(a.shape[1])
-        z[basis] = _solve_basis(a[:, basis], self.rhs)
-        np.maximum(z[n_extra:size], 0.0, out=z[n_extra:size])
-        return z[:size], np.maximum(-duals[:-1], 0.0)
+        key = basis.tobytes()
+        if self._last[0] != key:
+            z = np.zeros(a.shape[1])
+            z[basis] = _solve_basis(a[:, basis], self.rhs)
+            np.maximum(z[n_extra:size], 0.0, out=z[n_extra:size])
+            z.setflags(write=False)  # handed out again while the basis stays
+            self._last = key, z
+        return self._last[1][:size], np.maximum(-duals[:-1], 0.0)
 
 
 def _zero_tiny(rows: FloatArray) -> FloatArray:
@@ -664,9 +681,11 @@ def _frank_wolfe(
     pairwise one, so it adds nothing there.  Stops once bound - value is at
     most ``CERT_TOL``, after ``BA_MAX_ITER`` steps, or when no pairwise step
     improves the objective.  Returns (law, value, dual bound, scores at the
-    law).  A law whose sum is off 1 by ``PROB_TOL`` or more, which only
-    linear-program vertices off the simplex can give, raises
-    ``NotCertified``.
+    law), the law rebuilt from the atom weights and the bound read at its
+    scores with the multipliers of the last linear step: any lam >= 0 gives
+    a bound, so the polytope's linear step is not taken once more.  A law
+    whose sum is off 1 by ``PROB_TOL`` or more, which only linear-program
+    vertices off the simplex can give, raises ``NotCertified``.
     """
     excess = polytope.excess
     p = weights @ atoms
@@ -709,7 +728,7 @@ def _frank_wolfe(
         raise NotCertified(f"Frank-Wolfe's law sums to {p.sum():.17g}: a vertex is off the simplex")
     score = objective.scores(p)
     value = float(p @ score)
-    return p, value, float(maximum(score - polytope.vertex(score)[1] @ excess)), score
+    return p, value, float(maximum(score - lam @ excess)), score
 
 
 @dataclass(frozen=True, eq=False)
@@ -741,29 +760,33 @@ class _Polytope:
 
     @functools.cached_property
     def program(self) -> _LinearProgram:
-        """The ``_LinearProgram`` of the excess rows, past its phase 1.  The
-        budget rule runs it for every polytope of two or more rows, so it
-        finds a law here; only a phase 1 that faults (``NotCertified``), on
-        a set the rule's game let through, runs again, and faults again."""
+        """The ``_LinearProgram`` of the excess rows, started from a letter
+        that meets every budget or past its phase 1.  The budget rule builds
+        it for every polytope of two or more rows, so it finds a law here;
+        only a phase 1 that faults (``NotCertified``), on a set the rule's
+        game let through, runs again, and faults again."""
         return _LinearProgram(self.excess)
 
     def vertex(self, score: FloatArray) -> tuple[FloatArray, FloatArray]:
         """(v, lam): the polytope's best vertex v for the linear objective
-        score . v, and the rows' multipliers lam >= 0.  With no row it is the
-        first best letter, with no multiplier; with one it is read off the
-        upper concave hull of (cost(x), score(x)) (``_budget_vertex``); with
-        several it solves the polytope's ``program``, whose phase 1 ran once,
-        when the budget rule built the polytope.  Each solve re-optimizes it
-        from its last optimal basis, also across Frank-Wolfe calls."""
-        n = self.rows.shape[1]
-        if self.rows.shape[0] == 0:
-            return np.eye(1, n, int(np.argmax(score)))[0], np.zeros(0)
-        if self.rows.shape[0] == 1:
+        score . v, and the rows' multipliers lam >= 0.  With one row it is
+        read off the upper concave hull of (cost(x), score(x))
+        (``_budget_vertex``).  Otherwise, where the first best letter meets
+        every row (no row at all on the simplex), it is that letter, with
+        zero multipliers: the program's optimum and a dual optimum, with no
+        solve.  Else it solves the polytope's ``program``, built once, when
+        the budget rule built the polytope; each solve re-optimizes it from
+        its last optimal basis, also across Frank-Wolfe calls."""
+        m, n = self.rows.shape
+        if m == 1:
             x, y, alpha, lam = _budget_vertex(self.rows[0], self.order, score, float(self.budgets[0]))
             v = np.zeros(n)
             v[x] += alpha
             v[y] += 1.0 - alpha
             return v, np.array([lam])
+        x = int(np.argmax(score))
+        if m == 0 or (self.excess[:, x] <= 0.0).all():
+            return np.eye(1, n, x)[0], np.zeros(m)
         return self.program.solve(-score)
 
     def start(self, objective: _Objective) -> FloatArray:
@@ -819,8 +842,9 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     letter across the budget would divide by a rounding-level difference.
     A budget below its row's cheapest letter, snapped, raises
     ``InfeasibleDistortion``.  Otherwise the set is put on its face, and
-    where two or more rows are left there, the phase 1 of their program
-    runs, the one program that every solve on the polytope re-optimizes.
+    where two or more rows are left there, their program is built, from a
+    letter that meets every budget or else by its phase 1: the one program
+    that every solve on the polytope re-optimizes.
     Where the face is empty, or phase 1 ends infeasible or faults
     (``NotCertified``), the game min_p max_j (cost_j . p - budget_j) on the
     costs as given decides.  Snapped onto 0 and above it, it raises
@@ -829,9 +853,10 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     ``d_min``, and after a fault returns the polytope, whose program a
     solve that needs it builds again.  The ``d_min`` of a budget below its
     cheapest letter or of a game above 0 is the least common budget when
-    the budgets are equal (the cheapest letter for one row, else the game
-    value of the costs), and None otherwise.  So a polytope the rule
-    returns always has a law, and no solve on it raises
+    the budgets are equal, and None otherwise: the cheapest letter for one
+    row, the deciding game's value plus that budget where a game decided
+    (the same game, shifted), else the game value of the costs.  So a
+    polytope the rule returns always has a law, and no solve on it raises
     ``InfeasibleDistortion``.
     """
     if np.isnan(budgets).any():
@@ -844,6 +869,7 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
     short = (snapped.min(axis=1) > budgets).nonzero()[0]
     finite = budgets < np.inf
     rows, kept, snapped = cost_rows[finite], budgets[finite], snapped[finite]
+    value = None  # the game's, where it decides
     if short.size:
         j = int(short[0])
         reason = f"budget {budgets[j]} is below the cheapest letter's cost"
@@ -853,17 +879,23 @@ def _check_budgets(cost_rows: FloatArray, budgets: FloatArray) -> _Polytope:
         try:
             polytope = _face(snapped, kept)
             if polytope.budgets.size > 1:
-                polytope.program  # phase 1, kept for every solve on the polytope
+                polytope.program  # built once, kept for every solve on the polytope
             return polytope
         except (InfeasibleDistortion, NotCertified) as exc:
-            if _snap(_matrix_game(rows - kept[:, None])[0], 0.0) <= 0.0:
+            value = _matrix_game(rows - kept[:, None])[0]
+            if _snap(value, 0.0) <= 0.0:
                 if isinstance(exc, NotCertified):
                     return polytope
                 raise
         reason = "no input law meets every budget"
     d_min = None
     if np.all(kept == kept[0]):
-        d_min = float(rows[0].min()) if kept.size == 1 else _matrix_game(rows)[0]
+        if kept.size == 1:
+            d_min = float(rows[0].min())
+        elif value is None:
+            d_min = _matrix_game(rows)[0]
+        else:
+            d_min = float(value + kept[0])  # the same game, shifted by the common budget
         reason += f"; d_min = {d_min}"
     raise InfeasibleDistortion(reason, d_min=d_min)
 

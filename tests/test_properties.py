@@ -456,6 +456,29 @@ def test_lp_vertex_multipliers_close_the_duality_gap(case):
     assert abs(float(np.max(score - lam @ excess)) - float(score @ v)) <= 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(case=st.tuples(st.integers(2, 3), st.integers(1, 8)).flatmap(lambda shape: st.tuples(
+    arrays(np.float64, shape, elements=st.floats(0.0, 1.0)),
+    arrays(np.float64, shape[:1], elements=st.floats(0.0, 0.5)),
+    arrays(np.float64, shape[1:], elements=st.floats(0.0, 5.0)))))
+def test_a_free_best_letter_is_the_vertex_with_no_solve(case):
+    # The first best letter x meets every budget, so its point mass is the
+    # program's optimum and zero multipliers are dual optimal: the vertex
+    # builds no program, and it reads the program's value and dual bound.
+    costs, slack, score = case
+    x = int(np.argmax(score))
+    budgets = costs[:, x] + slack
+    excess = costs - budgets[:, None]
+    polytope = solver._Polytope(costs, budgets, excess)
+    v, lam = polytope.vertex(score)
+    assert "program" not in vars(polytope)
+    assert v.tolist() == np.eye(1, score.size, x)[0].tolist()
+    assert lam.tolist() == [0.0] * costs.shape[0]
+    z, mu = polytope.program.solve(-score)
+    assert abs(float(score @ v) - float(score @ z)) <= 1e-12
+    assert abs(float(np.max(score - lam @ excess)) - float(np.max(score - mu @ excess))) <= 1e-12
+
+
 @st.composite
 def linear_programs(draw):
     """(objective, rows, n_free) for ``_LinearProgram`` over |X| 1-64 letters

@@ -57,16 +57,19 @@ def test_replay_counts_linear_program_solves_and_diff_reads_a_missing_count_as_a
     run = _replay("several", "--seed", "5", "--ops", "1")
     assert run.returncode == 0, run.stderr
     line = json.loads(run.stdout)
-    solves = line["counts"]["lp_solves"]
+    solves, basis_solves = line["counts"]["lp_solves"], line["counts"]["basis_solves"]
     assert solves > 0
-    # A record made before lp_solves was counted lacks the key.
-    older = dict(line, counts={k: v for k, v in line["counts"].items() if k != "lp_solves"})
+    assert basis_solves >= solves  # each solve prices its basis at least once
+    # A record made before lp_solves and basis_solves were counted lacks
+    # their keys.
+    older = dict(line, counts={k: v for k, v in line["counts"].items() if k not in ("lp_solves", "basis_solves")})
     old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
     old_path.write_text(json.dumps(older) + "\n")
     new_path.write_text(run.stdout)
     diff = _replay("--diff", str(old_path), str(new_path))
     assert diff.returncode == 0, diff.stdout + diff.stderr
     assert f"lp_solves: absent -> {solves}" in diff.stdout
+    assert f"basis_solves: absent -> {basis_solves}" in diff.stdout
     assert "0 difference(s)" in diff.stdout
 
 

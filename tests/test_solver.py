@@ -843,6 +843,29 @@ def test_unbounded_linear_program_raises():
         solver._LinearProgram(np.array([[0.0, 1.0, -1.0]]), 1).solve(np.array([-1.0, 0.0, 0.0]))
 
 
+def test_a_free_letter_starts_the_program_and_an_unchanged_basis_keeps_its_solution(monkeypatch):
+    # Letter 1 meets both rows, so it starts basic in the sum row, at 1,
+    # with each slack at minus its entry: phase 1 makes no pivot.  A
+    # re-solve whose optimal basis stays (the objective doubled) hands back
+    # the last solve's z, the basis's own solution bit for bit, and solves
+    # the basis only once, to price it.
+    rows = np.array([[0.5, -0.2, 0.3], [0.1, -0.4, -0.1]])
+    pivots = _count_calls(monkeypatch, solver, "_pivot_to_optimum")
+    program = solver._LinearProgram(rows)
+    assert pivots[0] == 0
+    assert program.basis.tolist() == [3, 4, 1]
+    objective = np.array([-1.0, 0.2, -0.5])
+    program.solve(objective)
+    basis = program.basis.copy()
+    solves = _count_calls(monkeypatch, solver, "_solve_basis")
+    z, _ = program.solve(2.0 * objective)
+    assert solves[0] == 1
+    assert program.basis.tolist() == basis.tolist()
+    fresh = np.zeros(program.a.shape[1])
+    fresh[basis] = solver._solve_basis(program.a[:, basis], program.rhs)
+    assert z.tolist() == np.maximum(fresh[:program.size], 0.0).tolist()
+
+
 def test_singular_basis_is_a_solver_fault_or_a_solve():
     # Letter 2 meets both budgets, but the budget rule's game on rows that
     # differ by 1e-9 and 1e-5 in one entry reaches a singular basis.  A
@@ -870,21 +893,58 @@ def test_phase_one_decides_feasibility_at_the_snap():
     assert point.optimizer.probs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
-def test_phase_one_fault_leaves_the_verdict_to_the_game():
-    # Draw 63468 of ``tools/stress.py --seed 2``.  The phase 1 of the budget
-    # polytope's program reaches a singular basis on these rows; the game
-    # then finds the set feasible, and the unconstrained law meets both
-    # budgets, so the point needs no program at all.
-    model = cd.validate_channel(
+def _draw_63468_model():
+    """The channel of draw 63468 of ``tools/stress.py --seed 2``."""
+    return cd.validate_channel(
         [[[0.12431182995923547, 0.8756881700407645], [0.13637220294354221, 0.8636277970564578]],
          [[0.41167399909280844, 0.5883260009071917], [0.9274592245857551, 0.07254077541424492]],
          [[0.025602975493413133, 0.9743970245065869], [0.278920202039497, 0.721079797960503]],
          [[0.9885334448622379, 0.01146655513776208], [0.8733719377079544, 0.12662806229204562]]],
         [0.7649218532348223, 0.23507814676517771], 1.0 - np.eye(2))
-    rows = np.array([[0.001, 0.0, 0.001, 1e-07], [1e-07, 1.0, 1e-09, 1e-05]])
-    budgets = np.array([0.0007, 0.30000000070000005])
+
+
+def test_phase_one_fault_leaves_the_verdict_to_the_game(monkeypatch):
+    # No letter meets both budgets, so the budget polytope's program runs
+    # its phase 1, made here to reach a singular basis (of the 200,000
+    # ``tools/stress.py`` draws at seeds 2 and 3, the one set whose phase 1
+    # faults with no letter meeting every budget also needs the program for
+    # its point).  The game then finds the set feasible, and the
+    # unconstrained law meets both budgets, so the point needs no program
+    # at all.
+    model = _draw_63468_model()
+    rows = np.array([[0.001, 0.0, 0.001, 1e-07], [1e-07, 1.0, 1e-09, 0.5]])
+    budgets = np.array([0.0007, 0.3])
+    pivot = solver._pivot_to_optimum
+
+    def faulting(a, rhs, cost, basis):
+        # Phase 1 of a program on these 4 letters and 2 rows with no extra
+        # entry: the letters, 2 slacks and the artificial variable.  The
+        # game's program has two extra entries.
+        if a.shape[1] == 7:
+            raise cd.NotCertified("the simplex reached a singular basis (made to fault)")
+        return pivot(a, rhs, cost, basis)
+
+    monkeypatch.setattr(solver, "_pivot_to_optimum", faulting)
     with pytest.raises(cd.NotCertified, match="singular"):
         solver._LinearProgram(rows - budgets[:, None])
+    # The game's verdict returns the polytope, with no program kept.
+    assert "program" not in vars(solver._check_budgets(rows, budgets))
+    point = cd.multi_constraint_point(model, [cd.CostConstraint(row, b) for row, b in zip(rows, budgets)])
+    assert not point.constraint_active
+    assert (rows @ point.optimizer.probs <= budgets).all()
+    assert point.capacity == cd.capacity_distortion_point(model, math.inf).capacity
+
+
+def test_a_free_letter_spares_the_phase_one_that_faulted():
+    # Draw 63468 of ``tools/stress.py --seed 2``.  Letter 3 meets both
+    # budgets, so the budget polytope's program starts from it; phase 1,
+    # which reached a singular basis on these rows, does not run.  The
+    # unconstrained law meets both budgets, as before.
+    model = _draw_63468_model()
+    rows = np.array([[0.001, 0.0, 0.001, 1e-07], [1e-07, 1.0, 1e-09, 1e-05]])
+    budgets = np.array([0.0007, 0.30000000070000005])
+    program = solver._LinearProgram(rows - budgets[:, None])
+    assert program.basis.tolist() == [4, 5, 3]  # the slacks, then letter 3
     point = cd.multi_constraint_point(model, [cd.CostConstraint(row, b) for row, b in zip(rows, budgets)])
     assert not point.constraint_active
     assert (rows @ point.optimizer.probs <= budgets).all()
@@ -904,6 +964,104 @@ def test_frank_wolfe_law_off_the_simplex_is_a_solver_fault(monkeypatch):
     constraints = [cd.CostConstraint([1.0, 0.0, 0.0], 0.3), cd.CostConstraint([0.0, 1.0, 0.0], 0.3)]
     with pytest.raises(cd.NotCertified, match="off the simplex"):
         cd.multi_constraint_point(_three_letter_model(), constraints)
+
+
+# Draws of ``tools/stress.py`` whose solve raised ``NotCertified`` (a
+# singular basis, or a vertex off the simplex) on budgets that a law meets:
+# (seed, draw, transition, state prior, cost rows, budgets).
+RECOVERED_DRAWS = [
+    (2, 43847,
+     [[[0.016745767584414505, 0.08850362512342021, 0.675781549772726, 0.21896905751943926],
+       [0.03383917649034499, 0.7738032086097356, 0.17553297529110598, 0.016824639608813512]],
+      [[0.09628918898425784, 0.10295120050851743, 0.060550184437664065, 0.7402094260695606],
+       [0.6643270641483339, 0.10402280897971918, 0.13953707872629678, 0.0921130481456502]],
+      [[0.8005625734905302, 0.11096604444325524, 0.007189005705960001, 0.0812823763602546],
+       [0.9065363916466851, 0.000162478572443801, 0.08318863619607475, 0.010112493584796323]],
+      [[0.0016001853552322272, 0.9680451656114879, 0.02859980673721735, 0.0017548422960626015],
+       [0.16230018066839338, 0.15736296024362043, 0.11575735891092902, 0.5645795001770573]],
+      [[0.1161748381451671, 0.0020120397465121, 0.8769423620166017, 0.004870760091719135],
+       [0.5369621989557153, 0.06298738911169433, 0.1393139471610169, 0.2607364647715735]]],
+     [0.6389162215481855, 0.36108377845181455],
+     [[1.000000000001, 1e-07, 1e-12, 1.000000000001, 1.000000000001],
+      [1e-07, 0.0, 1.000000000001e-12, 9.99999999999e-13, 0.001],
+      [1.0, 9.99999999999e-13, 1.0, 1e-07, 0.000999999999999]],
+     [0.7000000000009999, 1.0000000000000002e-12, 0.7000000000002999]),
+    (2, 80028,
+     [[[0.015810786272922116, 0.9841892137270778],
+       [0.02203069920148458, 0.9779693007985154]],
+      [[0.4362517190393825, 0.5637482809606176],
+       [0.8105544923331455, 0.18944550766685458]],
+      [[0.09672849271875214, 0.9032715072812479],
+       [0.965525441254423, 0.03447455874557712]]],
+     [0.23921096269272044, 0.7607890373072795],
+     [[1.0, 1e-09, 0.0], [1.0, 1e-05, 0.0]],
+     [0.3, 0.3]),
+    (3, 43652,
+     [[[0.0743908119000528, 0.9256091880999472],
+       [0.0239522919672102, 0.9760477080327898],
+       [0.27846570623068817, 0.7215342937693119]],
+      [[0.02205102506972958, 0.9779489749302704],
+       [0.9900267513502585, 0.009973248649741548],
+       [0.13585620013672747, 0.8641437998632725]],
+      [[0.8187686352818241, 0.18123136471817589],
+       [0.7863079207026007, 0.21369207929739936],
+       [0.3307105185723858, 0.6692894814276141]],
+      [[0.963435925269615, 0.03656407473038512],
+       [0.4105522987506567, 0.5894477012493433],
+       [0.9755898479408515, 0.024410152059148423]],
+      [[0.3936925584011212, 0.6063074415988788],
+       [0.1882671721312077, 0.8117328278687923],
+       [0.2319404631065778, 0.7680595368934222]],
+      [[0.4353594370535972, 0.5646405629464029],
+       [0.39144118545467804, 0.608558814545322],
+       [0.9996061955868544, 0.00039380441314566155]]],
+     [0.5884226674201848, 0.03894218757245616, 0.372635145007359],
+     [[0.10000000000010001, 1.000000000001e-12, 0.001000000000001, 1.0000000000010001e-09, 1e-07, 0.0],
+      [1e-12, 0.10000000000010001, 0.0, 0.1, 9.999999999989999e-08, 1e-05]],
+     [0.030000000000030003, 0.07000000000007]),
+    (3, 86924,
+     [[[0.056517437600619946, 0.0018258419681340418, 0.609981234210788, 0.331675486220458],
+       [0.48988499049638, 0.193452837159466, 0.07080306160272358, 0.24585911074143046]],
+      [[0.0263934940974013, 0.817079034413879, 0.15308300847612372, 0.003444463012595914],
+       [0.5457523222855842, 0.39074014122129963, 0.027304236941172812, 0.03620329955194329]],
+      [[0.36190238537302566, 0.04575827400262057, 0.47916008541922245, 0.11317925520513142],
+       [0.5971235887830157, 0.3088425455480633, 0.057843081700318, 0.03619078396860289]],
+      [[0.03818043769795974, 0.7669726361336292, 0.06952015294201205, 0.1253267732263989],
+       [0.16887646577041843, 0.45395401887142106, 0.014139789820481776, 0.36302972553767876]]],
+     [0.4899732740034615, 0.5100267259965385],
+     [[0.10000000000010001, 0.0, 0.0, 0.0],
+      [0.10000000000010001, 0.001000000000001, 9.99999999999e-13, 0.0]],
+     [0.030000000000030003, 0.030000000000030003]),
+    (3, 88649,
+     [[[0.10400057048336031, 0.16124225185138874, 0.07252948533538787, 0.6622276923298631],
+       [0.443918307271619, 0.0035844397705759256, 0.47924628096597316, 0.07325097199183199],
+       [0.8297635482230434, 0.0072534913488150315, 0.1254679432431062, 0.037515017185035415]],
+      [[0.0589870970714525, 0.3207864111133831, 0.1015601765263317, 0.5186663152888328],
+       [0.23293067797480957, 0.14290522631900948, 0.3004366443461405, 0.3237274513600405],
+       [0.08494443301205788, 0.4188050640649514, 0.05389296752949875, 0.44235753539349193]],
+      [[0.3489153308887468, 0.3648975908210272, 0.2825621048788168, 0.003624973411409304],
+       [0.16163267371986656, 0.8186181035839669, 0.018622198132541765, 0.0011270245636248127],
+       [0.05928118990889505, 0.393783056167767, 0.3698512141943623, 0.1770845397289757]],
+      [[0.3051072801648313, 0.21052237947257837, 0.0038810477887389803, 0.48048929257385126],
+       [0.48535552871659826, 0.22934085386043865, 0.05518354494603107, 0.23012007247693203],
+       [0.40102941475826925, 0.02432012195747629, 0.2441720669756703, 0.3304783963085843]]],
+     [0.29038709877196145, 0.48621368372119356, 0.22339921750684505],
+     [[1.0, 0.0, 0.001, 0.000999999999999], [1.0000000000010001e-09, 1e-12, 1.0000000000010001e-09, 0.0]],
+     [0.3, 3.000000000003e-10]),
+]
+
+
+@pytest.mark.parametrize("seed, draw, transition, prior, rows, budgets", RECOVERED_DRAWS,
+                         ids=[f"seed {case[0]} draw {case[1]}" for case in RECOVERED_DRAWS])
+def test_stress_draws_that_faulted_return_points_within_their_budgets(seed, draw, transition, prior, rows, budgets):
+    # Each set has letters that meet every budget: its program starts from
+    # the first of them, not from phase 1, and a best letter among them is
+    # the vertex with no solve.
+    model = cd.validate_channel(transition, prior, 1.0 - np.eye(len(prior)))
+    rows, budgets = np.array(rows), np.array(budgets)
+    point = cd.multi_constraint_point(model, [cd.CostConstraint(row, b) for row, b in zip(rows, budgets)])
+    assert point.convergence_warning is None
+    assert (rows @ point.optimizer.probs <= budgets + solver.FACE_TOL).all()
 
 
 def test_warm_linear_program_reads_a_rounded_free_pair_as_rounding():

@@ -5,15 +5,18 @@ in order (cycling, as the benchmark worker does), with no deadline and no
 timing, and writes one JSON line per op to stdout:
 
     {"op": i, "label": ..., "fields": {field: hash}, "check": None or why,
-     "counts": {"scores": n, "_frank_wolfe": n, "_ascend": n, "lp_solves": n}}
+     "counts": {"scores": n, "_frank_wolfe": n, "_ascend": n, "lp_solves": n,
+                "basis_solves": n}}
 
 ``fields`` hashes each field of the result (a dataclass; anything else is
 one field, ``value``): arrays by dtype, shape and bytes, floats by their
 hex form, containers item by item.  An op that raises has ``"error"`` in
 place of ``fields``.  ``counts`` are the op's calls of
-``solver._Objective.scores``, ``solver._frank_wolfe``, ``solver._ascend``
-and ``solver._LinearProgram.solve`` (``lp_solves``: the linear steps on
-several rows, and the Kelley games).  The totals, the replay's CPU time
+``solver._Objective.scores``, ``solver._frank_wolfe``, ``solver._ascend``,
+``solver._LinearProgram.solve`` (``lp_solves``: the linear steps on
+several rows whose best letter breaks a budget, and the Kelley games) and
+``solver._solve_basis`` (``basis_solves``: every dense solve of a simplex
+basis, in phase 1, in each pivot and for each solve's z).  The totals, the replay's CPU time
 and the process's peak resident set (``ru_maxrss``, in MB) go to stderr.
 Exit status 1 when an op raised or failed its check.
 
@@ -26,7 +29,7 @@ any of theirs (``wide_ops``); ``blocks``, block channels of sparse, dense
 and mixed factors (``blocks_ops``), whose ops hash the support each block
 holds besides its fields; and ``several``, points under 2 and 3 budgets
 (``several_ops``), whose binding ones run Frank-Wolfe on one linear program
-re-optimized at every step, checked against scipy's HiGHS.
+re-optimized at every step that needs it, checked against scipy's HiGHS.
 
 ``--diff`` prints each op whose label, fields, check or error changed and
 the count deltas, and exits 1 if anything differs.  A count that a file
@@ -51,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNTED = ("scores", "_frank_wolfe", "_ascend", "lp_solves")
+COUNTED = ("scores", "_frank_wolfe", "_ascend", "lp_solves", "basis_solves")
 WORKLOADS = ("points", "outer", "large", "wide", "blocks", "several")
 # wide: budgeted points on Dirichlet(0.3) channels with |S| = 3 and |Y| = 8,
 # at these fractions of [d_min, d_max]; then simulate on a |X| = 4, |S| = 2,
@@ -112,6 +115,7 @@ def _install_counters(counts: dict[str, int]) -> None:
     counting(solver, "_frank_wolfe")
     counting(solver, "_ascend")
     counting(solver._LinearProgram, "solve", "lp_solves")
+    counting(solver, "_solve_basis", "basis_solves")
 
 
 def dual_bound(a: np.ndarray, b: np.ndarray) -> float:
